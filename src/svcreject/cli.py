@@ -8,7 +8,7 @@ without retraining.  Exit codes: 0 success, 1 internal verification failure,
 from __future__ import annotations
 
 import argparse
-import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -73,34 +73,6 @@ def _require(args, *names) -> None:
             raise dataset.DatasetError(f"--{name} is required for this command")
 
 
-def _read_feature_rows(path, bundle: artifacts.ModelBundle) -> np.ndarray:
-    """Read raw feature rows from a CSV, matching columns to the model by name."""
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"input file not found: {path}")
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise dataset.DatasetError(f"{path}: file is empty") from None
-        missing = [n for n in bundle.space.names if n not in header]
-        if missing:
-            raise dataset.DatasetError(f"{path}: missing feature columns {missing}")
-        cols = [header.index(n) for n in bundle.space.names]
-        rows = []
-        for row_no, row in enumerate(reader, start=1):
-            if not row or all(not c.strip() for c in row):
-                continue
-            try:
-                rows.append([float(row[c]) for c in cols])
-            except (ValueError, IndexError):
-                raise dataset.DatasetError(
-                    f"{path}: row {row_no} has unparseable feature values"
-                ) from None
-    return np.asarray(rows, dtype=float).reshape(-1, len(bundle.space))
-
-
 def _scope_indices(scope: str, n_rows: int, bundle: artifacts.ModelBundle) -> np.ndarray:
     if scope == "all":
         return np.arange(n_rows)
@@ -162,6 +134,9 @@ def cmd_train(args) -> int:
           f"(C={args.C:g}, seed={args.seed})")
     print(f"passes used: {report.passes_used}  converged: {report.converged}  "
           f"dual gap: {report.dual_gap:.3g}")
+    if not report.converged:
+        print(f"warning: training stopped unconverged (dual gap {report.dual_gap:.3g})",
+              file=sys.stderr)
     print(f"primal objective: {report.primal_objective:.6f}  "
           f"max margin violation: {report.max_margin_violation:.3g}")
     print(f"train accuracy: {accuracy(train_ds):.2%}")
@@ -173,9 +148,14 @@ def cmd_train(args) -> int:
 def cmd_calibrate(args) -> int:
     _require(args, "input", "model", "output")
     bundle = artifacts.load_bundle(args.model)
-    raw = _read_feature_rows(args.input, bundle)
+    if bundle.label_column is None or bundle.positive_label is None:
+        raise dataset.DatasetError(
+            "model file has no label metadata; re-train with the CLI or add "
+            "label_column/positive_label to the file"
+        )
+    raw, labels, _ = dataset.load_csv(args.input, bundle.label_column, bundle.positive_label,
+                                      features=bundle.space.names)
     scaled, _ = dataset.apply_scaling(raw, bundle.scaling)
-    labels = _read_labels(args.input, bundle)
 
     if bundle.split is not None:
         cal_idx = np.asarray(bundle.split.train_indices, dtype=int)
@@ -207,72 +187,83 @@ def cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
-def _read_labels(path, bundle: artifacts.ModelBundle) -> np.ndarray:
-    """Labels for calibration/metrics, using the label metadata stored at training."""
-    if bundle.label_column is None or bundle.positive_label is None:
-        raise dataset.DatasetError(
-            "model file has no label metadata; re-train with the CLI or add "
-            "label_column/positive_label to the file"
-        )
-    _, labels, _ = dataset.load_csv(path, bundle.label_column, bundle.positive_label)
-    return labels
+def _explain_rows(args):
+    """Shared explain/bench set-up: one elimination pass over every in-domain
+    row of the scope.
 
-
-def _explain_rows(args, verify: bool = True):
-    """Shared explain/bench loop: yields per-row explanation records."""
+    Returns the bundle, its reject model, the raw rows, the explained row
+    numbers, the pass and the skipped (out-of-domain) row numbers.
+    """
     _require(args, "input", "model")
     bundle = artifacts.load_bundle(args.model)
     rm = bundle.reject_model()
-    raw = _read_feature_rows(args.input, bundle)
+    raw, _, _ = dataset.load_csv(args.input, features=bundle.space.names)
     scaled, _ = dataset.apply_scaling(raw, bundle.scaling)
     rows = _scope_indices(args.scope, scaled.shape[0], bundle)
-    order = _feature_order(args.order, bundle)
-    space = bundle.space
-
-    results = []
-    skipped = []
-    for row in rows.tolist():
-        x = scaled[row]
-        if not space.contains(x):
-            skipped.append(row)
-            continue
-        expl = explainer.minimal_explanation(rm, space, x, order)
-        if verify:
-            report = explainer.verify_explanation(rm, space, expl)
-            if not report:
-                raise VerificationFailure(
-                    f"row {row}: explanation failed verification: "
-                    + "; ".join(report.violations)
-                )
-        results.append((row, raw[row], expl))
-    return bundle, results, skipped
+    inside = bundle.space.rows_inside(scaled[rows])
+    batch = explainer.explain_batch(rm, bundle.space, scaled[rows[inside]],
+                                    _feature_order(args.order, bundle))
+    return bundle, rm, raw, rows[inside], batch, rows[~inside].tolist()
 
 
-def _jsonl_record(bundle, rm, row, raw_row, expl) -> dict:
-    names = bundle.space.names
-    return {
-        "index": int(row),
-        "class": int(expl.klass),
-        "kept": [
-            {"feature": names[i], "value": v, "raw_value": float(raw_row[i])}
-            for i, v in expl.kept
-        ],
-        "removed": [names[i] for i in expl.removed],
-        "witnesses": [
-            {
-                "feature": names[i],
-                "point": [float(v) for v in witness],
-                "class": int(rejector.predict_with_reject(rm, witness)),
-            }
-            for i, witness in sorted(expl.certificates.items())
-        ],
-        "time_seconds": expl.time_seconds,
-    }
+def _verified(rm, space, rows, batch):
+    """Yields (position in the batch, row number, explanation), each
+    explanation re-verified before it is handed out."""
+    for k, row in enumerate(rows.tolist()):
+        expl = batch.explanation(k)
+        report = explainer.verify_explanation(rm, space, expl)
+        if not report:
+            raise VerificationFailure(
+                f"row {row}: explanation failed verification: "
+                + "; ".join(report.violations)
+            )
+        yield k, row, expl
 
 
-def _per_class_stats(results) -> dict:
+def _reprs(values) -> np.ndarray:
+    return np.array([repr(v) for v in np.asarray(values, dtype=float).tolist()], dtype=object)
+
+
+class JsonlWriter:
+    """Explanation records as JSON lines, byte for byte what ``json.dumps``
+    gives for the record, but formatted from cached value strings.
+
+    Every witness coordinate is the instance's own value or a box corner, so
+    a row formats its n values once and each witness picks strings by its
+    free mask; by mask, not by value, because 0.0 and -0.0 print differently.
+    """
+
+    def __init__(self, names, box, rm):
+        self.names = [json.dumps(name) for name in names]
+        self.max_corner = _reprs(box.max_corner)
+        self.min_corner = _reprs(box.min_corner)
+        self.rm = rm
+
+    def line(self, row: int, raw_row, expl, layout) -> str:
+        kept, free, at_max = layout
+        names = self.names
+        x = _reprs(expl.instance)
+        kept_list = kept.tolist()
+        kept_part = ", ".join(
+            f'{{"feature": {names[i]}, "value": {x[i]}, "raw_value": {r!r}}}'
+            for i, r in zip(kept_list, np.asarray(raw_row, dtype=float)[kept].tolist())
+        )
+        points = explainer.witness_points(free, at_max, x, self.max_corner, self.min_corner)
+        classes = rejector.predictions_with_reject(
+            self.rm, np.array([expl.certificates[i] for i in kept_list]).reshape(-1, len(x)))
+        witness_part = ", ".join(
+            f'{{"feature": {names[i]}, "point": [{", ".join(p)}], "class": {c}}}'
+            for i, p, c in zip(kept_list, points.tolist(), classes.tolist())
+        )
+        removed_part = ", ".join(names[i] for i in expl.removed)
+        return (f'{{"index": {int(row)}, "class": {int(expl.klass)}, "kept": [{kept_part}], '
+                f'"removed": [{removed_part}], "witnesses": [{witness_part}], '
+                f'"time_seconds": {float(expl.time_seconds)!r}}}\n')
+
+
+def _per_class_stats(explanations) -> dict:
     stats: dict[int, dict] = {}
-    for _, _, expl in results:
+    for expl in explanations:
         entry = stats.setdefault(expl.klass, {"sizes": [], "times": [], "queries": 0})
         entry["sizes"].append(len(expl.kept))
         entry["times"].append(expl.time_seconds)
@@ -303,18 +294,26 @@ def _print_stats(stats: dict) -> None:
 
 def cmd_explain(args) -> int:
     _require(args, "output")
-    bundle, results, skipped = _explain_rows(args)
+    bundle, rm, raw, rows, batch, skipped = _explain_rows(args)
     for row in skipped:
         print(f"warning: row {row} is outside the model's feature domains; skipped",
               file=sys.stderr)
 
-    rm = bundle.reject_model()
-    with Path(args.output).open("w") as fh:
-        for row, raw_row, expl in results:
-            fh.write(json.dumps(_jsonl_record(bundle, rm, row, raw_row, expl)) + "\n")
+    writer = JsonlWriter(bundle.space.names, batch.box, rm)
+    results = []
+    out_path = Path(args.output)
+    try:
+        with out_path.open("w") as fh:
+            for k, row, expl in _verified(rm, bundle.space, rows, batch):
+                fh.write(writer.line(row, raw[row], expl, batch.layout(k)))
+                # the summary needs no certificates; dropping them keeps memory flat
+                results.append(dataclasses.replace(expl, certificates={}))
+    except VerificationFailure:
+        out_path.unlink()  # rows are streamed, so a failure would leave a truncated file
+        raise
 
     stats = _per_class_stats(results)
-    freq = explainer.feature_frequency([expl for _, _, expl in results])
+    freq = explainer.feature_frequency(results)
     summary = {
         "patterns": len(results),
         "skipped_rows": skipped,
@@ -334,17 +333,19 @@ def cmd_explain(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    bundle, results, skipped = _explain_rows(args)
+    bundle, rm, _, rows, batch, skipped = _explain_rows(args)
+    results = [dataclasses.replace(expl, certificates={})
+               for _, _, expl in _verified(rm, bundle.space, rows, batch)]
     stats = _per_class_stats(results)
-    total_queries = sum(expl.queries for _, _, expl in results)
+    total_queries = sum(expl.queries for expl in results)
     n = len(bundle.space)
     report = {
         "instances": len(results),
         "features": n,
         "skipped_rows": skipped,
         "total_queries": total_queries,
-        "knife_edge_queries": sum(expl.knife_edge_queries for _, _, expl in results),
-        "max_queries_per_instance": max((expl.queries for _, _, expl in results), default=0),
+        "knife_edge_queries": sum(expl.knife_edge_queries for expl in results),
+        "max_queries_per_instance": max((expl.queries for expl in results), default=0),
         "query_budget_per_instance": 2 * n,
         "classes": {str(k): v for k, v in stats.items()},
     }

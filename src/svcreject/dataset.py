@@ -61,7 +61,11 @@ class FeatureSpace:
         x = np.asarray(x, dtype=float)
         if x.shape != (len(self),):
             return False
-        return bool(np.all(x >= self.lower) and np.all(x <= self.upper))
+        return bool(self.rows_inside(x[None, :])[0])
+
+    def rows_inside(self, X: np.ndarray) -> np.ndarray:
+        """Per row of X (n columns): does it lie in the box?"""
+        return np.all((X >= self.lower) & (X <= self.upper), axis=1)
 
     def check_instance(self, x: np.ndarray) -> np.ndarray:
         """Validate dimension and domain membership; return the float vector."""
@@ -125,12 +129,16 @@ class ScalingParams:
         return scaled * (self.maxs - self.mins) + self.mins
 
 
-def load_csv(path, label_column: str, positive_label) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """Read a comma-separated file with a header row.
+def load_csv(path, label_column: str | None = None, positive_label=None,
+             features=None) -> tuple[np.ndarray, np.ndarray | None, list[str]]:
+    """Read a comma-separated file with a header row, in one pass.
 
-    Returns (raw feature matrix, labels in {-1,+1}, feature names).  The label
-    column is matched by name; rows whose label equals ``positive_label``
-    (string comparison) map to +1, everything else to -1.
+    Returns (raw feature matrix, labels in {-1,+1}, feature names).  The
+    label column is matched by name; rows whose label equals
+    ``positive_label`` (string comparison) map to +1, everything else to -1.
+    ``features`` names the feature columns to read (default: every column
+    but the label).  Without ``label_column`` no labels are read, labels are
+    None and a file without data rows is accepted.
     """
     path = Path(path)
     if not path.exists():
@@ -141,10 +149,18 @@ def load_csv(path, label_column: str, positive_label) -> tuple[np.ndarray, np.nd
             header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise DatasetError(f"{path}: file is empty") from None
-        if label_column not in header:
+        if features is not None:
+            missing = [name for name in features if name not in header]
+            if missing:
+                raise DatasetError(f"{path}: missing feature columns {missing}")
+        labelled = label_column is not None
+        if labelled and label_column not in header:
             raise DatasetError(f"{path}: label column {label_column!r} not in header {header}")
-        label_idx = header.index(label_column)
-        feature_names = [h for k, h in enumerate(header) if k != label_idx]
+        label_idx = header.index(label_column) if labelled else -1
+        if features is None:
+            cols = [k for k in range(len(header)) if k != label_idx]
+        else:
+            cols = [header.index(name) for name in features]
         positive = str(positive_label).strip()
 
         rows: list[list[float]] = []
@@ -152,24 +168,21 @@ def load_csv(path, label_column: str, positive_label) -> tuple[np.ndarray, np.nd
         for row_no, row in enumerate(reader, start=1):
             if not row or all(not c.strip() for c in row):
                 continue
-            if len(row) != len(header):
+            if labelled and len(row) != len(header):
                 raise DatasetError(
                     f"{path}: row {row_no} has {len(row)} cells, expected {len(header)}"
                 )
-            values = []
-            for k, cell in enumerate(row):
-                if k == label_idx:
-                    continue
-                try:
-                    values.append(float(cell))
-                except ValueError:
-                    raise DatasetError(
-                        f"{path}: row {row_no}, column {header[k]!r}: "
-                        f"cannot parse {cell.strip()!r} as a number"
-                    ) from None
-            rows.append(values)
-            labels.append(1.0 if row[label_idx].strip() == positive else -1.0)
+            try:
+                rows.append([float(row[k]) for k in cols])
+            except (ValueError, IndexError):
+                raise _cell_error(path, row_no, row, header, cols, features) from None
+            if labelled:
+                labels.append(1.0 if row[label_idx].strip() == positive else -1.0)
 
+    names = [header[k] for k in cols]
+    raw = np.asarray(rows, dtype=float).reshape(-1, len(cols))
+    if not labelled:
+        return raw, None, names
     if not rows:
         raise DatasetError(f"{path}: no data rows")
     y = np.asarray(labels)
@@ -178,7 +191,23 @@ def load_csv(path, label_column: str, positive_label) -> tuple[np.ndarray, np.nd
             f"{path}: only one class present after binarization "
             f"(positive label {positive!r})"
         )
-    return np.asarray(rows, dtype=float), y, feature_names
+    return raw, y, names
+
+
+def _cell_error(path, row_no: int, row, header, cols, features) -> DatasetError:
+    """The error for a row whose feature cells do not parse: per column when
+    reading every column, per row when reading named ones."""
+    if features is None:
+        for k in cols:
+            cell = row[k] if k < len(row) else ""
+            try:
+                float(cell)
+            except ValueError:
+                return DatasetError(
+                    f"{path}: row {row_no}, column {header[k]!r}: "
+                    f"cannot parse {cell.strip()!r} as a number"
+                )
+    return DatasetError(f"{path}: row {row_no} has unparseable feature values")
 
 
 def fit_scaling(raw: np.ndarray, names=None) -> ScalingParams:

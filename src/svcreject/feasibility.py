@@ -1,16 +1,24 @@
-"""Satisfiability of a single linear inequality over a box domain.
+"""Satisfiability of a single linear inequality over a box domain, and the
+decision kernel every comparison of a decision value goes through.
 
-Every entailment query the explainer issues reduces to: does some point of
-the box, with a subset of coordinates pinned, satisfy  w . z + bias REL c?
-A linear function attains its extrema at box corners, so the answer comes
-from one exact O(n) extremum scan instead of a general LP solve.  Strict
-relations are compared exactly in binary64; a knife-edge flag reports when
-the extremum lands within 1e-12 of the threshold so borderline calls can
-be audited.
+Every entailment question reduces to: does some point of the box, with a
+subset of coordinates pinned, satisfy  w . z + bias REL c?  A linear
+function attains its extrema at box corners, so the answer comes from one
+O(n) extremum scan instead of a general LP solve.
+
+A decision value is *defined* as the correctly rounded sum of the rounded
+products w_i * z_i and the bias (``exact_value``).  That definition does not
+depend on summation order, and rounding is monotone, so the largest value
+over a box is the exact value of the largest terms: the predictor, the
+extremum scans and the verifier all agree bit for bit.  Hot paths compute
+values in float and re-decide only those within ``error_bound`` of their
+threshold exactly (a floating-point filter, Shewchuk 1997); such knife
+edges are counted.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,8 +27,82 @@ from .dataset import FeatureSpace
 
 RELATIONS = ("<", "<=", ">", ">=")
 NEGATED = {"<": ">=", "<=": ">", ">": "<=", ">=": "<"}
-KNIFE_EDGE_TOL = 1e-12
+UNIT_ROUNDOFF = 2.0 ** -53
+SMALLEST_SUBNORMAL = 2.0 ** -1074
 MAX_ORACLE_FREE = 20
+
+
+def exact_value(terms, bias: float) -> float:
+    """The decision value: ``math.fsum`` of the rounded products and the bias."""
+    return math.fsum([*terms, bias])
+
+
+def error_bound(scale, n_features: int):
+    """How far a float decision value may lie from ``exact_value``.
+
+    ``scale`` bounds |bias| + sum |w_i * z_i| over the points concerned
+    (scalar or per value).  A dot product plus bias, in any summation order
+    and with or without fused multiply-adds, errs by at most
+    gamma_{n+2} * scale; an elimination pass adds at most n additions and
+    roundings of differences worth 2u * scale, and the exact value itself is
+    rounded once.  Altogether that stays below 2 * gamma_{n+3} * scale
+    (Higham, Accuracy and Stability of Numerical Algorithms, 3.1 and 4.2),
+    plus one subnormal per rounded product for underflow.
+    """
+    k = n_features + 3
+    gamma = k * UNIT_ROUNDOFF / (1.0 - k * UNIT_ROUNDOFF)
+    return 2.0 * gamma * scale + 2.0 * k * SMALLEST_SUBNORMAL
+
+
+def decide(values, relation: str, threshold: float, bound, exact):
+    """Elementwise ``values REL threshold``, answered as the exact values would.
+
+    ``values`` (1-d) are float estimates within ``bound`` of the exact
+    values; an element closer than that to the threshold is re-decided from
+    ``exact(k)``.  Returns the answers and the mask of re-decided elements.
+    """
+    answers = _compare(values, relation, threshold)
+    near = np.abs(values - threshold) <= bound
+    if near.any():
+        for k in np.flatnonzero(near).tolist():
+            answers[k] = _compare(exact(k), relation, threshold)
+    return answers, near
+
+
+@dataclass(frozen=True, eq=False)
+class BoxExtrema:
+    """Per-feature extremes of w_i * z_i over a box, and where they lie.
+
+    ``max_term[i]``/``min_term[i]`` is the largest/smallest rounded product
+    over [lower_i, upper_i], attained at ``max_corner[i]``/``min_corner[i]``
+    (zero weights pin to the lower bound).  ``bound`` is ``error_bound`` for
+    every decision value over the box.
+    """
+
+    weights: np.ndarray
+    bias: float
+    max_term: np.ndarray
+    min_term: np.ndarray
+    max_corner: np.ndarray
+    min_corner: np.ndarray
+    bound: float
+
+    @classmethod
+    def of(cls, weights, bias: float, space: FeatureSpace) -> "BoxExtrema":
+        w = np.asarray(weights, dtype=float)
+        if w.shape != (len(space),):
+            raise ValueError(f"model has {w.size} weights but the space has {len(space)} features")
+        at_lower, at_upper = w * space.lower, w * space.upper
+        scale = abs(bias) + math.fsum(np.maximum(np.abs(at_lower), np.abs(at_upper)).tolist())
+        return cls(
+            weights=w,
+            bias=float(bias),
+            max_term=np.maximum(at_lower, at_upper),
+            min_term=np.minimum(at_lower, at_upper),
+            max_corner=np.where(w > 0, space.upper, space.lower),
+            min_corner=np.where(w >= 0, space.lower, space.upper),
+            bound=float(error_bound(scale, w.size)),
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,7 +127,7 @@ class LinearAtom:
         return LinearAtom(self.weights, self.bias, NEGATED[self.relation], self.threshold)
 
     def holds_at(self, x: np.ndarray) -> bool:
-        value = float(np.dot(self.weights, np.asarray(x, dtype=float)) + self.bias)
+        value = exact_value((self.weights * np.asarray(x, dtype=float)).tolist(), float(self.bias))
         return _compare(value, self.relation, self.threshold)
 
     def __repr__(self):  # pragma: no cover - debugging aid
@@ -89,8 +171,8 @@ class SatResult:
 class QueryCounter:
     """Counts feasibility queries, for complexity asserts and timing reports.
 
-    Also tallies knife-edge answers (extremum within 1e-12 of the threshold)
-    so borderline strict comparisons can be audited downstream.
+    Also tallies knife-edge answers (extremum within the float error bound
+    of the threshold) so borderline comparisons can be audited downstream.
     """
 
     count: int = 0
@@ -100,7 +182,7 @@ class QueryCounter:
         self.count += 1
 
 
-def _compare(value: float, relation: str, threshold: float) -> bool:
+def _compare(value, relation: str, threshold: float):
     if relation == "<":
         return value < threshold
     if relation == "<=":
@@ -124,76 +206,26 @@ def _check_assignment(n: int, pa: PartialAssignment, space: FeatureSpace) -> Non
             )
 
 
+def _extremum_terms(w, pa: PartialAssignment, space: FeatureSpace, want_max: bool) -> list[float]:
+    """Terms of the one-sided extremum: w_i * v for pinned coordinates, the
+    extreme product over the domain for free ones."""
+    _check_assignment(len(w), pa, space)
+    get = pa.fixed.get
+    lower, upper = space.lower_tuple, space.upper_tuple
+    pick = max if want_max else min
+    terms = []
+    for i, wi in enumerate(w):
+        v = get(i)
+        terms.append(pick(wi * lower[i], wi * upper[i]) if v is None else wi * v)
+    return terms
+
+
 def linear_extrema(weights, bias: float, pa: PartialAssignment, space: FeatureSpace) -> tuple[float, float]:
-    """Exact (min, max) of weights . z + bias over the restricted box.
-
-    Free coordinates contribute min/max(w_i * l_i, w_i * u_i); accumulation
-    runs in ascending index order so results are bit-reproducible.
-    """
+    """Exact (min, max) of weights . z + bias over the restricted box."""
     w = tuple(np.asarray(weights, dtype=float).tolist())
-    n = len(w)
-    _check_assignment(n, pa, space)
-    fixed = pa.fixed
-    lower, upper = space.lower_tuple, space.upper_tuple
-    lo = hi = float(bias)
-    for i in range(n):
-        wi = w[i]
-        if i in fixed:
-            term = wi * fixed[i]
-            lo += term
-            hi += term
-        else:
-            a = wi * lower[i]
-            b = wi * upper[i]
-            if a <= b:
-                lo += a
-                hi += b
-            else:
-                lo += b
-                hi += a
-    return lo, hi
-
-
-def _scan_bound(w, bias: float, fixed: dict, space: FeatureSpace, want_max: bool) -> float:
-    """Single-sided extremum in one ascending-index pass, validating fixed
-    values against their domains along the way."""
-    lower, upper = space.lower_tuple, space.upper_tuple
-    get = fixed.get
-    acc = bias
-    seen = 0
-    if want_max:
-        for i, wi in enumerate(w):
-            v = get(i)
-            if v is None:
-                a = wi * lower[i]
-                b = wi * upper[i]
-                acc += b if b >= a else a
-            else:
-                if not lower[i] <= v <= upper[i]:
-                    raise ValueError(
-                        f"fixed value {v} for feature {space.names[i]!r} "
-                        f"outside its domain [{lower[i]}, {upper[i]}]"
-                    )
-                acc += wi * v
-                seen += 1
-    else:
-        for i, wi in enumerate(w):
-            v = get(i)
-            if v is None:
-                a = wi * lower[i]
-                b = wi * upper[i]
-                acc += a if a <= b else b
-            else:
-                if not lower[i] <= v <= upper[i]:
-                    raise ValueError(
-                        f"fixed value {v} for feature {space.names[i]!r} "
-                        f"outside its domain [{lower[i]}, {upper[i]}]"
-                    )
-                acc += wi * v
-                seen += 1
-    if seen != len(fixed):
-        raise ValueError(f"fixed indices out of range for {len(w)} features")
-    return acc
+    bias = float(bias)
+    return (exact_value(_extremum_terms(w, pa, space, False), bias),
+            exact_value(_extremum_terms(w, pa, space, True), bias))
 
 
 def _extreme_point(w, fixed: dict, space: FeatureSpace, want_max: bool) -> np.ndarray:
@@ -216,21 +248,18 @@ def satisfiable(atom: LinearAtom, pa: PartialAssignment, space: FeatureSpace,
                 counter: QueryCounter | None = None) -> SatResult:
     """Decide the atom over the restricted box; return a witness point when SAT.
 
-    The extremum of the relevant side is attained on the closed box, so
-    strict relations are decided exactly: d > c is satisfiable iff max > c,
-    d <= c iff min <= c, and so on.
+    The extremum of the relevant side is attained on the closed box and
+    computed exactly, so strict relations are decided exactly: d > c is
+    satisfiable iff max > c, d <= c iff min <= c, and so on.
     """
     if counter is not None:
         counter.tick()
     w = atom.weights_tuple
-    if len(space) != len(w):
-        raise ValueError(
-            f"atom has {len(w)} weights but the space has {len(space)} features"
-        )
     want_max = atom.relation in (">", ">=")
-    extremum = _scan_bound(w, float(atom.bias), pa.fixed, space, want_max)
+    terms = _extremum_terms(w, pa, space, want_max)
+    extremum = exact_value(terms, float(atom.bias))
     sat = _compare(extremum, atom.relation, atom.threshold)
-    knife = abs(extremum - atom.threshold) < KNIFE_EDGE_TOL
+    knife = abs(extremum - atom.threshold) <= BoxExtrema.of(atom.weights, atom.bias, space).bound
     if knife and counter is not None:
         counter.knife_edges += 1
     if not sat:

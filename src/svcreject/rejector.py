@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import LabeledDataset
-from .trainer import LinearModel, decision_value, decision_values
+from .feasibility import decide, error_bound, exact_value
+from .trainer import LinearModel, decision_values
 
 DEFAULT_GRID_STEPS = 100
 
@@ -133,17 +134,33 @@ def calibrate(model: LinearModel, train: LabeledDataset, w_r: float,
 
 def predict_with_reject(rm: RejectModel, x) -> int:
     """+1 above the band, -1 below, 0 inside (boundaries reject)."""
-    d = decision_value(rm.model, x)
-    if d > rm.t_plus:
-        return 1
-    if d < rm.t_minus:
-        return -1
-    return 0
+    x = np.asarray(x, dtype=float)
+    if x.shape != (len(rm.model),):
+        raise ValueError(f"instance has shape {x.shape}, expected ({len(rm.model)},)")
+    return int(predictions_with_reject(rm, x[None, :])[0])
 
 
 def predictions_with_reject(rm: RejectModel, X) -> np.ndarray:
+    return classify(rm, X)[0]
+
+
+def classify(rm: RejectModel, X) -> tuple[np.ndarray, np.ndarray]:
+    """Classes of the rows of X, and per row how many of its two threshold
+    comparisons were knife edges re-decided by the exact kernel."""
+    X = np.asarray(X, dtype=float)
     d = decision_values(rm.model, X)
-    return np.where(d > rm.t_plus, 1, np.where(d < rm.t_minus, -1, 0))
+    if d.size == 0:
+        return np.zeros(0, dtype=int), np.zeros(0, dtype=int)
+    w, b = rm.model.weights, rm.model.bias
+    bound = error_bound(np.abs(X) @ np.abs(w) + abs(b), w.size)
+
+    def exact(k):
+        return exact_value((X[k] * w).tolist(), b)
+
+    above, near_plus = decide(d, ">", rm.t_plus, bound, exact)
+    below, near_minus = decide(d, "<", rm.t_minus, bound, exact)
+    classes = np.where(above, 1, np.where(below, -1, 0))
+    return classes, near_plus.astype(int) + near_minus
 
 
 def evaluate(rm: RejectModel, data: LabeledDataset) -> EvalMetrics:

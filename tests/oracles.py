@@ -160,3 +160,36 @@ def vertex_sat(weights, bias, relation, threshold, fixed, lower, upper):
         if ops[relation](value, threshold):
             return True
     return False
+
+
+def minimal_explanation_by_queries(rm, space, x, order=None):
+    """Elimination with a fresh O(n) feasibility query per step.
+
+    The query-per-step form of the elimination, the reference for the
+    batched pass: every step asks ``satisfiable`` about the negated formula
+    with the instance's remaining values pinned.  Returns
+    (class, kept indices, removed indices, certificates, queries).
+    """
+    from svcreject.explainer import negate, prediction_formula
+    from svcreject.feasibility import PartialAssignment, QueryCounter, satisfiable
+    from svcreject.rejector import predict_with_reject
+
+    x = space.check_instance(x)
+    n = len(space)
+    klass = predict_with_reject(rm, x)
+    neg_atoms = negate(prediction_formula(rm, klass)).atoms
+    counter = QueryCounter()
+    fixed = {i: float(x[i]) for i in range(n)}
+    certificates = {}
+    for i in (range(n) if order is None else order):
+        value = fixed.pop(int(i))
+        pa = PartialAssignment(fixed)
+        for atom in neg_atoms:
+            result = satisfiable(atom, pa, space, counter)
+            if result:
+                fixed[int(i)] = value
+                certificates[int(i)] = result.witness
+                break
+    kept = tuple(sorted(fixed))
+    removed = tuple(sorted(set(range(n)) - set(fixed)))
+    return klass, kept, removed, certificates, counter.count

@@ -2,8 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from svcreject.cli import main
+from svcreject import FeatureSpace, LinearModel, RejectModel
+from svcreject.cli import JsonlWriter, main
+from svcreject.explainer import explain_batch
+from svcreject.rejector import predict_with_reject
 
 from conftest import BAND_B, BAND_T_MINUS, BAND_T_PLUS, BAND_W, BAND_X
 
@@ -91,6 +95,26 @@ class TestTrain:
         assert len(doc["rows"]) == 150
 
 
+    def test_unconverged_training_warns_on_stderr(self, tmp_path, iris_csv, capsys):
+        code = main([
+            "train", "--input", str(iris_csv), "--label-column", "species",
+            "--positive-label", "setosa", "--model", str(tmp_path / "m.json"),
+            "--max-passes", "1",
+        ])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "converged: False" in captured.out
+        assert "warning: training stopped unconverged (dual gap" in captured.err
+        assert "warning" not in captured.out
+
+    def test_converged_training_prints_no_warning(self, tmp_path, iris_csv, capsys):
+        assert main([
+            "train", "--input", str(iris_csv), "--label-column", "species",
+            "--positive-label", "setosa", "--model", str(tmp_path / "m.json"),
+        ]) == 0
+        assert capsys.readouterr().err == ""
+
+
 class TestCalibrate:
     def test_separable_csv_rejects_nothing(self, tmp_path, capsys):
         csv_path = tmp_path / "toy.csv"
@@ -145,6 +169,30 @@ class TestCalibrate:
         assert metrics["scope"] == "all"
         assert metrics["rejected"] == 0
         assert metrics["negative"] + metrics["positive"] == 150
+
+
+    def test_reads_the_csv_once(self, tmp_path, iris_csv, monkeypatch, capsys):
+        from svcreject import cli
+
+        model_path = tmp_path / "model.json"
+        assert main([
+            "train", "--input", str(iris_csv), "--label-column", "species",
+            "--positive-label", "setosa", "--model", str(model_path),
+        ]) == 0
+        reads = []
+        load_csv = cli.dataset.load_csv
+
+        def counting(*args, **kwargs):
+            reads.append(args[0])
+            return load_csv(*args, **kwargs)
+
+        monkeypatch.setattr(cli.dataset, "load_csv", counting)
+        assert main([
+            "calibrate", "--input", str(iris_csv), "--model", str(model_path),
+            "--output", str(tmp_path / "r.json"),
+        ]) == 0
+        capsys.readouterr()
+        assert reads == [str(iris_csv)]
 
 
 class TestExplain:
@@ -326,6 +374,132 @@ class TestExplain:
         ])
         assert code == 1
         assert "verification" in capsys.readouterr().err
+
+
+    def test_failed_verification_leaves_no_partial_output(self, tmp_path, monkeypatch, capsys):
+        from svcreject import cli, explainer
+
+        verify = explainer.verify_explanation
+        calls = []
+
+        def second_row_fails(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                return explainer.VerificationReport(False, ("forced",))
+            return verify(*args, **kwargs)
+
+        monkeypatch.setattr(cli.explainer, "verify_explanation", second_row_fails)
+        model_path = tmp_path / "reject.json"
+        model_path.write_text(json.dumps(demo_reject_doc()))
+        instances = tmp_path / "inst.csv"
+        instances.write_text("f1,f2\n0.0526,0.3\n0.5,0.5\n")
+        out_path = tmp_path / "e.jsonl"
+        code = main([
+            "explain", "--model", str(model_path), "--input", str(instances),
+            "--output", str(out_path),
+        ])
+        assert code == 1
+        assert "row 1" in capsys.readouterr().err
+        assert not out_path.exists()
+
+    def test_band_edge_from_one_grid_step_explains(self, tmp_path, capsys):
+        # --grid-steps 1 puts the band's ends on the extreme training decision
+        # values, where sums taken in different orders disagree on the class
+        rng = np.random.default_rng(0)
+        X = rng.uniform(0.0, 1.0, (2000, 20))
+        w = rng.normal(size=20)
+        y = np.where((X - 0.5) @ w + 0.3 * rng.standard_normal(2000) > 0, "pos", "neg")
+        csv_path = tmp_path / "edge.csv"
+        lines = [",".join(f"f{i}" for i in range(20)) + ",label"]
+        lines += [",".join(f"{v:.6f}" for v in row) + "," + label
+                  for row, label in zip(X.tolist(), y)]
+        csv_path.write_text("\n".join(lines) + "\n")
+        model_path, reject_path = tmp_path / "model.json", tmp_path / "reject.json"
+        out_path = tmp_path / "expl.jsonl"
+        assert main([
+            "train", "--input", str(csv_path), "--label-column", "label",
+            "--positive-label", "pos", "--model", str(model_path),
+        ]) == 0
+        assert main([
+            "calibrate", "--input", str(csv_path), "--model", str(model_path),
+            "--output", str(reject_path), "--grid-steps", "1",
+        ]) == 0
+        assert main([
+            "explain", "--input", str(csv_path), "--model", str(reject_path),
+            "--output", str(out_path),
+        ]) == 0
+        capsys.readouterr()
+        assert len(out_path.read_text().splitlines()) == 2000
+
+
+SPECIAL = (-0.0, 0.0, 5e-324, 1e-300, 0.1, 1.0, 2.0, -3.0, 123456789.0, 1e308, -1e308)
+
+
+def reference_record(names, rm, row, raw_row, expl) -> dict:
+    """The record as a dict, for ``json.dumps``: what the writer must print."""
+    return {
+        "index": int(row),
+        "class": int(expl.klass),
+        "kept": [
+            {"feature": names[i], "value": v, "raw_value": float(raw_row[i])}
+            for i, v in expl.kept
+        ],
+        "removed": [names[i] for i in expl.removed],
+        "witnesses": [
+            {
+                "feature": names[i],
+                "point": [float(v) for v in witness],
+                "class": int(predict_with_reject(rm, witness)),
+            }
+            for i, witness in sorted(expl.certificates.items())
+        ],
+        "time_seconds": expl.time_seconds,
+    }
+
+
+@st.composite
+def writer_cases(draw):
+    """Boxes, instances and raw values built from awkward floats; weights
+    scaled to the box so that no product overflows."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    lower, upper, x, raw, w = [], [], [], [], []
+    for _ in range(n):
+        lo, hi = sorted(draw(st.lists(st.sampled_from(SPECIAL), min_size=2, max_size=2,
+                                      unique_by=float).filter(lambda p: p[0] != p[1])))
+        inside = [v for v in SPECIAL if lo <= v <= hi]
+        lower.append(lo)
+        upper.append(hi)
+        x.append(draw(st.sampled_from(inside)))
+        raw.append(draw(st.sampled_from(SPECIAL)))
+        w.append(draw(st.sampled_from((0.0, 1.0, -1.0, 0.5))) / max(1.0, abs(lo), abs(hi)))
+    bias = draw(st.sampled_from((0.0, -0.0, 0.25, -1.0)))
+    names = draw(st.lists(st.text(min_size=1, max_size=4), min_size=n, max_size=n, unique=True))
+    return names, np.array(lower), np.array(upper), np.array(x), np.array(raw), np.array(w), bias
+
+
+class TestJsonlWriter:
+    @given(writer_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_bytes_equal_json_dumps(self, case):
+        names, lower, upper, x, raw, w, bias = case
+        space = FeatureSpace(names, lower, upper)
+        rm = RejectModel(LinearModel(w, bias), -0.5, 0.5, 0.24)
+        batch = explain_batch(rm, space, x[None, :])
+        writer = JsonlWriter(space.names, batch.box, rm)
+        expl = batch.explanation(0)
+        line = writer.line(7, raw, expl, batch.layout(0))
+        assert line == json.dumps(reference_record(space.names, rm, 7, raw, expl)) + "\n"
+
+    def test_negative_zero_corner_beside_positive_zero_value(self):
+        # the witness moves f1 to its -0.0 corner while f2 keeps its 0.0
+        space = FeatureSpace(["f1", "f2"], np.array([-0.0, -0.0]), np.array([1.0, 1.0]))
+        rm = RejectModel(LinearModel(np.array([1.0, 0.5]), 0.0), 0.0, 0.0, 0.24)
+        x = np.array([0.5, 0.0])
+        batch = explain_batch(rm, space, x[None, :])
+        expl = batch.explanation(0)
+        line = JsonlWriter(space.names, batch.box, rm).line(0, x, expl, batch.layout(0))
+        assert '"point": [-0.0, 0.0]' in line
+        assert line == json.dumps(reference_record(space.names, rm, 0, x, expl)) + "\n"
 
 
 class TestBench:

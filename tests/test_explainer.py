@@ -5,19 +5,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from svcreject.dataset import DatasetError, FeatureSpace
+from svcreject.dataset import LabeledDataset
 from svcreject.explainer import (
     Explanation,
     PredictionFormula,
     entails,
+    explain_batch,
     feature_frequency,
     minimal_explanation,
     negate,
     prediction_formula,
     verify_explanation,
 )
-from svcreject.feasibility import PartialAssignment
-from svcreject.rejector import predict_with_reject
-from svcreject.trainer import LinearModel
+from svcreject.feasibility import LinearAtom, PartialAssignment, satisfiable_vertex_oracle
+from svcreject.rejector import calibrate, predict_with_reject, predictions_with_reject
+from svcreject.trainer import LinearModel, decision_values
 from svcreject import RejectModel
 
 import oracles
@@ -191,6 +193,124 @@ class TestMinimalExplanation:
         d = samples @ rm.model.weights + rm.model.bias
         classes = np.where(d > rm.t_plus, 1, np.where(d < rm.t_minus, -1, 0))
         assert np.all(classes == expl.klass)
+
+
+ORDERS = ("ascending", "descending-weight", "lex")
+
+
+@st.composite
+def batch_cases(draw):
+    """A random model over a random box and rows that include box corners.
+
+    Some weights are zero.  The bias puts the first row in the drawn class,
+    and with ``on_edge`` exactly on the band edge that class's threshold
+    sets, where only the exact kernel can decide.
+    """
+    n = draw(st.integers(min_value=1, max_value=12))
+    seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
+    klass = draw(st.sampled_from((-1, 0, 1)))
+    order_name = draw(st.sampled_from(ORDERS))
+    on_edge = draw(st.booleans())
+    rng = np.random.default_rng(seed)
+    lower = rng.uniform(-2.0, 0.5, n)
+    upper = lower + rng.uniform(0.1, 2.0, n)
+    w = rng.uniform(-3.0, 3.0, n)
+    w[rng.random(n) < 0.25] = 0.0
+    X = rng.uniform(lower, upper, (6, n))
+    where = rng.random((6, n))
+    X = np.where(where < 0.25, lower, np.where(where > 0.75, upper, X))
+    t_plus, t_minus = float(rng.uniform(0.0, 1.0)), float(-rng.uniform(0.0, 1.0))
+    target = {1: t_plus, -1: t_minus, 0: float(rng.uniform(t_minus, t_plus))}[klass]
+    gap = 0.0 if on_edge or klass == 0 else klass * float(rng.uniform(1e-3, 0.5))
+    bias = target - float(X[0] @ w) + gap
+    rm = RejectModel(LinearModel(w, bias), t_minus, t_plus, 0.24)
+    names = [f"f{j}" for j in rng.permutation(n)]
+    space = FeatureSpace(names, lower, upper)
+    if order_name == "ascending":
+        order = list(range(n))
+    elif order_name == "descending-weight":
+        order = np.argsort(-np.abs(w), kind="stable").tolist()
+    else:
+        order = sorted(range(n), key=lambda i: names[i])
+    return rm, space, X, order
+
+
+class TestBatchedPass:
+    @given(batch_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_query_per_step_reference(self, case):
+        rm, space, X, order = case
+        batch = explain_batch(rm, space, X, order)
+        assert len(batch) == X.shape[0]
+        for k, x in enumerate(X):
+            expl = batch.explanation(k)
+            klass, kept, removed, certificates, queries = (
+                oracles.minimal_explanation_by_queries(rm, space, x, order))
+            assert expl.klass == klass
+            assert expl.kept_indices == kept
+            assert expl.removed == removed
+            assert expl.kept == tuple((i, float(x[i])) for i in kept)
+            assert sorted(expl.certificates) == sorted(certificates)
+            for i, point in certificates.items():
+                # bit for bit, so that a -0.0 corner stays -0.0
+                assert expl.certificates[i].tobytes() == point.tobytes()
+            points = np.array([expl.certificates[i] for i in kept]).reshape(-1, len(space))
+            assert predictions_with_reject(rm, points).tolist() == [
+                predict_with_reject(rm, certificates[i]) for i in kept]
+            assert expl.queries == queries <= 2 * len(space)
+            report = verify_explanation(rm, space, expl)
+            assert report, report.violations
+
+    @given(batch_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_agrees_with_vertex_oracle(self, case):
+        rm, space, X, order = case
+        w, b = rm.model.weights, rm.model.bias
+        batch = explain_batch(rm, space, X, order)
+        for k, x in enumerate(X):
+            expl = batch.explanation(k)
+            if expl.knife_edge_queries:
+                continue  # float corner enumeration cannot settle a knife edge
+            atoms = [(a.relation, a.threshold)
+                     for a in negate(prediction_formula(rm, expl.klass)).atoms]
+
+            def oracle(rel, thr, fixed):
+                atom = LinearAtom(w, b, rel, thr)
+                return satisfiable_vertex_oracle(atom, PartialAssignment(dict(fixed)), space)
+
+            kept = oracles.minimal_explanation_via_vertices(
+                oracle, w, b, atoms, x, space.lower, space.upper, order)
+            assert expl.kept_indices == kept
+
+    @given(st.integers(min_value=0, max_value=2**31 - 1), st.integers(min_value=2, max_value=20))
+    @settings(max_examples=60, deadline=None)
+    def test_band_edge_from_calibration_verifies(self, seed, n):
+        # calibrate at grid index == steps puts t_plus/t_minus exactly on the
+        # largest/smallest matmul decision value of the calibration rows
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(0.0, 1.0, (40, n))
+        w = rng.normal(size=n)
+        model = LinearModel(w, -float(np.median(X @ w)))
+        y = np.where(rng.random(40) < 0.5, 1.0, -1.0)
+        y[:2] = (1.0, -1.0)
+        rm, _ = calibrate(model, LabeledDataset(X, y), 0.24, grid_steps=1)
+        d = decision_values(model, X)
+        assert (rm.t_plus, rm.t_minus) == (d.max(), d.min())
+        space = FeatureSpace.unit([f"f{i}" for i in range(n)])
+        for x in (X[np.argmax(d)], X[np.argmin(d)]):
+            report = verify_explanation(rm, space, minimal_explanation(rm, space, x))
+            assert report, report.violations
+        batch = explain_batch(rm, space, X)
+        for k in range(len(batch)):
+            report = verify_explanation(rm, space, batch.explanation(k))
+            assert report, report.violations
+
+    def test_rows_outside_the_box_rejected(self, demo_reject, demo_space):
+        with pytest.raises(DatasetError):
+            explain_batch(demo_reject, demo_space, np.array([[0.5, 0.5], [1.2, 0.3]]))
+
+    def test_empty_batch(self, demo_reject, demo_space):
+        assert len(explain_batch(demo_reject, demo_space, np.zeros((0, 2)))) == 0
 
 
 class TestVerifyExplanation:
