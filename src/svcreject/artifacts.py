@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import FeatureSpace, ScalingParams
+from .dataset import FeatureSpace, ScalingParams, box_from_json, box_to_json
 from .rejector import RejectModel, RiskReport
 from .trainer import LinearModel
 
@@ -63,14 +63,7 @@ def bundle_to_json(bundle: ModelBundle) -> dict:
     doc = {
         "weights": [float(v) for v in bundle.model.weights],
         "bias": float(bundle.model.bias),
-        "features": [
-            {"name": name, "lower": float(lo), "upper": float(hi)}
-            for name, lo, hi in zip(bundle.space.names, bundle.space.lower, bundle.space.upper)
-        ],
-        "scaling": [
-            {"min": float(lo), "max": float(hi)}
-            for lo, hi in zip(bundle.scaling.mins, bundle.scaling.maxs)
-        ],
+        **box_to_json(bundle.space, bundle.scaling),
     }
     if bundle.label_column is not None:
         doc["label_column"] = bundle.label_column
@@ -98,16 +91,7 @@ def bundle_to_json(bundle: ModelBundle) -> dict:
 
 
 def bundle_from_json(doc: dict) -> ModelBundle:
-    features = doc["features"]
-    space = FeatureSpace(
-        tuple(f["name"] for f in features),
-        np.array([f["lower"] for f in features], dtype=float),
-        np.array([f["upper"] for f in features], dtype=float),
-    )
-    scaling = ScalingParams(
-        np.array([s["min"] for s in doc["scaling"]], dtype=float),
-        np.array([s["max"] for s in doc["scaling"]], dtype=float),
-    )
+    space, scaling = box_from_json(doc)
     model = LinearModel(np.array(doc["weights"], dtype=float), float(doc["bias"]))
     if len(model) != len(space):
         raise ValueError("model file is inconsistent: weight/feature count mismatch")

@@ -34,43 +34,48 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--input", help="CSV file (header row, comma separated)")
-        p.add_argument("--model", help="model JSON file")
-        p.add_argument("--output", help="output file")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--C", dest="C", type=float, default=1.0,
-                       help="soft-margin trade-off (default 1.0)")
-        p.add_argument("--wr", type=float, default=0.24,
-                       help="rejection cost in (0, 1] (default 0.24)")
-        p.add_argument("--fraction", type=float, default=0.7,
-                       help="train fraction for the stratified split (default 0.7)")
-        p.add_argument("--order", choices=("ascending", "descending-weight", "lex"),
-                       default="ascending", help="feature elimination order")
+    def files(p: argparse.ArgumentParser, output_help: str, output_required: bool) -> None:
+        p.add_argument("--input", required=True, help="CSV file (header row, comma separated)")
+        p.add_argument("--model", required=True, help="model JSON file")
+        p.add_argument("--output", required=output_required, help=output_help)
+
+    def scope(p: argparse.ArgumentParser) -> None:
         p.add_argument("--scope", choices=("train", "test", "all"), default="all",
                        help="which rows of --input to use (needs the split "
                             "manifest for train/test)")
-        p.add_argument("--grid-steps", type=int, default=rejector.DEFAULT_GRID_STEPS,
-                       help="threshold grid resolution (default 100)")
 
     p_train = sub.add_parser("train", help="fit a soft-margin linear SVC from a CSV")
-    common(p_train)
+    files(p_train, "also write the scaled dataset as JSON", False)
     p_train.add_argument("--label-column", required=True)
     p_train.add_argument("--positive-label", required=True,
                          help="label value mapped to +1; all others map to -1")
+    p_train.add_argument("--seed", type=int, default=0,
+                         help="seed of the stratified split (default 0)")
+    p_train.add_argument("--C", dest="C", type=float, default=1.0,
+                         help="soft-margin trade-off (default 1.0)")
+    p_train.add_argument("--fraction", type=float, default=0.7,
+                         help="train fraction for the stratified split (default 0.7)")
     p_train.add_argument("--tolerance", type=float, default=1e-6)
     p_train.add_argument("--max-passes", type=int, default=10_000)
 
-    common(sub.add_parser("calibrate", help="fit the reject band on training rows"))
-    common(sub.add_parser("explain", help="minimal explanation per instance, as JSONL"))
-    common(sub.add_parser("bench", help="time explanations without writing them"))
+    p_calibrate = sub.add_parser("calibrate", help="fit the reject band on training rows")
+    files(p_calibrate, "reject model file to write", True)
+    scope(p_calibrate)
+    p_calibrate.add_argument("--wr", type=float, default=0.24,
+                             help="rejection cost in (0, 1] (default 0.24)")
+    p_calibrate.add_argument("--grid-steps", type=int, default=rejector.DEFAULT_GRID_STEPS,
+                             help="threshold grid resolution (default 100)")
+
+    for name, help_text, output_help in (
+        ("explain", "minimal explanation per instance, as JSONL", "JSONL file to write"),
+        ("bench", "time explanations without writing them", "also write the report as JSON"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        files(p, output_help, name == "explain")
+        scope(p)
+        p.add_argument("--order", choices=("ascending", "descending-weight", "lex"),
+                       default="ascending", help="feature elimination order")
     return parser
-
-
-def _require(args, *names) -> None:
-    for name in names:
-        if getattr(args, name.replace("-", "_")) is None:
-            raise dataset.DatasetError(f"--{name} is required for this command")
 
 
 def _scope_indices(scope: str, n_rows: int, bundle: artifacts.ModelBundle) -> np.ndarray:
@@ -102,7 +107,6 @@ def _feature_order(name: str, bundle: artifacts.ModelBundle) -> list[int]:
 
 
 def cmd_train(args) -> int:
-    _require(args, "input", "model")
     raw, y, names = dataset.load_csv(args.input, args.label_column, args.positive_label)
     space, scaling, full = dataset.scale_dataset(raw, y, names)
     train_idx, test_idx = dataset.stratified_split_indices(full.y, args.fraction, args.seed)
@@ -110,7 +114,7 @@ def cmd_train(args) -> int:
     test_ds = dataset.LabeledDataset(full.X[test_idx], full.y[test_idx])
 
     config = trainer.TrainerConfig(C=args.C, tolerance=args.tolerance,
-                                   max_passes=args.max_passes, seed=args.seed)
+                                   max_passes=args.max_passes)
     model, report = trainer.train_soft_margin(train_ds, config)
 
     bundle = artifacts.ModelBundle(
@@ -146,7 +150,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    _require(args, "input", "model", "output")
     bundle = artifacts.load_bundle(args.model)
     if bundle.label_column is None or bundle.positive_label is None:
         raise dataset.DatasetError(
@@ -194,7 +197,6 @@ def _explain_rows(args):
     Returns the bundle, its reject model, the raw rows, the explained row
     numbers, the pass and the skipped (out-of-domain) row numbers.
     """
-    _require(args, "input", "model")
     bundle = artifacts.load_bundle(args.model)
     rm = bundle.reject_model()
     raw, _, _ = dataset.load_csv(args.input, features=bundle.space.names)
@@ -293,7 +295,6 @@ def _print_stats(stats: dict) -> None:
 
 
 def cmd_explain(args) -> int:
-    _require(args, "output")
     bundle, rm, raw, rows, batch, skipped = _explain_rows(args)
     for row in skipped:
         print(f"warning: row {row} is outside the model's feature domains; skipped",

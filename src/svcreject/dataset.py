@@ -44,9 +44,6 @@ class FeatureSpace:
                 f"degenerate domain for feature {self.names[bad[0]]!r}: "
                 f"lower {self.lower[bad[0]]} must be < upper {self.upper[bad[0]]}"
             )
-        # plain-float views for hot per-coordinate scans
-        object.__setattr__(self, "lower_tuple", tuple(self.lower.tolist()))
-        object.__setattr__(self, "upper_tuple", tuple(self.upper.tolist()))
 
     def __len__(self) -> int:
         return len(self.names)
@@ -286,7 +283,8 @@ def stratified_split(ds: LabeledDataset, train_fraction: float, seed: int) -> tu
     )
 
 
-def dataset_to_json(space: FeatureSpace, params: ScalingParams, ds: LabeledDataset) -> dict:
+def box_to_json(space: FeatureSpace, params: ScalingParams) -> dict:
+    """The ``features`` (name and domain) and ``scaling`` lists of a JSON file."""
     return {
         "features": [
             {"name": name, "lower": float(lo), "upper": float(hi)}
@@ -296,23 +294,35 @@ def dataset_to_json(space: FeatureSpace, params: ScalingParams, ds: LabeledDatas
             {"min": float(lo), "max": float(hi)}
             for lo, hi in zip(params.mins, params.maxs)
         ],
+    }
+
+
+def box_from_json(doc: dict) -> tuple[FeatureSpace, ScalingParams]:
+    """The feature space and scaling read back from ``box_to_json``'s lists."""
+    features = doc["features"]
+    space = FeatureSpace(
+        tuple(f["name"] for f in features),
+        np.array([f["lower"] for f in features], dtype=float),
+        np.array([f["upper"] for f in features], dtype=float),
+    )
+    params = ScalingParams(
+        np.array([s["min"] for s in doc["scaling"]], dtype=float),
+        np.array([s["max"] for s in doc["scaling"]], dtype=float),
+    )
+    return space, params
+
+
+def dataset_to_json(space: FeatureSpace, params: ScalingParams, ds: LabeledDataset) -> dict:
+    return {
+        **box_to_json(space, params),
         "rows": [[float(v) for v in row] for row in ds.X],
         "labels": [int(v) for v in ds.y],
     }
 
 
 def dataset_from_json(doc: dict) -> tuple[FeatureSpace, ScalingParams, LabeledDataset]:
-    space = FeatureSpace(
-        tuple(f["name"] for f in doc["features"]),
-        np.array([f["lower"] for f in doc["features"]], dtype=float),
-        np.array([f["upper"] for f in doc["features"]], dtype=float),
-    )
-    params = ScalingParams(
-        np.array([s["min"] for s in doc["scaling"]], dtype=float),
-        np.array([s["max"] for s in doc["scaling"]], dtype=float),
-    )
-    n = len(space)
-    rows = np.array(doc["rows"], dtype=float).reshape(-1, n)
+    space, params = box_from_json(doc)
+    rows = np.array(doc["rows"], dtype=float).reshape(-1, len(space))
     ds = LabeledDataset(rows, np.array(doc["labels"], dtype=float))
     return space, params, ds
 

@@ -21,52 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import DatasetError, FeatureSpace
-from .feasibility import (
-    BoxExtrema,
-    LinearAtom,
-    PartialAssignment,
-    QueryCounter,
-    _check_assignment,
-    decide,
-    exact_value,
-    satisfiable,
-)
+from .feasibility import BoxExtrema, LinearAtom, PartialAssignment, decide, exact_value
 from .rejector import RejectModel, classify, predictions_with_reject
-
-
-@dataclass(frozen=True)
-class PredictionFormula:
-    """Conjunction of atoms pinning the prediction to one class.
-
-    The reject class needs both band inequalities; either decided class is a
-    single strict atom.
-    """
-
-    atoms: tuple[LinearAtom, ...]
-    klass: int
-
-    def __post_init__(self):
-        if self.klass not in (-1, 0, 1):
-            raise ValueError("class must be -1, 0 or +1")
-        expected = 2 if self.klass == 0 else 1
-        if len(self.atoms) != expected:
-            raise ValueError(f"class {self.klass:+d} formula needs {expected} atom(s)")
-
-
-@dataclass(frozen=True)
-class NegatedFormula:
-    """Disjunction of atoms, obtained from a PredictionFormula by relation flips."""
-
-    atoms: tuple[LinearAtom, ...]
-
-
-@dataclass(frozen=True)
-class EntailmentResult:
-    holds: bool
-    witness: np.ndarray | None = None
-
-    def __bool__(self) -> bool:
-        return self.holds
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,41 +55,32 @@ class VerificationReport:
         return self.ok
 
 
-def prediction_formula(rm: RejectModel, klass: int) -> PredictionFormula:
-    """Atoms whose conjunction holds exactly where the model outputs klass."""
+def prediction_formula(rm: RejectModel, klass: int) -> tuple[LinearAtom, ...]:
+    """Atoms whose conjunction holds exactly where the model outputs klass.
+
+    The reject class needs both band inequalities; either decided class is a
+    single strict atom.
+    """
     w, b = rm.model.weights, rm.model.bias
     if klass == 0:
-        atoms = (
+        return (
             LinearAtom(w, b, "<=", rm.t_plus),
             LinearAtom(w, b, ">=", rm.t_minus),
         )
-    elif klass == 1:
-        atoms = (LinearAtom(w, b, ">", rm.t_plus),)
-    elif klass == -1:
-        atoms = (LinearAtom(w, b, "<", rm.t_minus),)
-    else:
-        raise ValueError("class must be -1, 0 or +1")
-    return PredictionFormula(atoms, klass)
+    if klass == 1:
+        return (LinearAtom(w, b, ">", rm.t_plus),)
+    if klass == -1:
+        return (LinearAtom(w, b, "<", rm.t_minus),)
+    raise ValueError("class must be -1, 0 or +1")
 
 
-def negate(formula: PredictionFormula) -> NegatedFormula:
-    """De Morgan: negate every atom, conjunction becomes disjunction."""
-    return NegatedFormula(tuple(atom.negated() for atom in formula.atoms))
+def negate(atoms) -> tuple[LinearAtom, ...]:
+    """De Morgan: negate every atom, conjunction becomes disjunction.
 
-
-def entails(pa: PartialAssignment, space: FeatureSpace, formula: PredictionFormula,
-            counter: QueryCounter | None = None) -> EntailmentResult:
-    """True iff every completion of the assignment gets class formula.klass.
-
-    Decided by refuting the negation: the assignment entails the formula iff
-    each disjunct of the negated formula is unsatisfiable over the box.  A
-    satisfiable disjunct yields a witness point with a different prediction.
+    The class's formula is entailed where every negated atom is
+    unsatisfiable over the box.
     """
-    for atom in negate(formula).atoms:
-        result = satisfiable(atom, pa, space, counter)
-        if result:
-            return EntailmentResult(False, result.witness)
-    return EntailmentResult(True)
+    return tuple(atom.negated() for atom in atoms)
 
 
 def _check_order(order, n: int) -> list[int]:
@@ -281,7 +228,7 @@ def explain_batch(rm: RejectModel, space: FeatureSpace, X, order=None) -> Explan
     for klass in (-1, 0, 1):
         rows = np.flatnonzero(classes == klass)
         if rows.size:
-            atoms = negate(prediction_formula(rm, klass)).atoms
+            atoms = negate(prediction_formula(rm, klass))
             removed[rows], at_max[rows], queries[rows], knives = _eliminate(
                 box, atoms, products[rows], values[rows], order)
             knife_edges[rows] += knives
@@ -298,10 +245,11 @@ def minimal_explanation(rm: RejectModel, space: FeatureSpace, x: np.ndarray,
     return explain_batch(rm, space, x[None, :], order).explanation(0)
 
 
-def _entailed(formula: PredictionFormula, box: BoxExtrema, low, high, exact_low, exact_high):
-    """Per element: does every decision value in [low, high] satisfy the formula?"""
+def _entailed(formula, box: BoxExtrema, low, high, exact_low, exact_high):
+    """Per element: does every decision value in [low, high] satisfy every
+    atom of the formula?"""
     holds = True
-    for atom in formula.atoms:
+    for atom in formula:
         if atom.relation in (">", ">="):
             ok, _ = decide(low, atom.relation, atom.threshold, box.bound, exact_low)
         else:
@@ -325,18 +273,17 @@ def verify_explanation(rm: RejectModel, space: FeatureSpace, expl: Explanation) 
     kept_idx = set(expl.kept_indices)
     if kept_idx | set(expl.removed) != set(range(n)) or kept_idx & set(expl.removed):
         violations.append("kept and removed do not partition the features")
-    _check_assignment(n, PartialAssignment(dict(expl.kept)), space)
+    pinned, point = PartialAssignment(dict(expl.kept)).pinned(space)
 
     box = BoxExtrema.of(rm.model.weights, rm.model.bias, space)
     formula = prediction_formula(rm, expl.klass)
     kept = np.array(expl.kept_indices, dtype=int)
-    pinned = box.weights[kept] * np.array([v for _, v in expl.kept], dtype=float)
-    high_terms, low_terms = box.max_term.copy(), box.min_term.copy()
-    high_terms[kept] = pinned
-    low_terms[kept] = pinned
+    products = box.weights * point
+    low_terms = np.where(pinned, products, box.min_term)
+    high_terms = np.where(pinned, products, box.max_term)
     # element 0 has the kept features pinned; element 1 + j also frees kept[j]
-    low = low_terms.sum() + box.bias + np.concatenate(([0.0], box.min_term[kept] - pinned))
-    high = high_terms.sum() + box.bias + np.concatenate(([0.0], box.max_term[kept] - pinned))
+    low = low_terms.sum() + box.bias + np.concatenate(([0.0], box.min_term[kept] - products[kept]))
+    high = high_terms.sum() + box.bias + np.concatenate(([0.0], box.max_term[kept] - products[kept]))
 
     def exact(terms, side):
         def value(k):

@@ -29,7 +29,6 @@ RELATIONS = ("<", "<=", ">", ">=")
 NEGATED = {"<": ">=", "<=": ">", ">": "<=", ">=": "<"}
 UNIT_ROUNDOFF = 2.0 ** -53
 SMALLEST_SUBNORMAL = 2.0 ** -1074
-MAX_ORACLE_FREE = 20
 
 
 def exact_value(terms, bias: float) -> float:
@@ -121,7 +120,6 @@ class LinearAtom:
             raise ValueError(f"relation must be one of {RELATIONS}, got {self.relation!r}")
         if not (np.all(np.isfinite(w)) and np.isfinite(self.bias) and np.isfinite(self.threshold)):
             raise ValueError("atom coefficients must be finite")
-        object.__setattr__(self, "weights_tuple", tuple(w.tolist()))
 
     def negated(self) -> "LinearAtom":
         return LinearAtom(self.weights, self.bias, NEGATED[self.relation], self.threshold)
@@ -148,10 +146,23 @@ class PartialAssignment:
     def empty(cls) -> "PartialAssignment":
         return cls({})
 
-    def without(self, index: int) -> "PartialAssignment":
-        trimmed = dict(self.fixed)
-        trimmed.pop(index, None)
-        return PartialAssignment(trimmed)
+    def pinned(self, space: FeatureSpace) -> tuple[np.ndarray, np.ndarray]:
+        """The mask of pinned coordinates and a point holding their values
+        (zero elsewhere), after checking each index and value against the box."""
+        n = len(space)
+        lower, upper = space.lower.tolist(), space.upper.tolist()
+        mask = np.zeros(n, dtype=bool)
+        point = np.zeros(n)
+        for i, v in self.fixed.items():
+            if not 0 <= i < n:
+                raise ValueError(f"fixed index {i} out of range for {n} features")
+            if not lower[i] <= v <= upper[i]:
+                raise ValueError(
+                    f"fixed value {v} for feature {space.names[i]!r} "
+                    f"outside its domain [{lower[i]}, {upper[i]}]"
+                )
+            mask[i], point[i] = True, v
+        return mask, point
 
     def __len__(self) -> int:
         return len(self.fixed)
@@ -167,21 +178,6 @@ class SatResult:
         return self.satisfiable
 
 
-@dataclass
-class QueryCounter:
-    """Counts feasibility queries, for complexity asserts and timing reports.
-
-    Also tallies knife-edge answers (extremum within the float error bound
-    of the threshold) so borderline comparisons can be audited downstream.
-    """
-
-    count: int = 0
-    knife_edges: int = 0
-
-    def tick(self) -> None:
-        self.count += 1
-
-
 def _compare(value, relation: str, threshold: float):
     if relation == "<":
         return value < threshold
@@ -192,105 +188,35 @@ def _compare(value, relation: str, threshold: float):
     return value >= threshold
 
 
-def _check_assignment(n: int, pa: PartialAssignment, space: FeatureSpace) -> None:
-    if len(space) != n:
-        raise ValueError(f"atom has {n} weights but the space has {len(space)} features")
-    lower, upper = space.lower_tuple, space.upper_tuple
-    for i, v in pa.fixed.items():
-        if not 0 <= i < n:
-            raise ValueError(f"fixed index {i} out of range for {n} features")
-        if not lower[i] <= v <= upper[i]:
-            raise ValueError(
-                f"fixed value {v} for feature {space.names[i]!r} "
-                f"outside its domain [{lower[i]}, {upper[i]}]"
-            )
-
-
-def _extremum_terms(w, pa: PartialAssignment, space: FeatureSpace, want_max: bool) -> list[float]:
-    """Terms of the one-sided extremum: w_i * v for pinned coordinates, the
-    extreme product over the domain for free ones."""
-    _check_assignment(len(w), pa, space)
-    get = pa.fixed.get
-    lower, upper = space.lower_tuple, space.upper_tuple
-    pick = max if want_max else min
-    terms = []
-    for i, wi in enumerate(w):
-        v = get(i)
-        terms.append(pick(wi * lower[i], wi * upper[i]) if v is None else wi * v)
-    return terms
+def _pinned_extremum(box: BoxExtrema, pinned, point, want_max: bool) -> float:
+    """Exact one-sided extremum over the box with the ``pinned`` coordinates
+    of ``point`` fixed: their products plus the extreme terms of the rest."""
+    free = box.max_term if want_max else box.min_term
+    return exact_value(np.where(pinned, box.weights * point, free).tolist(), box.bias)
 
 
 def linear_extrema(weights, bias: float, pa: PartialAssignment, space: FeatureSpace) -> tuple[float, float]:
     """Exact (min, max) of weights . z + bias over the restricted box."""
-    w = tuple(np.asarray(weights, dtype=float).tolist())
-    bias = float(bias)
-    return (exact_value(_extremum_terms(w, pa, space, False), bias),
-            exact_value(_extremum_terms(w, pa, space, True), bias))
+    box = BoxExtrema.of(weights, bias, space)
+    pinned, point = pa.pinned(space)
+    return (_pinned_extremum(box, pinned, point, False),
+            _pinned_extremum(box, pinned, point, True))
 
 
-def _extreme_point(w, fixed: dict, space: FeatureSpace, want_max: bool) -> np.ndarray:
-    """The box corner attaining the one-sided extremum (fixed coords kept).
-
-    Zero-weight coordinates contribute nothing and pin to the lower bound
-    for determinism.
-    """
-    lower, upper = space.lower_tuple, space.upper_tuple
-    if want_max:
-        x = [upper[i] if wi > 0 else lower[i] for i, wi in enumerate(w)]
-    else:
-        x = [lower[i] if wi >= 0 else upper[i] for i, wi in enumerate(w)]
-    for i, v in fixed.items():
-        x[i] = v
-    return np.array(x)
-
-
-def satisfiable(atom: LinearAtom, pa: PartialAssignment, space: FeatureSpace,
-                counter: QueryCounter | None = None) -> SatResult:
+def satisfiable(atom: LinearAtom, pa: PartialAssignment, space: FeatureSpace) -> SatResult:
     """Decide the atom over the restricted box; return a witness point when SAT.
 
     The extremum of the relevant side is attained on the closed box and
     computed exactly, so strict relations are decided exactly: d > c is
-    satisfiable iff max > c, d <= c iff min <= c, and so on.
+    satisfiable iff max > c, d <= c iff min <= c, and so on.  The witness is
+    the box corner of that side with the pinned coordinates kept.
     """
-    if counter is not None:
-        counter.tick()
-    w = atom.weights_tuple
+    box = BoxExtrema.of(atom.weights, atom.bias, space)
+    pinned, point = pa.pinned(space)
     want_max = atom.relation in (">", ">=")
-    terms = _extremum_terms(w, pa, space, want_max)
-    extremum = exact_value(terms, float(atom.bias))
-    sat = _compare(extremum, atom.relation, atom.threshold)
-    knife = abs(extremum - atom.threshold) <= BoxExtrema.of(atom.weights, atom.bias, space).bound
-    if knife and counter is not None:
-        counter.knife_edges += 1
-    if not sat:
+    extremum = _pinned_extremum(box, pinned, point, want_max)
+    knife = abs(extremum - atom.threshold) <= box.bound
+    if not _compare(extremum, atom.relation, atom.threshold):
         return SatResult(False, None, knife)
-    return SatResult(True, _extreme_point(w, pa.fixed, space, want_max), knife)
-
-
-def satisfiable_vertex_oracle(atom: LinearAtom, pa: PartialAssignment, space: FeatureSpace) -> bool:
-    """Brute-force check over all 2^k corners of the free sub-box (test oracle).
-
-    Linear functions attain their extrema at vertices, so enumerating
-    corners decides satisfiability.  Refuses more than MAX_ORACLE_FREE free
-    coordinates.
-    """
-    w = atom.weights
-    n = w.shape[0]
-    _check_assignment(n, pa, space)
-    free = np.array([i for i in range(n) if i not in pa.fixed], dtype=int)
-    k = free.size
-    if k > MAX_ORACLE_FREE:
-        raise ValueError(f"{k} free coordinates exceed the oracle limit of {MAX_ORACLE_FREE}")
-    base = float(atom.bias) + sum(w[i] * v for i, v in pa.fixed.items())
-    if k == 0:
-        return _compare(base, atom.relation, atom.threshold)
-    bits = (np.arange(2 ** k)[:, None] >> np.arange(k)[None, :]) & 1
-    corners = space.lower[free] + bits * (space.upper[free] - space.lower[free])
-    values = base + corners @ w[free]
-    if atom.relation == "<":
-        return bool(np.any(values < atom.threshold))
-    if atom.relation == "<=":
-        return bool(np.any(values <= atom.threshold))
-    if atom.relation == ">":
-        return bool(np.any(values > atom.threshold))
-    return bool(np.any(values >= atom.threshold))
+    corner = box.max_corner if want_max else box.min_corner
+    return SatResult(True, np.where(pinned, point, corner), knife)

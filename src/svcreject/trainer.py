@@ -51,7 +51,6 @@ class TrainerConfig:
     C: float = 1.0
     tolerance: float = 1e-6
     max_passes: int = 10_000
-    seed: int = 0
 
     def __post_init__(self):
         if not (self.C > 0 and np.isfinite(self.C)):

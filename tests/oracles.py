@@ -8,8 +8,12 @@ brute-force search.  They are deliberately slow and simple.
 from __future__ import annotations
 
 import itertools
+import operator
 
 import numpy as np
+
+MAX_ORACLE_FREE = 20
+_OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
 def soft_margin_optimum(X, y, C):
@@ -147,19 +151,41 @@ def minimal_explanation_via_vertices(oracle, weights, bias, atoms, x, lower, upp
 
 def vertex_sat(weights, bias, relation, threshold, fixed, lower, upper):
     """Plain-python corner enumeration, no shared code with the library."""
-    import operator
-
-    ops = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
     n = len(weights)
     free = [i for i in range(n) if i not in fixed]
     base = bias + sum(weights[i] * v for i, v in fixed.items())
     if not free:
-        return ops[relation](base, threshold)
+        return _OPS[relation](base, threshold)
     for corner in itertools.product(*[(lower[i], upper[i]) for i in free]):
         value = base + sum(weights[i] * c for i, c in zip(free, corner))
-        if ops[relation](value, threshold):
+        if _OPS[relation](value, threshold):
             return True
     return False
+
+
+def satisfiable_vertex_oracle(atom, pa, space) -> bool:
+    """Brute-force check over all 2^k corners of the free sub-box.
+
+    Linear functions attain their extrema at vertices, so enumerating
+    corners decides satisfiability.  Refuses more than MAX_ORACLE_FREE free
+    coordinates.
+    """
+    w = atom.weights
+    n = w.shape[0]
+    if len(space) != n:
+        raise ValueError(f"atom has {n} weights but the space has {len(space)} features")
+    pa.pinned(space)  # index range and domain of the pinned values
+    free = np.array([i for i in range(n) if i not in pa.fixed], dtype=int)
+    k = free.size
+    if k > MAX_ORACLE_FREE:
+        raise ValueError(f"{k} free coordinates exceed the oracle limit of {MAX_ORACLE_FREE}")
+    base = float(atom.bias) + sum(w[i] * v for i, v in pa.fixed.items())
+    if k == 0:
+        return bool(_OPS[atom.relation](base, atom.threshold))
+    bits = (np.arange(2 ** k)[:, None] >> np.arange(k)[None, :]) & 1
+    corners = space.lower[free] + bits * (space.upper[free] - space.lower[free])
+    values = base + corners @ w[free]
+    return bool(np.any(_OPS[atom.relation](values, atom.threshold)))
 
 
 def minimal_explanation_by_queries(rm, space, x, order=None):
@@ -171,25 +197,26 @@ def minimal_explanation_by_queries(rm, space, x, order=None):
     (class, kept indices, removed indices, certificates, queries).
     """
     from svcreject.explainer import negate, prediction_formula
-    from svcreject.feasibility import PartialAssignment, QueryCounter, satisfiable
+    from svcreject.feasibility import PartialAssignment, satisfiable
     from svcreject.rejector import predict_with_reject
 
     x = space.check_instance(x)
     n = len(space)
     klass = predict_with_reject(rm, x)
-    neg_atoms = negate(prediction_formula(rm, klass)).atoms
-    counter = QueryCounter()
+    neg_atoms = negate(prediction_formula(rm, klass))
+    queries = 0
     fixed = {i: float(x[i]) for i in range(n)}
     certificates = {}
     for i in (range(n) if order is None else order):
         value = fixed.pop(int(i))
         pa = PartialAssignment(fixed)
         for atom in neg_atoms:
-            result = satisfiable(atom, pa, space, counter)
+            queries += 1
+            result = satisfiable(atom, pa, space)
             if result:
                 fixed[int(i)] = value
                 certificates[int(i)] = result.witness
                 break
     kept = tuple(sorted(fixed))
     removed = tuple(sorted(set(range(n)) - set(fixed)))
-    return klass, kept, removed, certificates, counter.count
+    return klass, kept, removed, certificates, queries

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -66,6 +67,22 @@ class TestBundleRoundTrip:
         save_bundle(a, bundle)
         save_bundle(b, bundle)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_save_load_save_is_byte_identical(self, tmp_path):
+        bundle = awkward_bundle()
+        rng = np.random.default_rng(7)
+        lower = rng.normal(0, 3, len(bundle.space))
+        space = FeatureSpace(bundle.space.names, lower, lower + rng.uniform(0.1, 5.0, lower.size))
+        rm = RejectModel(bundle.model, -1.0 / 3.0, 2.0 / 7.0, 0.24)
+        bundle = dataclasses.replace(bundle, space=space).with_reject(
+            rm, RiskReport(0.1, 0.2, 0.1 + 0.24 * 0.2, 17))
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        save_bundle(first, bundle)
+        save_bundle(second, load_bundle(first))
+        assert first.read_bytes() == second.read_bytes()
+        assert list(json.loads(first.read_text())) == [
+            "weights", "bias", "features", "scaling", "label_column", "positive_label",
+            "split", "t_minus", "t_plus", "w_r", "risk_report"]
 
     def test_reject_model_requires_band(self):
         with pytest.raises(ValueError, match="no reject band"):

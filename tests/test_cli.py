@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from svcreject import FeatureSpace, LinearModel, RejectModel
-from svcreject.cli import JsonlWriter, main
+from svcreject.cli import JsonlWriter, build_parser, main
 from svcreject.explainer import explain_batch
 from svcreject.rejector import predict_with_reject
 
@@ -47,6 +48,59 @@ def strip_times(jsonl_text):
     for r in records:
         r.pop("time_seconds")
     return records
+
+
+class TestFlags:
+    # every settable option of each subcommand, and the ones it requires
+    OPTIONS = {
+        "train": {"--input", "--model", "--output", "--label-column", "--positive-label",
+                  "--seed", "--C", "--fraction", "--tolerance", "--max-passes"},
+        "calibrate": {"--input", "--model", "--output", "--scope", "--wr", "--grid-steps"},
+        "explain": {"--input", "--model", "--output", "--scope", "--order"},
+        "bench": {"--input", "--model", "--output", "--scope", "--order"},
+    }
+    REQUIRED = {
+        "train": {"--input", "--model", "--label-column", "--positive-label"},
+        "calibrate": {"--input", "--model", "--output"},
+        "explain": {"--input", "--model", "--output"},
+        "bench": {"--input", "--model"},
+    }
+
+    def test_each_subcommand_takes_only_the_options_it_reads(self):
+        (sub,) = [a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        options = {name: [a for a in p._actions if a.dest != "help"]
+                   for name, p in sub.choices.items()}
+        assert {name: {a.option_strings[0] for a in acts}
+                for name, acts in options.items()} == self.OPTIONS
+        assert {name: {a.option_strings[0] for a in acts if a.required}
+                for name, acts in options.items()} == self.REQUIRED
+        assert sum(len(acts) for acts in options.values()) == 26
+
+    @pytest.mark.parametrize("argv", [
+        ["explain", "--input", "i.csv", "--model", "m.json", "--output", "e.jsonl", "--wr", "0.3"],
+        ["calibrate", "--input", "i.csv", "--model", "m.json", "--output", "r.json",
+         "--order", "lex"],
+        ["train", "--input", "i.csv", "--model", "m.json", "--label-column", "y",
+         "--positive-label", "a", "--grid-steps", "5"],
+    ])
+    def test_option_the_subcommand_never_reads_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--model", "m.json", "--label-column", "y", "--positive-label", "a"],
+        ["calibrate", "--model", "m.json", "--output", "r.json"],
+        ["explain", "--model", "m.json", "--output", "e.jsonl"],
+        ["bench", "--model", "m.json"],
+    ])
+    def test_missing_input_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "required: --input" in capsys.readouterr().err
 
 
 class TestTrain:

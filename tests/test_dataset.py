@@ -193,6 +193,17 @@ class TestJsonSchema:
         assert np.array_equal(ds2.X, ds.X)
         assert np.array_equal(ds2.y, ds.y)
 
+    def test_save_load_save_is_byte_identical(self, tmp_path):
+        rng = np.random.default_rng(6)
+        raw = rng.normal(0, 1e3, (9, 4)) / 7.0
+        y = np.array([1.0, -1.0, -1.0] * 3)
+        space, params, ds = scale_dataset(raw, y, ["w", "x", "y", "z"])
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        save_dataset(first, space, params, ds)
+        save_dataset(second, *load_dataset(first))
+        assert first.read_bytes() == second.read_bytes()
+        assert list(json.loads(first.read_text())) == ["features", "scaling", "rows", "labels"]
+
     def test_schema_shape(self):
         space = FeatureSpace.unit(["a"])
         params = ScalingParams(np.array([0.0]), np.array([1.0]))

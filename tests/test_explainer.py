@@ -8,8 +8,6 @@ from svcreject.dataset import DatasetError, FeatureSpace
 from svcreject.dataset import LabeledDataset
 from svcreject.explainer import (
     Explanation,
-    PredictionFormula,
-    entails,
     explain_batch,
     feature_frequency,
     minimal_explanation,
@@ -17,7 +15,7 @@ from svcreject.explainer import (
     prediction_formula,
     verify_explanation,
 )
-from svcreject.feasibility import LinearAtom, PartialAssignment, satisfiable_vertex_oracle
+from svcreject.feasibility import LinearAtom, PartialAssignment, satisfiable
 from svcreject.rejector import calibrate, predict_with_reject, predictions_with_reject
 from svcreject.trainer import LinearModel, decision_values
 from svcreject import RejectModel
@@ -37,18 +35,18 @@ from conftest import (
 class TestPredictionFormula:
     def test_reject_class_is_band_conjunction(self, band_reject):
         p = prediction_formula(band_reject, 0)
-        assert [(a.relation, a.threshold) for a in p.atoms] == [
+        assert [(a.relation, a.threshold) for a in p] == [
             ("<=", BAND_T_PLUS),
             (">=", BAND_T_MINUS),
         ]
 
     def test_positive_class_is_single_strict_atom(self, band_reject):
         p = prediction_formula(band_reject, 1)
-        assert [(a.relation, a.threshold) for a in p.atoms] == [(">", BAND_T_PLUS)]
+        assert [(a.relation, a.threshold) for a in p] == [(">", BAND_T_PLUS)]
 
     def test_negative_class_is_single_strict_atom(self, band_reject):
         p = prediction_formula(band_reject, -1)
-        assert [(a.relation, a.threshold) for a in p.atoms] == [("<", BAND_T_MINUS)]
+        assert [(a.relation, a.threshold) for a in p] == [("<", BAND_T_MINUS)]
 
     def test_unknown_class_rejected(self, band_reject):
         with pytest.raises(ValueError):
@@ -58,36 +56,41 @@ class TestPredictionFormula:
 class TestNegation:
     def test_single_strict_atom_flips_to_nonstrict(self, demo_reject):
         neg = negate(prediction_formula(demo_reject, 1))
-        assert [(a.relation, a.threshold) for a in neg.atoms] == [("<=", 0.0)]
+        assert [(a.relation, a.threshold) for a in neg] == [("<=", 0.0)]
 
     def test_band_conjunction_becomes_two_atom_disjunction(self, band_reject):
         neg = negate(prediction_formula(band_reject, 0))
-        assert [(a.relation, a.threshold) for a in neg.atoms] == [
+        assert [(a.relation, a.threshold) for a in neg] == [
             (">", BAND_T_PLUS),
             ("<", BAND_T_MINUS),
         ]
 
     def test_double_negation_restores_relations(self, band_reject):
         p = prediction_formula(band_reject, 0)
-        twice = tuple(a.negated().negated() for a in p.atoms)
-        assert [a.relation for a in twice] == [a.relation for a in p.atoms]
+        twice = tuple(a.negated().negated() for a in p)
+        assert [a.relation for a in twice] == [a.relation for a in p]
 
 
 class TestEntailment:
+    """A partial assignment entails a class exactly when every atom of the
+    negated formula is unsatisfiable over the box."""
+
     def test_f1_alone_entails_positive(self, demo_reject, demo_space):
-        p = prediction_formula(demo_reject, 1)
-        assert entails(PartialAssignment({0: 0.0526}), demo_space, p)
+        pa = PartialAssignment({0: 0.0526})
+        for atom in negate(prediction_formula(demo_reject, 1)):
+            assert not satisfiable(atom, pa, demo_space)
 
     def test_f2_alone_does_not_entail(self, demo_reject, demo_space):
-        p = prediction_formula(demo_reject, 1)
-        result = entails(PartialAssignment({1: 0.3}), demo_space, p)
-        assert not result
+        (atom,) = negate(prediction_formula(demo_reject, 1))
+        result = satisfiable(atom, PartialAssignment({1: 0.3}), demo_space)
+        assert result
         assert result.witness[0] == 1.0
         assert predict_with_reject(demo_reject, result.witness) == -1
 
     def test_full_assignment_entails_own_class(self, demo_reject, demo_space):
-        p = prediction_formula(demo_reject, 1)
-        assert entails(PartialAssignment.of_instance(DEMO_X), demo_space, p)
+        pa = PartialAssignment.of_instance(DEMO_X)
+        for atom in negate(prediction_formula(demo_reject, 1)):
+            assert not satisfiable(atom, pa, demo_space)
 
     @given(st.integers(min_value=0, max_value=2**31 - 1), st.integers(min_value=1, max_value=10))
     @settings(max_examples=100, deadline=None)
@@ -97,8 +100,9 @@ class TestEntailment:
         space = FeatureSpace.unit([f"f{i}" for i in range(n)])
         x = rng.uniform(0.0, 1.0, n)
         klass = predict_with_reject(rm, x)
-        p = prediction_formula(rm, klass)
-        assert entails(PartialAssignment.of_instance(x), space, p)
+        pa = PartialAssignment.of_instance(x)
+        for atom in negate(prediction_formula(rm, klass)):
+            assert not satisfiable(atom, pa, space)
 
 
 class TestMinimalExplanation:
@@ -119,7 +123,7 @@ class TestMinimalExplanation:
     def test_band_instance_agrees_with_vertex_driven_elimination(self, band_reject, band_space):
         # re-derive the kept set with entailment decided by corner enumeration
         neg = negate(prediction_formula(band_reject, 0))
-        atoms = [(a.relation, a.threshold) for a in neg.atoms]
+        atoms = [(a.relation, a.threshold) for a in neg]
         lower, upper = band_space.lower, band_space.upper
 
         def oracle(rel, thr, fixed):
@@ -272,11 +276,12 @@ class TestBatchedPass:
             if expl.knife_edge_queries:
                 continue  # float corner enumeration cannot settle a knife edge
             atoms = [(a.relation, a.threshold)
-                     for a in negate(prediction_formula(rm, expl.klass)).atoms]
+                     for a in negate(prediction_formula(rm, expl.klass))]
 
             def oracle(rel, thr, fixed):
                 atom = LinearAtom(w, b, rel, thr)
-                return satisfiable_vertex_oracle(atom, PartialAssignment(dict(fixed)), space)
+                return oracles.satisfiable_vertex_oracle(
+                    atom, PartialAssignment(dict(fixed)), space)
 
             kept = oracles.minimal_explanation_via_vertices(
                 oracle, w, b, atoms, x, space.lower, space.upper, order)

@@ -3,17 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from svcreject.dataset import FeatureSpace
-from svcreject.feasibility import (
-    MAX_ORACLE_FREE,
-    LinearAtom,
-    PartialAssignment,
-    QueryCounter,
-    linear_extrema,
-    satisfiable,
-    satisfiable_vertex_oracle,
-)
+from svcreject.feasibility import LinearAtom, PartialAssignment, linear_extrema, satisfiable
 
 from conftest import DEMO_B, DEMO_W
+from oracles import MAX_ORACLE_FREE, satisfiable_vertex_oracle
 
 
 @st.composite
@@ -103,21 +96,6 @@ class TestSatisfiable:
         atom = LinearAtom(np.ones(1), 0.0, "<=", 0.0)
         result = satisfiable(atom, PartialAssignment.empty(), space)
         assert result and result.knife_edge
-
-    def test_counter_ticks_per_query(self, demo_space):
-        counter = QueryCounter()
-        atom = LinearAtom(DEMO_W, DEMO_B, "<=", 0.0)
-        satisfiable(atom, PartialAssignment.empty(), demo_space, counter)
-        satisfiable(atom, PartialAssignment.empty(), demo_space, counter)
-        assert counter.count == 2
-        assert counter.knife_edges == 0
-
-    def test_counter_tallies_knife_edges(self):
-        space = FeatureSpace.unit(["f1"])
-        counter = QueryCounter()
-        atom = LinearAtom(np.ones(1), 0.0, "<=", 0.0)  # min over [0,1] is exactly 0
-        satisfiable(atom, PartialAssignment.empty(), space, counter)
-        assert counter.knife_edges == 1
 
     def test_invalid_relation_rejected(self):
         with pytest.raises(ValueError, match="relation"):
