@@ -2,22 +2,22 @@
 
 A model file carries everything needed to score and explain new raw rows:
 the weight vector, the feature domains, the min-max scaling, optional label
-metadata, the train/test split used at fit time, and (after calibration)
-the reject band.  Floats serialize through the shortest round-trip decimal
-representation, so save/load is bit-exact.
+metadata, the train/test split used at fit time, how training ended, and
+(after calibration) the reject band.  Floats serialize through the shortest
+round-trip decimal representation, so save/load is bit-exact.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .dataset import FeatureSpace, ScalingParams, box_from_json, box_to_json
 from .rejector import RejectModel, RiskReport
-from .trainer import LinearModel
+from .trainer import LinearModel, TrainReport
 
 
 @dataclass(frozen=True)
@@ -36,6 +36,7 @@ class ModelBundle:
     label_column: str | None = None
     positive_label: str | None = None
     split: SplitManifest | None = None
+    training: TrainReport | None = None
     t_minus: float | None = None
     t_plus: float | None = None
     w_r: float | None = None
@@ -76,6 +77,8 @@ def bundle_to_json(bundle: ModelBundle) -> dict:
             "train_indices": list(bundle.split.train_indices),
             "test_indices": list(bundle.split.test_indices),
         }
+    if bundle.training is not None:
+        doc["training"] = asdict(bundle.training)
     if bundle.has_reject_band:
         doc["t_minus"] = bundle.t_minus
         doc["t_plus"] = bundle.t_plus
@@ -104,6 +107,16 @@ def bundle_from_json(doc: dict) -> ModelBundle:
             train_indices=tuple(int(i) for i in s["train_indices"]),
             test_indices=tuple(int(i) for i in s["test_indices"]),
         )
+    training = None
+    if "training" in doc:
+        t = doc["training"]
+        training = TrainReport(
+            primal_objective=float(t["primal_objective"]),
+            max_margin_violation=float(t["max_margin_violation"]),
+            passes_used=int(t["passes_used"]),
+            converged=bool(t["converged"]),
+            dual_gap=float(t["dual_gap"]),
+        )
     report = None
     if "risk_report" in doc:
         r = doc["risk_report"]
@@ -120,6 +133,7 @@ def bundle_from_json(doc: dict) -> ModelBundle:
         label_column=doc.get("label_column"),
         positive_label=doc.get("positive_label"),
         split=split,
+        training=training,
         t_minus=doc.get("t_minus"),
         t_plus=doc.get("t_plus"),
         w_r=doc.get("w_r"),

@@ -20,6 +20,8 @@ from . import artifacts, dataset, explainer, rejector, trainer
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_INPUT = 2
+# out-of-domain rows an error message names before it counts the rest
+MAX_NAMED_ROWS = 10
 
 
 class VerificationFailure(RuntimeError):
@@ -75,6 +77,9 @@ def build_parser() -> argparse.ArgumentParser:
         scope(p)
         p.add_argument("--order", choices=("ascending", "descending-weight", "lex"),
                        default="ascending", help="feature elimination order")
+        p.add_argument("--skip-out-of-domain", action="store_true",
+                       help="skip rows outside the model's feature domains instead "
+                            "of exiting 2")
     return parser
 
 
@@ -125,6 +130,7 @@ def cmd_train(args) -> int:
             train_indices=tuple(int(i) for i in train_idx),
             test_indices=tuple(int(i) for i in test_idx),
         ),
+        training=report,
     )
     artifacts.save_bundle(args.model, bundle)
     if args.output:
@@ -194,8 +200,10 @@ def _explain_rows(args):
     """Shared explain/bench set-up: one elimination pass over every in-domain
     row of the scope.
 
-    Returns the bundle, its reject model, the raw rows, the explained row
-    numbers, the pass and the skipped (out-of-domain) row numbers.
+    A row outside the model's feature domains is an input error, unless
+    ``--skip-out-of-domain`` asks to skip it with a warning.  Returns the
+    bundle, its reject model, the raw rows, the explained row numbers, the
+    pass and the skipped row numbers.
     """
     bundle = artifacts.load_bundle(args.model)
     rm = bundle.reject_model()
@@ -203,9 +211,20 @@ def _explain_rows(args):
     scaled, _ = dataset.apply_scaling(raw, bundle.scaling)
     rows = _scope_indices(args.scope, scaled.shape[0], bundle)
     inside = bundle.space.rows_inside(scaled[rows])
+    outside = rows[~inside].tolist()
+    if outside and not args.skip_out_of_domain:
+        named = ", ".join(str(row) for row in outside[:MAX_NAMED_ROWS])
+        more = f" and {len(outside) - MAX_NAMED_ROWS} more" if len(outside) > MAX_NAMED_ROWS else ""
+        raise dataset.DatasetError(
+            f"{len(outside)} row(s) outside the model's feature domains: {named}{more}; "
+            "pass --skip-out-of-domain to skip them"
+        )
+    for row in outside:
+        print(f"warning: row {row} is outside the model's feature domains; skipped",
+              file=sys.stderr)
     batch = explainer.explain_batch(rm, bundle.space, scaled[rows[inside]],
                                     _feature_order(args.order, bundle))
-    return bundle, rm, raw, rows[inside], batch, rows[~inside].tolist()
+    return bundle, rm, raw, rows[inside], batch, outside
 
 
 def _verified(rm, space, rows, batch):
@@ -296,10 +315,6 @@ def _print_stats(stats: dict) -> None:
 
 def cmd_explain(args) -> int:
     bundle, rm, raw, rows, batch, skipped = _explain_rows(args)
-    for row in skipped:
-        print(f"warning: row {row} is outside the model's feature domains; skipped",
-              file=sys.stderr)
-
     writer = JsonlWriter(bundle.space.names, batch.box, rm)
     results = []
     out_path = Path(args.output)

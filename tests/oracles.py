@@ -12,6 +12,15 @@ import operator
 
 import numpy as np
 
+from svcreject.trainer import (
+    BOUND_SNAP,
+    ETA_FLOOR,
+    LinearModel,
+    TrainerConfig,
+    TrainingError,
+    TrainReport,
+)
+
 MAX_ORACLE_FREE = 20
 _OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
@@ -87,6 +96,87 @@ def soft_margin_optimum(X, y, C):
         obj = best_primal_with_bias(X, y, w, C)
         best = min(best, obj)
     return best
+
+
+def reference_train_soft_margin(train, config=TrainerConfig()):
+    """The trainer's maximal-violating-pair loop without shrinking, the
+    referee for ``trainer.train_soft_margin``: every update scans all rows
+    and rebuilds both side masks.
+
+    One pass is one pair update.  Stops when the maximal dual-feasibility
+    violation drops to ``config.tolerance`` or ``config.max_passes`` is hit.
+    """
+    X = np.asarray(train.X, dtype=float)
+    y = np.asarray(train.y, dtype=float)
+    if X.size and not np.all(np.isfinite(X)):
+        raise TrainingError("training data contains non-finite values")
+    if len(np.unique(y)) < 2:
+        raise TrainingError("training data must contain both classes")
+
+    m, n = X.shape
+    C = config.C
+    alpha = np.zeros(m)
+    w = np.zeros(n)
+    # score_t = y_t - w . x_t; KKT expressed without the intercept
+    scores = y.copy()
+
+    passes = 0
+    gap = np.inf
+    converged = False
+    while passes < config.max_passes:
+        up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
+        low = ((y < 0) & (alpha < C)) | ((y > 0) & (alpha > 0))
+        up_scores = np.where(up, scores, -np.inf)
+        low_scores = np.where(low, scores, np.inf)
+        i = int(np.argmax(up_scores))
+        j = int(np.argmin(low_scores))
+        gap = up_scores[i] - low_scores[j]
+        if gap <= config.tolerance:
+            converged = True
+            break
+
+        diff = X[i] - X[j]
+        eta = max(float(diff @ diff), ETA_FLOOR)
+        step = gap / eta
+        step = min(step,
+                   C - alpha[i] if y[i] > 0 else alpha[i],
+                   alpha[j] if y[j] > 0 else C - alpha[j])
+        alpha[i] += y[i] * step
+        alpha[j] -= y[j] * step
+        for k in (i, j):
+            if alpha[k] < BOUND_SNAP * C:
+                alpha[k] = 0.0
+            elif alpha[k] > (1.0 - BOUND_SNAP) * C:
+                alpha[k] = C
+        w += step * diff
+        scores -= step * (X @ diff)
+        passes += 1
+
+    # recompute scores once to clear incremental drift before picking b
+    scores = y - X @ w
+    free = (alpha > 0.0) & (alpha < C)
+    if free.any():
+        b = float(scores[free].mean())
+    else:
+        up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
+        low = ((y < 0) & (alpha < C)) | ((y > 0) & (alpha > 0))
+        hi = scores[up].max() if up.any() else 0.0
+        lo = scores[low].min() if low.any() else 0.0
+        b = float((hi + lo) / 2.0)
+
+    model = LinearModel(w, b)
+    margins = y * (X @ w + b)
+    slacks = np.maximum(0.0, 1.0 - margins)
+    violation = float(np.max(np.maximum(0.0, 1.0 - margins) - slacks, initial=0.0))
+    objective = float(0.5 * (w @ w) + C * slacks.sum())
+    report = TrainReport(
+        primal_objective=objective,
+        max_margin_violation=violation,
+        passes_used=passes,
+        converged=converged,
+        dual_gap=float(gap),
+    )
+    return model, report
 
 
 def best_primal_with_bias(X, y, w, C):

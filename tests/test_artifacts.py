@@ -14,7 +14,7 @@ from svcreject.artifacts import (
 )
 from svcreject.dataset import FeatureSpace, ScalingParams
 from svcreject.rejector import RejectModel, RiskReport
-from svcreject.trainer import LinearModel
+from svcreject.trainer import LinearModel, TrainReport
 
 
 def awkward_bundle():
@@ -83,6 +83,33 @@ class TestBundleRoundTrip:
         assert list(json.loads(first.read_text())) == [
             "weights", "bias", "features", "scaling", "label_column", "positive_label",
             "split", "t_minus", "t_plus", "w_r", "risk_report"]
+
+    def test_training_report_round_trips_and_survives_calibration(self, tmp_path):
+        report = TrainReport(primal_objective=np.pi * 1e3, max_margin_violation=0.0,
+                             passes_used=6162, converged=False, dual_gap=1.0 / 3.0)
+        bundle = dataclasses.replace(awkward_bundle(), training=report)
+        rm = RejectModel(bundle.model, -1.0 / 3.0, 2.0 / 7.0, 0.24)
+        bundle = bundle.with_reject(rm, RiskReport(0.1, 0.2, 0.1 + 0.24 * 0.2, 17))
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        save_bundle(first, bundle)
+        loaded = load_bundle(first)
+        assert loaded.training == report
+        save_bundle(second, loaded)
+        assert first.read_bytes() == second.read_bytes()
+        doc = json.loads(first.read_text())
+        assert list(doc) == [
+            "weights", "bias", "features", "scaling", "label_column", "positive_label",
+            "split", "training", "t_minus", "t_plus", "w_r", "risk_report"]
+        assert doc["training"] == {"primal_objective": np.pi * 1e3, "max_margin_violation": 0.0,
+                                   "passes_used": 6162, "converged": False,
+                                   "dual_gap": 1.0 / 3.0}
+
+    def test_file_without_training_loads_and_stays_without(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_bundle(path, awkward_bundle())
+        loaded = load_bundle(path)
+        assert loaded.training is None
+        assert "training" not in bundle_to_json(loaded)
 
     def test_reject_model_requires_band(self):
         with pytest.raises(ValueError, match="no reject band"):

@@ -56,8 +56,10 @@ class TestFlags:
         "train": {"--input", "--model", "--output", "--label-column", "--positive-label",
                   "--seed", "--C", "--fraction", "--tolerance", "--max-passes"},
         "calibrate": {"--input", "--model", "--output", "--scope", "--wr", "--grid-steps"},
-        "explain": {"--input", "--model", "--output", "--scope", "--order"},
-        "bench": {"--input", "--model", "--output", "--scope", "--order"},
+        "explain": {"--input", "--model", "--output", "--scope", "--order",
+                    "--skip-out-of-domain"},
+        "bench": {"--input", "--model", "--output", "--scope", "--order",
+                  "--skip-out-of-domain"},
     }
     REQUIRED = {
         "train": {"--input", "--model", "--label-column", "--positive-label"},
@@ -75,7 +77,7 @@ class TestFlags:
                 for name, acts in options.items()} == self.OPTIONS
         assert {name: {a.option_strings[0] for a in acts if a.required}
                 for name, acts in options.items()} == self.REQUIRED
-        assert sum(len(acts) for acts in options.values()) == 26
+        assert sum(len(acts) for acts in options.values()) == 28
 
     @pytest.mark.parametrize("argv", [
         ["explain", "--input", "i.csv", "--model", "m.json", "--output", "e.jsonl", "--wr", "0.3"],
@@ -167,6 +169,28 @@ class TestTrain:
             "--positive-label", "setosa", "--model", str(tmp_path / "m.json"),
         ]) == 0
         assert capsys.readouterr().err == ""
+
+    def test_model_file_records_training_and_calibrate_keeps_it(self, tmp_path, iris_csv,
+                                                                 capsys):
+        model_path, reject_path = tmp_path / "m.json", tmp_path / "r.json"
+        assert main([
+            "train", "--input", str(iris_csv), "--label-column", "species",
+            "--positive-label", "versicolor", "--model", str(model_path),
+        ]) == 0
+        out = capsys.readouterr().out
+        training = json.loads(model_path.read_text())["training"]
+        assert set(training) == {"passes_used", "converged", "dual_gap",
+                                 "primal_objective", "max_margin_violation"}
+        assert training["converged"] is True
+        assert 0.0 <= training["dual_gap"] <= 1e-6
+        assert f"passes used: {training['passes_used']}  converged: True" in out
+        assert f"primal objective: {training['primal_objective']:.6f}" in out
+        assert main([
+            "calibrate", "--input", str(iris_csv), "--model", str(model_path),
+            "--output", str(reject_path),
+        ]) == 0
+        capsys.readouterr()
+        assert json.loads(reject_path.read_text())["training"] == training
 
 
 class TestCalibrate:
@@ -313,7 +337,7 @@ class TestExplain:
         out_path = tmp_path / "expl.jsonl"
         assert main([
             "explain", "--model", str(model_path), "--input", str(instances),
-            "--output", str(out_path),
+            "--output", str(out_path), "--skip-out-of-domain",
         ]) == 0
         captured = capsys.readouterr()
         assert "row 0" in captured.err and "skipped" in captured.err
@@ -583,3 +607,59 @@ class TestBench:
             "bench", "--model", str(model_path), "--input", str(instances),
         ]) == 0
         assert "benchmarked 0 instance(s)" in capsys.readouterr().out
+
+
+class TestOutOfDomain:
+    """A row outside the model's box (one iris cell set to 99.0)."""
+
+    @pytest.fixture
+    def setup(self, tmp_path, iris_csv, capsys):
+        model_path, reject_path = tmp_path / "m.json", tmp_path / "r.json"
+        assert main([
+            "train", "--input", str(iris_csv), "--label-column", "species",
+            "--positive-label", "versicolor", "--model", str(model_path),
+        ]) == 0
+        assert main([
+            "calibrate", "--input", str(iris_csv), "--model", str(model_path),
+            "--output", str(reject_path),
+        ]) == 0
+        lines = iris_csv.read_text().splitlines()
+        cells = lines[3].split(",")   # row 2
+        cells[0] = "99.0"
+        lines[3] = ",".join(cells)
+        bad_csv = tmp_path / "bad.csv"
+        bad_csv.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        return bad_csv, reject_path
+
+    @pytest.mark.parametrize("command", ["explain", "bench"])
+    def test_exits_2_and_names_the_row(self, setup, tmp_path, command, capsys):
+        bad_csv, reject_path = setup
+        out_path = tmp_path / "out.jsonl"
+        code = main([command, "--input", str(bad_csv), "--model", str(reject_path),
+                     "--output", str(out_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "1 row(s) outside the model's feature domains: 2;" in err
+        assert "--skip-out-of-domain" in err
+        assert not out_path.exists()
+
+    def test_skip_flag_explains_the_other_rows(self, setup, tmp_path, capsys):
+        bad_csv, reject_path = setup
+        out_path = tmp_path / "out.jsonl"
+        assert main(["explain", "--input", str(bad_csv), "--model", str(reject_path),
+                     "--output", str(out_path), "--skip-out-of-domain"]) == 0
+        assert "row 2 is outside" in capsys.readouterr().err
+        records = [json.loads(line) for line in out_path.read_text().splitlines()]
+        assert len(records) == 149 and 2 not in {r["index"] for r in records}
+        summary = json.loads((tmp_path / "out.jsonl.summary.json").read_text())
+        assert summary["skipped_rows"] == [2]
+
+    def test_error_names_ten_rows_then_counts(self, tmp_path, capsys):
+        model_path = tmp_path / "reject.json"
+        model_path.write_text(json.dumps(demo_reject_doc()))
+        instances = tmp_path / "inst.csv"
+        instances.write_text("f1,f2\n" + "1.5,0.3\n" * 12)
+        assert main(["bench", "--input", str(instances), "--model", str(model_path)]) == 2
+        assert ("12 row(s) outside the model's feature domains: "
+                "0, 1, 2, 3, 4, 5, 6, 7, 8, 9 and 2 more;") in capsys.readouterr().err
