@@ -11,20 +11,13 @@ from .dataset import (
     scale_dataset,
     stratified_split,
 )
-from .feasibility import (
-    LinearAtom,
-    PartialAssignment,
-    linear_extrema,
-    satisfiable,
-)
+from .feasibility import LinearAtom
 from .trainer import (
     LinearModel,
     TrainerConfig,
     TrainingError,
     TrainReport,
-    decision_value,
     decision_values,
-    predict,
     train_soft_margin,
 )
 from .rejector import (
@@ -46,6 +39,7 @@ from .explainer import (
     minimal_explanation,
     negate,
     prediction_formula,
+    verify_batch,
     verify_explanation,
 )
 from .artifacts import ModelBundle, SplitManifest, load_bundle, save_bundle
@@ -63,16 +57,11 @@ __all__ = [
     "scale_dataset",
     "stratified_split",
     "LinearAtom",
-    "PartialAssignment",
-    "linear_extrema",
-    "satisfiable",
     "LinearModel",
     "TrainerConfig",
     "TrainingError",
     "TrainReport",
-    "decision_value",
     "decision_values",
-    "predict",
     "train_soft_margin",
     "DegenerateGridError",
     "EvalMetrics",
@@ -90,6 +79,7 @@ __all__ = [
     "minimal_explanation",
     "negate",
     "prediction_formula",
+    "verify_batch",
     "verify_explanation",
     "ModelBundle",
     "SplitManifest",

@@ -8,7 +8,6 @@ without retraining.  Exit codes: 0 success, 1 internal verification failure,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -83,6 +82,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _split_rows(indices, n_rows: int) -> np.ndarray:
+    """Row numbers from a split manifest, each checked to be a row of the input."""
+    idx = np.asarray(indices, dtype=int)
+    if idx.size and (idx.min() < 0 or idx.max() >= n_rows):
+        raise dataset.DatasetError(
+            f"split manifest indices fall outside the input's {n_rows} rows; "
+            "pass the CSV the model was trained on"
+        )
+    return idx
+
+
 def _scope_indices(scope: str, n_rows: int, bundle: artifacts.ModelBundle) -> np.ndarray:
     if scope == "all":
         return np.arange(n_rows)
@@ -90,16 +100,8 @@ def _scope_indices(scope: str, n_rows: int, bundle: artifacts.ModelBundle) -> np
         raise dataset.DatasetError(
             f"--scope {scope} needs a model file with a split manifest"
         )
-    idx = np.asarray(
-        bundle.split.train_indices if scope == "train" else bundle.split.test_indices,
-        dtype=int,
-    )
-    if idx.size and idx.max() >= n_rows:
-        raise dataset.DatasetError(
-            "split manifest indices exceed the input row count; "
-            "pass the CSV the model was trained on"
-        )
-    return idx
+    split = bundle.split
+    return _split_rows(split.train_indices if scope == "train" else split.test_indices, n_rows)
 
 
 def _feature_order(name: str, bundle: artifacts.ModelBundle) -> list[int]:
@@ -167,12 +169,7 @@ def cmd_calibrate(args) -> int:
     scaled, _ = dataset.apply_scaling(raw, bundle.scaling)
 
     if bundle.split is not None:
-        cal_idx = np.asarray(bundle.split.train_indices, dtype=int)
-        if cal_idx.size and cal_idx.max() >= scaled.shape[0]:
-            raise dataset.DatasetError(
-                "split manifest indices exceed the input row count; "
-                "pass the CSV the model was trained on"
-            )
+        cal_idx = _split_rows(bundle.split.train_indices, scaled.shape[0])
     else:
         cal_idx = np.arange(scaled.shape[0])
     cal_ds = dataset.LabeledDataset(scaled[cal_idx], labels[cal_idx])
@@ -198,12 +195,13 @@ def cmd_calibrate(args) -> int:
 
 def _explain_rows(args):
     """Shared explain/bench set-up: one elimination pass over every in-domain
-    row of the scope.
+    row of the scope, verified before anything is written.
 
     A row outside the model's feature domains is an input error, unless
-    ``--skip-out-of-domain`` asks to skip it with a warning.  Returns the
-    bundle, its reject model, the raw rows, the explained row numbers, the
-    pass and the skipped row numbers.
+    ``--skip-out-of-domain`` asks to skip it with a warning.  A row that
+    fails verification is a bug trap.  Returns the bundle, the raw rows, the
+    explained row numbers, the pass, its verification reports and the
+    skipped row numbers.
     """
     bundle = artifacts.load_bundle(args.model)
     rm = bundle.reject_model()
@@ -222,23 +220,17 @@ def _explain_rows(args):
     for row in outside:
         print(f"warning: row {row} is outside the model's feature domains; skipped",
               file=sys.stderr)
-    batch = explainer.explain_batch(rm, bundle.space, scaled[rows[inside]],
+    rows = rows[inside]
+    batch = explainer.explain_batch(rm, bundle.space, scaled[rows],
                                     _feature_order(args.order, bundle))
-    return bundle, rm, raw, rows[inside], batch, outside
-
-
-def _verified(rm, space, rows, batch):
-    """Yields (position in the batch, row number, explanation), each
-    explanation re-verified before it is handed out."""
-    for k, row in enumerate(rows.tolist()):
-        expl = batch.explanation(k)
-        report = explainer.verify_explanation(rm, space, expl)
+    reports = explainer.verify_batch(rm, bundle.space, batch)
+    for row, report in zip(rows.tolist(), reports):
         if not report:
             raise VerificationFailure(
                 f"row {row}: explanation failed verification: "
                 + "; ".join(report.violations)
             )
-        yield k, row, expl
+    return bundle, raw, rows, batch, reports, outside
 
 
 def _reprs(values) -> np.ndarray:
@@ -246,60 +238,59 @@ def _reprs(values) -> np.ndarray:
 
 
 class JsonlWriter:
-    """Explanation records as JSON lines, byte for byte what ``json.dumps``
-    gives for the record, but formatted from cached value strings.
+    """Explanation records of a batch as JSON lines, byte for byte what
+    ``json.dumps`` gives for the record, but formatted from cached value
+    strings.
 
     Every witness coordinate is the instance's own value or a box corner, so
     a row formats its n values once and each witness picks strings by its
     free mask; by mask, not by value, because 0.0 and -0.0 print differently.
+    The witnesses' classes come from the verification.
     """
 
-    def __init__(self, names, box, rm):
+    def __init__(self, names, batch):
         self.names = [json.dumps(name) for name in names]
-        self.max_corner = _reprs(box.max_corner)
-        self.min_corner = _reprs(box.min_corner)
-        self.rm = rm
+        self.batch = batch
+        self.max_corner = _reprs(batch.box.max_corner)
+        self.min_corner = _reprs(batch.box.min_corner)
 
-    def line(self, row: int, raw_row, expl, layout) -> str:
-        kept, free, at_max = layout
-        names = self.names
-        x = _reprs(expl.instance)
+    def line(self, k: int, row: int, raw_row, witness_classes) -> str:
+        """The record of the batch's row k, which is input row ``row``."""
+        batch, names = self.batch, self.names
+        kept, free, at_max = batch.layout(k)
+        x = _reprs(batch.instances[k])
         kept_list = kept.tolist()
         kept_part = ", ".join(
             f'{{"feature": {names[i]}, "value": {x[i]}, "raw_value": {r!r}}}'
             for i, r in zip(kept_list, np.asarray(raw_row, dtype=float)[kept].tolist())
         )
         points = explainer.witness_points(free, at_max, x, self.max_corner, self.min_corner)
-        classes = rejector.predictions_with_reject(
-            self.rm, np.array([expl.certificates[i] for i in kept_list]).reshape(-1, len(x)))
         witness_part = ", ".join(
             f'{{"feature": {names[i]}, "point": [{", ".join(p)}], "class": {c}}}'
-            for i, p, c in zip(kept_list, points.tolist(), classes.tolist())
+            for i, p, c in zip(kept_list, points.tolist(), np.asarray(witness_classes).tolist())
         )
-        removed_part = ", ".join(names[i] for i in expl.removed)
-        return (f'{{"index": {int(row)}, "class": {int(expl.klass)}, "kept": [{kept_part}], '
+        removed_part = ", ".join(names[i] for i in np.flatnonzero(batch.removed[k]).tolist())
+        return (f'{{"index": {int(row)}, "class": {int(batch.classes[k])}, "kept": [{kept_part}], '
                 f'"removed": [{removed_part}], "witnesses": [{witness_part}], '
-                f'"time_seconds": {float(expl.time_seconds)!r}}}\n')
+                f'"time_seconds": {batch.seconds / len(batch)!r}}}\n')
 
 
-def _per_class_stats(explanations) -> dict:
-    stats: dict[int, dict] = {}
-    for expl in explanations:
-        entry = stats.setdefault(expl.klass, {"sizes": [], "times": [], "queries": 0})
-        entry["sizes"].append(len(expl.kept))
-        entry["times"].append(expl.time_seconds)
-        entry["queries"] += expl.queries
+def _per_class_stats(batch) -> dict:
+    sizes = (~batch.removed).sum(axis=1)
     out = {}
-    for klass, entry in sorted(stats.items()):
-        sizes = np.array(entry["sizes"], dtype=float)
-        times = np.array(entry["times"], dtype=float)
+    for klass in (-1, 0, 1):
+        rows = batch.classes == klass
+        if not rows.any():
+            continue
+        size = sizes[rows].astype(float)
+        times = np.full(size.size, batch.seconds / len(batch))
         out[klass] = {
-            "patterns": int(sizes.size),
-            "size_mean": float(sizes.mean()),
-            "size_std": float(sizes.std()),
+            "patterns": int(size.size),
+            "size_mean": float(size.mean()),
+            "size_std": float(size.std()),
             "time_mean": float(times.mean()),
             "time_std": float(times.std()),
-            "queries": entry["queries"],
+            "queries": int(batch.queries[rows].sum()),
         }
     return out
 
@@ -314,24 +305,16 @@ def _print_stats(stats: dict) -> None:
 
 
 def cmd_explain(args) -> int:
-    bundle, rm, raw, rows, batch, skipped = _explain_rows(args)
-    writer = JsonlWriter(bundle.space.names, batch.box, rm)
-    results = []
-    out_path = Path(args.output)
-    try:
-        with out_path.open("w") as fh:
-            for k, row, expl in _verified(rm, bundle.space, rows, batch):
-                fh.write(writer.line(row, raw[row], expl, batch.layout(k)))
-                # the summary needs no certificates; dropping them keeps memory flat
-                results.append(dataclasses.replace(expl, certificates={}))
-    except VerificationFailure:
-        out_path.unlink()  # rows are streamed, so a failure would leave a truncated file
-        raise
+    bundle, raw, rows, batch, reports, skipped = _explain_rows(args)
+    writer = JsonlWriter(bundle.space.names, batch)
+    with Path(args.output).open("w") as fh:
+        for k, row in enumerate(rows.tolist()):
+            fh.write(writer.line(k, row, raw[row], reports[k].witness_classes))
 
-    stats = _per_class_stats(results)
-    freq = explainer.feature_frequency(results)
+    stats = _per_class_stats(batch)
+    freq = explainer.feature_frequency(batch.classes, batch.removed)
     summary = {
-        "patterns": len(results),
+        "patterns": len(batch),
         "skipped_rows": skipped,
         "classes": {str(k): v for k, v in stats.items()},
         "frequency": freq.to_json(bundle.space.names),
@@ -339,36 +322,34 @@ def cmd_explain(args) -> int:
     summary_path = Path(str(args.output) + ".summary.json")
     summary_path.write_text(json.dumps(summary, indent=2) + "\n")
 
-    print(f"explained {len(results)} instance(s); "
+    print(f"explained {len(batch)} instance(s); "
           f"{len(skipped)} skipped as out of domain")
     _print_stats(stats)
-    if results:
+    if len(batch):
         print(freq.format_text(bundle.space.names))
     print(f"explanations written to {args.output}")
     return EXIT_OK
 
 
 def cmd_bench(args) -> int:
-    bundle, rm, _, rows, batch, skipped = _explain_rows(args)
-    results = [dataclasses.replace(expl, certificates={})
-               for _, _, expl in _verified(rm, bundle.space, rows, batch)]
-    stats = _per_class_stats(results)
-    total_queries = sum(expl.queries for expl in results)
+    bundle, _, _, batch, _, skipped = _explain_rows(args)
+    stats = _per_class_stats(batch)
+    total_queries = int(batch.queries.sum())
     n = len(bundle.space)
     report = {
-        "instances": len(results),
+        "instances": len(batch),
         "features": n,
         "skipped_rows": skipped,
         "total_queries": total_queries,
-        "knife_edge_queries": sum(expl.knife_edge_queries for expl in results),
-        "max_queries_per_instance": max((expl.queries for expl in results), default=0),
+        "knife_edge_queries": int(batch.knife_edges.sum()),
+        "max_queries_per_instance": int(batch.queries.max(initial=0)),
         "query_budget_per_instance": 2 * n,
         "classes": {str(k): v for k, v in stats.items()},
     }
     if args.output:
         Path(args.output).write_text(json.dumps(report, indent=2) + "\n")
 
-    print(f"benchmarked {len(results)} instance(s) over {n} features")
+    print(f"benchmarked {len(batch)} instance(s) over {n} features")
     _print_stats(stats)
     print(f"total feasibility queries: {total_queries} "
           f"(budget {2 * n} per instance)")

@@ -10,19 +10,24 @@ subset-minimal result in at most 2n queries.  For one linear atom, freeing
 feature i moves the box extremum by a constant, so each query costs O(1)
 per row and one pass explains a whole batch of rows in O(n) per row
 (Marques-Silva et al., "Explaining Naive Bayes and Other Linear
-Classifiers with Polynomial Time and Delay", NeurIPS 2020).
+Classifiers with Polynomial Time and Delay", NeurIPS 2020).  ``verify_batch``
+re-checks a whole pass from scratch, also O(n) per row plus the witnesses.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dataset import DatasetError, FeatureSpace
-from .feasibility import BoxExtrema, LinearAtom, PartialAssignment, decide, exact_value
+from .feasibility import BoxExtrema, LinearAtom, decide, exact_value
 from .rejector import RejectModel, classify, predictions_with_reject
+
+# coordinates of witness points that verify_batch builds and classifies at
+# once; a row's witnesses hold at most n * n, so a chunk is at least one row
+VERIFY_CHUNK_CELLS = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,10 +51,14 @@ class Explanation:
         return len(self.kept)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VerificationReport:
+    """The violations found in one explanation, and the class of each of its
+    certificate points (ascending feature order)."""
+
     ok: bool
     violations: tuple[str, ...] = ()
+    witness_classes: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
 
     def __bool__(self) -> bool:
         return self.ok
@@ -124,18 +133,26 @@ class ExplanationBatch:
     def __len__(self) -> int:
         return int(self.instances.shape[0])
 
-    def layout(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Row k's kept features (ascending), the free mask of each one's
-        witness, and whether that witness sits on the maximum side.
+    def witnesses(self, start: int, stop: int):
+        """The witnesses of rows start..stop-1, one per kept feature in row
+        order and ascending feature order: the row (counted from start), the
+        feature, the free mask and whether the witness sits on the maximum
+        side.
 
         The witness of kept feature i frees i and every feature removed
         before i in the elimination order.
         """
-        removed = self.removed[k]
-        kept = np.flatnonzero(~removed)
-        free = removed & (self.position < self.position[kept][:, None])
+        removed = self.removed[start:stop]
+        rows, kept = np.nonzero(~removed)
+        free = removed[rows] & (self.position < self.position[kept][:, None])
         free[np.arange(kept.size), kept] = True
-        return kept, free, self.at_max[k, kept]
+        return rows, kept, free, self.at_max[start:stop][rows, kept]
+
+    def layout(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Row k's kept features (ascending), the free mask of each one's
+        witness, and whether that witness sits on the maximum side."""
+        _, kept, free, at_max = self.witnesses(k, k + 1)
+        return kept, free, at_max
 
     def explanation(self, k: int) -> Explanation:
         kept, free, at_max = self.layout(k)
@@ -245,70 +262,155 @@ def minimal_explanation(rm: RejectModel, space: FeatureSpace, x: np.ndarray,
     return explain_batch(rm, space, x[None, :], order).explanation(0)
 
 
-def _entailed(formula, box: BoxExtrema, low, high, exact_low, exact_high):
-    """Per element: does every decision value in [low, high] satisfy every
-    atom of the formula?"""
-    holds = True
-    for atom in formula:
-        if atom.relation in (">", ">="):
-            ok, _ = decide(low, atom.relation, atom.threshold, box.bound, exact_low)
-        else:
-            ok, _ = decide(high, atom.relation, atom.threshold, box.bound, exact_high)
-        holds = holds & ok
-    return holds
+def _entailment(rm: RejectModel, box: BoxExtrema, values, classes, kept):
+    """Per row, whether its kept values entail its class; per kept feature
+    (``np.nonzero(kept)`` order), whether they still do with it freed.
+
+    The extrema are computed from scratch: the kept products plus the free
+    features' extreme terms, moved by one feature's swing for the second
+    answer.  A formula atom ``> t``/``>= t`` must hold at the minimum, a
+    ``< t``/``<= t`` atom at the maximum.
+    """
+    products = values * box.weights
+    terms = {False: np.where(kept, products, box.min_term),
+             True: np.where(kept, products, box.max_term)}
+    base = {at_max: t.sum(axis=1) + box.bias for at_max, t in terms.items()}
+    rows, features = np.nonzero(kept)
+    sufficient = np.zeros(len(values), dtype=bool)
+    droppable = np.zeros(rows.size, dtype=bool)
+    for klass in (-1, 0, 1):
+        own = np.flatnonzero(classes == klass)
+        if not own.size:
+            continue
+        freed = np.flatnonzero(classes[rows] == klass)
+        # element e < own.size is row own[e]; the rest free one kept feature each
+        row = np.concatenate((own, rows[freed]))
+        feature = np.concatenate((np.full(own.size, -1), features[freed]))
+        holds = np.ones(row.size, dtype=bool)
+        for atom in prediction_formula(rm, klass):
+            at_max = atom.relation in ("<", "<=")
+            extreme = box.max_term if at_max else box.min_term
+            swing = extreme[features[freed]] - products[rows[freed], features[freed]]
+            estimate = np.concatenate((base[at_max][own], base[at_max][rows[freed]] + swing))
+
+            def exact(e, side=terms[at_max], extreme=extreme, row=row, feature=feature):
+                point = side[row[e]].copy()
+                if feature[e] >= 0:
+                    point[feature[e]] = extreme[feature[e]]
+                return exact_value(point.tolist(), box.bias)
+
+            ok, _ = decide(estimate, atom.relation, atom.threshold, box.bound, exact)
+            holds &= ok
+        sufficient[own] = holds[:own.size]
+        droppable[freed] = holds[own.size:]
+    return sufficient, droppable
+
+
+def _verify(rm: RejectModel, space: FeatureSpace, box: BoxExtrema, instances, values,
+            classes, kept, rows, features, points) -> list[VerificationReport]:
+    """The one verification core, for a chunk of rows.
+
+    ``values`` holds each row's kept values in its ``kept`` positions, and
+    ``points[t]`` is the certificate of feature ``features[t]`` of row
+    ``rows[t]``, in row order.  Per row it checks that (a) the kept values
+    are the instance's, (b) they entail the class, (c) no kept feature can be
+    dropped alone, (d) every kept feature has a certificate and no other
+    feature has one, and (e) every certificate lies in the box, moves
+    no other kept feature and is classified differently.  Each certificate
+    is classified once, and its class is reported.
+    """
+    names = space.names
+    violations: list[list[str]] = [[] for _ in range(len(values))]
+    for k, i in zip(*np.nonzero(kept & (values != instances))):
+        violations[k].append(f"kept value of feature {names[i]!r} differs from the instance")
+    sufficient, droppable = _entailment(rm, box, values, classes, kept)
+    for k in np.flatnonzero(~sufficient).tolist():
+        violations[k].append("sufficiency: kept features do not entail the class")
+    for k, i in zip(*(axis[droppable] for axis in np.nonzero(kept))):
+        violations[k].append(f"minimality: feature {names[i]!r} is droppable")
+    certified = np.zeros(kept.shape, dtype=bool)
+    certified[rows, features] = True
+    for k, i in zip(*np.nonzero(certified != kept)):
+        violations[k].append(f"kept feature {names[i]!r} has no certificate" if kept[k, i]
+                             else f"certificate for feature {names[i]!r}, which is not kept")
+    others = kept[rows]
+    others[np.arange(rows.size), features] = False
+    moves = np.any(others & (points != values[rows]), axis=1)
+    witness_classes = predictions_with_reject(rm, points)
+    for message, bad in (("lies outside the box", ~space.rows_inside(points)),
+                         ("moves another kept feature", moves),
+                         ("does not flip the class", witness_classes == classes[rows])):
+        for t in np.flatnonzero(bad).tolist():
+            violations[rows[t]].append(f"certificate for feature {names[features[t]]!r} {message}")
+    per_row = np.split(witness_classes, np.searchsorted(rows, np.arange(1, len(values))))
+    return [VerificationReport(not v, tuple(v), c) for v, c in zip(violations, per_row)]
+
+
+def verify_batch(rm: RejectModel, space: FeatureSpace, batch: ExplanationBatch) -> list[VerificationReport]:
+    """Re-check every row of an elimination pass from scratch.
+
+    Sufficiency and minimality are decided from the rows, their classes and
+    their removed masks alone, with one box and one formula per class; the
+    witness points are the ones ``batch.witnesses`` lays out, built and
+    classified in chunks of at most ``VERIFY_CHUNK_CELLS`` coordinates.
+    Returns one report per row.
+    """
+    n = len(space)
+    box = BoxExtrema.of(rm.model.weights, rm.model.bias, space)
+    step = max(1, VERIFY_CHUNK_CELLS // (n * n))
+    reports: list[VerificationReport] = []
+    for start in range(0, len(batch), step):
+        stop = min(start + step, len(batch))
+        X = batch.instances[start:stop]
+        rows, features, free, at_max = batch.witnesses(start, stop)
+        points = witness_points(free, at_max, X[rows], box.max_corner, box.min_corner)
+        reports += _verify(rm, space, box, X, X, batch.classes[start:stop],
+                           ~batch.removed[start:stop], rows, features, points)
+    return reports
 
 
 def verify_explanation(rm: RejectModel, space: FeatureSpace, expl: Explanation) -> VerificationReport:
-    """Re-check sufficiency, minimality and certificate class flips in O(n)
-    plus the certificates' size.
+    """One explanation, with the certificates it carries, through
+    ``verify_batch``'s checks, plus that kept and removed partition the
+    features.
 
-    (a) fixing the kept values entails the explained class: the box's
-    extrema, computed from scratch, stay on the class's side of the band;
-    (b) dropping any single kept feature no longer does: the extrema moved
-    by that feature's swing leave it; (c) every certificate point is
-    predicted as a different class.
+    Raises ValueError for a class other than -1, 0 or +1, a kept index
+    outside the features, a kept value outside its domain or a certificate
+    index outside the features.
     """
-    violations: list[str] = []
+    if expl.klass not in (-1, 0, 1):
+        raise ValueError("class must be -1, 0 or +1")
     n = len(space)
+    lower, upper = space.lower.tolist(), space.upper.tolist()
+    instance = np.asarray(expl.instance, dtype=float)
+    if instance.shape != (n,):
+        raise ValueError(f"instance has shape {instance.shape}, expected ({n},)")
+    kept = np.zeros(n, dtype=bool)
+    values = instance.copy()
+    for i, v in expl.kept:
+        if not 0 <= i < n:
+            raise ValueError(f"fixed index {i} out of range for {n} features")
+        if not lower[i] <= v <= upper[i]:
+            raise ValueError(
+                f"fixed value {v} for feature {space.names[i]!r} "
+                f"outside its domain [{lower[i]}, {upper[i]}]"
+            )
+        kept[i], values[i] = True, v
+    items = sorted(expl.certificates.items())
+    features = np.array([i for i, _ in items], dtype=int)
+    if np.any((features < 0) | (features >= n)):
+        raise ValueError(f"certificate index out of range for {n} features")
+    points = np.array([p for _, p in items], dtype=float).reshape(len(items), n)
+
     kept_idx = set(expl.kept_indices)
+    violations = []
     if kept_idx | set(expl.removed) != set(range(n)) or kept_idx & set(expl.removed):
         violations.append("kept and removed do not partition the features")
-    pinned, point = PartialAssignment(dict(expl.kept)).pinned(space)
-
     box = BoxExtrema.of(rm.model.weights, rm.model.bias, space)
-    formula = prediction_formula(rm, expl.klass)
-    kept = np.array(expl.kept_indices, dtype=int)
-    products = box.weights * point
-    low_terms = np.where(pinned, products, box.min_term)
-    high_terms = np.where(pinned, products, box.max_term)
-    # element 0 has the kept features pinned; element 1 + j also frees kept[j]
-    low = low_terms.sum() + box.bias + np.concatenate(([0.0], box.min_term[kept] - products[kept]))
-    high = high_terms.sum() + box.bias + np.concatenate(([0.0], box.max_term[kept] - products[kept]))
-
-    def exact(terms, side):
-        def value(k):
-            moved = terms.copy()
-            if k:
-                moved[kept[k - 1]] = side[kept[k - 1]]
-            return exact_value(moved.tolist(), box.bias)
-        return value
-
-    entailed = _entailed(formula, box, low, high,
-                         exact(low_terms, box.min_term), exact(high_terms, box.max_term))
-    if not entailed[0]:
-        violations.append("sufficiency: kept features do not entail the class")
-    for i in kept[entailed[1:]].tolist():
-        violations.append(f"minimality: feature {space.names[i]!r} is droppable")
-
-    if expl.certificates:
-        items = sorted(expl.certificates.items())
-        flipped = predictions_with_reject(rm, np.array([p for _, p in items])) != expl.klass
-        for (i, _), ok in zip(items, flipped.tolist()):
-            if not ok:
-                violations.append(
-                    f"certificate for feature {space.names[i]!r} does not flip the class"
-                )
-    return VerificationReport(not violations, tuple(violations))
+    (report,) = _verify(rm, space, box, instance[None], values[None], np.array([expl.klass]),
+                        kept[None], np.zeros(features.size, dtype=int), features, points)
+    violations += report.violations
+    return VerificationReport(not violations, tuple(violations), report.witness_classes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -356,19 +458,16 @@ class FrequencyTable:
         return "\n".join(lines)
 
 
-def feature_frequency(explanations) -> FrequencyTable:
-    """Count, per predicted class, how many explanations keep each feature."""
-    explanations = list(explanations)
-    if not explanations:
-        return FrequencyTable({}, {}, 0)
-    n = len(explanations[0].instance)
+def feature_frequency(classes, removed) -> FrequencyTable:
+    """Count, per predicted class, how many rows keep each feature, from a
+    batch's ``classes`` and ``removed`` arrays."""
+    classes = np.asarray(classes, dtype=int)
+    kept = ~np.asarray(removed, dtype=bool)
     counts: dict[int, np.ndarray] = {}
     patterns: dict[int, int] = {}
-    for expl in explanations:
-        if len(expl.instance) != n:
-            raise ValueError("explanations span different feature spaces")
-        row = counts.setdefault(expl.klass, np.zeros(n, dtype=int))
-        for i, _ in expl.kept:
-            row[i] += 1
-        patterns[expl.klass] = patterns.get(expl.klass, 0) + 1
-    return FrequencyTable(counts, patterns, n)
+    for klass in (-1, 0, 1):
+        rows = classes == klass
+        if rows.any():
+            counts[klass] = kept[rows].sum(axis=0)
+            patterns[klass] = int(rows.sum())
+    return FrequencyTable(counts, patterns, kept.shape[1])

@@ -1,10 +1,11 @@
-"""Satisfiability of a single linear inequality over a box domain, and the
-decision kernel every comparison of a decision value goes through.
+"""The decision kernel every comparison of a decision value goes through, and
+the box's extreme terms that entailment questions are answered from.
 
 Every entailment question reduces to: does some point of the box, with a
 subset of coordinates pinned, satisfy  w . z + bias REL c?  A linear
-function attains its extrema at box corners, so the answer comes from one
-O(n) extremum scan instead of a general LP solve.
+function attains its extrema at box corners, so the answer is the pinned
+products plus each free feature's extreme term (``BoxExtrema``), not a
+general LP solve.
 
 A decision value is *defined* as the correctly rounded sum of the rounded
 products w_i * z_i and the bias (``exact_value``).  That definition does not
@@ -124,58 +125,8 @@ class LinearAtom:
     def negated(self) -> "LinearAtom":
         return LinearAtom(self.weights, self.bias, NEGATED[self.relation], self.threshold)
 
-    def holds_at(self, x: np.ndarray) -> bool:
-        value = exact_value((self.weights * np.asarray(x, dtype=float)).tolist(), float(self.bias))
-        return _compare(value, self.relation, self.threshold)
-
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"LinearAtom(d {self.relation} {self.threshold})"
-
-
-@dataclass(frozen=True)
-class PartialAssignment:
-    """Coordinates pinned to concrete values; the rest range over the box."""
-
-    fixed: dict[int, float]
-
-    @classmethod
-    def of_instance(cls, x: np.ndarray) -> "PartialAssignment":
-        return cls({i: float(v) for i, v in enumerate(np.asarray(x, dtype=float))})
-
-    @classmethod
-    def empty(cls) -> "PartialAssignment":
-        return cls({})
-
-    def pinned(self, space: FeatureSpace) -> tuple[np.ndarray, np.ndarray]:
-        """The mask of pinned coordinates and a point holding their values
-        (zero elsewhere), after checking each index and value against the box."""
-        n = len(space)
-        lower, upper = space.lower.tolist(), space.upper.tolist()
-        mask = np.zeros(n, dtype=bool)
-        point = np.zeros(n)
-        for i, v in self.fixed.items():
-            if not 0 <= i < n:
-                raise ValueError(f"fixed index {i} out of range for {n} features")
-            if not lower[i] <= v <= upper[i]:
-                raise ValueError(
-                    f"fixed value {v} for feature {space.names[i]!r} "
-                    f"outside its domain [{lower[i]}, {upper[i]}]"
-                )
-            mask[i], point[i] = True, v
-        return mask, point
-
-    def __len__(self) -> int:
-        return len(self.fixed)
-
-
-@dataclass(frozen=True, eq=False)
-class SatResult:
-    satisfiable: bool
-    witness: np.ndarray | None = None
-    knife_edge: bool = False
-
-    def __bool__(self) -> bool:
-        return self.satisfiable
 
 
 def _compare(value, relation: str, threshold: float):
@@ -186,37 +137,3 @@ def _compare(value, relation: str, threshold: float):
     if relation == ">":
         return value > threshold
     return value >= threshold
-
-
-def _pinned_extremum(box: BoxExtrema, pinned, point, want_max: bool) -> float:
-    """Exact one-sided extremum over the box with the ``pinned`` coordinates
-    of ``point`` fixed: their products plus the extreme terms of the rest."""
-    free = box.max_term if want_max else box.min_term
-    return exact_value(np.where(pinned, box.weights * point, free).tolist(), box.bias)
-
-
-def linear_extrema(weights, bias: float, pa: PartialAssignment, space: FeatureSpace) -> tuple[float, float]:
-    """Exact (min, max) of weights . z + bias over the restricted box."""
-    box = BoxExtrema.of(weights, bias, space)
-    pinned, point = pa.pinned(space)
-    return (_pinned_extremum(box, pinned, point, False),
-            _pinned_extremum(box, pinned, point, True))
-
-
-def satisfiable(atom: LinearAtom, pa: PartialAssignment, space: FeatureSpace) -> SatResult:
-    """Decide the atom over the restricted box; return a witness point when SAT.
-
-    The extremum of the relevant side is attained on the closed box and
-    computed exactly, so strict relations are decided exactly: d > c is
-    satisfiable iff max > c, d <= c iff min <= c, and so on.  The witness is
-    the box corner of that side with the pinned coordinates kept.
-    """
-    box = BoxExtrema.of(atom.weights, atom.bias, space)
-    pinned, point = pa.pinned(space)
-    want_max = atom.relation in (">", ">=")
-    extremum = _pinned_extremum(box, pinned, point, want_max)
-    knife = abs(extremum - atom.threshold) <= box.bound
-    if not _compare(extremum, atom.relation, atom.threshold):
-        return SatResult(False, None, knife)
-    corner = box.max_corner if want_max else box.min_corner
-    return SatResult(True, np.where(pinned, point, corner), knife)

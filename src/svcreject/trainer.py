@@ -228,14 +228,6 @@ def train_soft_margin(train: LabeledDataset, config: TrainerConfig = TrainerConf
     return model, report
 
 
-def decision_value(model: LinearModel, x: np.ndarray) -> float:
-    """d(x) = w . x + b."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (len(model),):
-        raise ValueError(f"instance has shape {x.shape}, expected ({len(model)},)")
-    return float(np.dot(model.weights, x) + model.bias)
-
-
 def decision_values(model: LinearModel, X: np.ndarray) -> np.ndarray:
     """d(x) for every row of X."""
     X = np.asarray(X, dtype=float)
@@ -244,8 +236,3 @@ def decision_values(model: LinearModel, X: np.ndarray) -> np.ndarray:
     if X.ndim != 2 or X.shape[1] != len(model):
         raise ValueError(f"matrix has shape {X.shape}, expected (*, {len(model)})")
     return X @ model.weights + model.bias
-
-
-def predict(model: LinearModel, x: np.ndarray) -> int:
-    """+1 where d(x) > 0, otherwise -1 (the d(x) = 0 tie maps to -1)."""
-    return 1 if decision_value(model, x) > 0 else -1

@@ -9,9 +9,13 @@ from __future__ import annotations
 
 import itertools
 import operator
+from dataclasses import dataclass
 
 import numpy as np
 
+from svcreject.explainer import VerificationReport, negate, prediction_formula
+from svcreject.feasibility import BoxExtrema, decide, exact_value
+from svcreject.rejector import predict_with_reject, predictions_with_reject
 from svcreject.trainer import (
     BOUND_SNAP,
     ETA_FLOOR,
@@ -286,10 +290,6 @@ def minimal_explanation_by_queries(rm, space, x, order=None):
     with the instance's remaining values pinned.  Returns
     (class, kept indices, removed indices, certificates, queries).
     """
-    from svcreject.explainer import negate, prediction_formula
-    from svcreject.feasibility import PartialAssignment, satisfiable
-    from svcreject.rejector import predict_with_reject
-
     x = space.check_instance(x)
     n = len(space)
     klass = predict_with_reject(rm, x)
@@ -310,3 +310,175 @@ def minimal_explanation_by_queries(rm, space, x, order=None):
     kept = tuple(sorted(fixed))
     removed = tuple(sorted(set(range(n)) - set(fixed)))
     return klass, kept, removed, certificates, queries
+
+
+# --- the single-query layer ---------------------------------------------------
+# One feasibility question at a time, with the pinned coordinates as a dict:
+# the form the elimination had before it was batched, kept as the reference
+# that the batched pass and the vertex oracle are compared through.
+
+def decision_value(model, x) -> float:
+    """d(x) = w . x + b for one instance."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (len(model),):
+        raise ValueError(f"instance has shape {x.shape}, expected ({len(model)},)")
+    return float(np.dot(model.weights, x) + model.bias)
+
+
+def predict(model, x) -> int:
+    """+1 where d(x) > 0, otherwise -1 (the d(x) = 0 tie maps to -1)."""
+    return 1 if decision_value(model, x) > 0 else -1
+
+
+def holds_at(atom, x) -> bool:
+    """Does the atom hold at point x, decided on the exact decision value?"""
+    value = exact_value((atom.weights * np.asarray(x, dtype=float)).tolist(), float(atom.bias))
+    return bool(_OPS[atom.relation](value, atom.threshold))
+
+
+@dataclass(frozen=True)
+class PartialAssignment:
+    """Coordinates pinned to concrete values; the rest range over the box."""
+
+    fixed: dict[int, float]
+
+    @classmethod
+    def of_instance(cls, x) -> "PartialAssignment":
+        return cls({i: float(v) for i, v in enumerate(np.asarray(x, dtype=float))})
+
+    @classmethod
+    def empty(cls) -> "PartialAssignment":
+        return cls({})
+
+    def pinned(self, space) -> tuple[np.ndarray, np.ndarray]:
+        """The mask of pinned coordinates and a point holding their values
+        (zero elsewhere), after checking each index and value against the box."""
+        n = len(space)
+        lower, upper = space.lower.tolist(), space.upper.tolist()
+        mask = np.zeros(n, dtype=bool)
+        point = np.zeros(n)
+        for i, v in self.fixed.items():
+            if not 0 <= i < n:
+                raise ValueError(f"fixed index {i} out of range for {n} features")
+            if not lower[i] <= v <= upper[i]:
+                raise ValueError(
+                    f"fixed value {v} for feature {space.names[i]!r} "
+                    f"outside its domain [{lower[i]}, {upper[i]}]"
+                )
+            mask[i], point[i] = True, v
+        return mask, point
+
+    def __len__(self) -> int:
+        return len(self.fixed)
+
+
+@dataclass(frozen=True, eq=False)
+class SatResult:
+    satisfiable: bool
+    witness: np.ndarray | None = None
+    knife_edge: bool = False
+
+    def __bool__(self) -> bool:
+        return self.satisfiable
+
+
+def _pinned_extremum(box, pinned, point, want_max: bool) -> float:
+    """Exact one-sided extremum over the box with the ``pinned`` coordinates
+    of ``point`` fixed: their products plus the extreme terms of the rest."""
+    free = box.max_term if want_max else box.min_term
+    return exact_value(np.where(pinned, box.weights * point, free).tolist(), box.bias)
+
+
+def linear_extrema(weights, bias: float, pa: PartialAssignment, space) -> tuple[float, float]:
+    """Exact (min, max) of weights . z + bias over the restricted box."""
+    box = BoxExtrema.of(weights, bias, space)
+    pinned, point = pa.pinned(space)
+    return (_pinned_extremum(box, pinned, point, False),
+            _pinned_extremum(box, pinned, point, True))
+
+
+def satisfiable(atom, pa: PartialAssignment, space) -> SatResult:
+    """Decide the atom over the restricted box; return a witness point when SAT.
+
+    The extremum of the relevant side is attained on the closed box and
+    computed exactly, so strict relations are decided exactly: d > c is
+    satisfiable iff max > c, d <= c iff min <= c, and so on.  The witness is
+    the box corner of that side with the pinned coordinates kept.
+    """
+    box = BoxExtrema.of(atom.weights, atom.bias, space)
+    pinned, point = pa.pinned(space)
+    want_max = atom.relation in (">", ">=")
+    extremum = _pinned_extremum(box, pinned, point, want_max)
+    knife = abs(extremum - atom.threshold) <= box.bound
+    if not _OPS[atom.relation](extremum, atom.threshold):
+        return SatResult(False, None, knife)
+    corner = box.max_corner if want_max else box.min_corner
+    return SatResult(True, np.where(pinned, point, corner), knife)
+
+
+def _entailed(formula, box, low, high, exact_low, exact_high):
+    """Per element: does every decision value in [low, high] satisfy every
+    atom of the formula?"""
+    holds = True
+    for atom in formula:
+        if atom.relation in (">", ">="):
+            ok, _ = decide(low, atom.relation, atom.threshold, box.bound, exact_low)
+        else:
+            ok, _ = decide(high, atom.relation, atom.threshold, box.bound, exact_high)
+        holds = holds & ok
+    return holds
+
+
+def verify_explanation_closed_form(rm, space, expl) -> VerificationReport:
+    """Per-row closed-form verification, the reference for the library's
+    verification core.
+
+    (a) fixing the kept values entails the explained class: the box's
+    extrema, computed from scratch, stay on the class's side of the band;
+    (b) dropping any single kept feature no longer does: the extrema moved
+    by that feature's swing leave it; (c) every certificate point is
+    predicted as a different class.  It does not check the certificate
+    contract (one per kept feature, inside the box, other kept features
+    unmoved).
+    """
+    violations: list[str] = []
+    n = len(space)
+    kept_idx = set(expl.kept_indices)
+    if kept_idx | set(expl.removed) != set(range(n)) or kept_idx & set(expl.removed):
+        violations.append("kept and removed do not partition the features")
+    pinned, point = PartialAssignment(dict(expl.kept)).pinned(space)
+
+    box = BoxExtrema.of(rm.model.weights, rm.model.bias, space)
+    formula = prediction_formula(rm, expl.klass)
+    kept = np.array(expl.kept_indices, dtype=int)
+    products = box.weights * point
+    low_terms = np.where(pinned, products, box.min_term)
+    high_terms = np.where(pinned, products, box.max_term)
+    # element 0 has the kept features pinned; element 1 + j also frees kept[j]
+    low = low_terms.sum() + box.bias + np.concatenate(([0.0], box.min_term[kept] - products[kept]))
+    high = high_terms.sum() + box.bias + np.concatenate(([0.0], box.max_term[kept] - products[kept]))
+
+    def exact(terms, side):
+        def value(k):
+            moved = terms.copy()
+            if k:
+                moved[kept[k - 1]] = side[kept[k - 1]]
+            return exact_value(moved.tolist(), box.bias)
+        return value
+
+    entailed = _entailed(formula, box, low, high,
+                         exact(low_terms, box.min_term), exact(high_terms, box.max_term))
+    if not entailed[0]:
+        violations.append("sufficiency: kept features do not entail the class")
+    for i in kept[entailed[1:]].tolist():
+        violations.append(f"minimality: feature {space.names[i]!r} is droppable")
+
+    if expl.certificates:
+        items = sorted(expl.certificates.items())
+        flipped = predictions_with_reject(rm, np.array([p for _, p in items])) != expl.klass
+        for (i, _), ok in zip(items, flipped.tolist()):
+            if not ok:
+                violations.append(
+                    f"certificate for feature {space.names[i]!r} does not flip the class"
+                )
+    return VerificationReport(not violations, tuple(violations))

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 import svcreject as sr
-from svcreject.feasibility import LinearAtom, PartialAssignment
 
 import oracles
 from conftest import (
@@ -38,7 +37,7 @@ def criterion(number, title):
 def test_criterion_1_two_feature_worked_example(demo_reject, demo_space):
     with criterion(1, "two-feature model: prediction +1, explanation exactly {f1}, "
                       "flip witness present, under 1 ms"):
-        assert sr.predict(demo_reject.model, DEMO_X) == 1
+        assert sr.predict_with_reject(demo_reject, DEMO_X) == 1
         expl = sr.minimal_explanation(demo_reject, demo_space, DEMO_X)
         assert expl.klass == 1
         assert expl.kept_indices == (0,)
@@ -80,27 +79,49 @@ def test_criterion_3_iris_pipeline(iris_csv):
 
 
 def test_criterion_4_oracle_equivalence_10k_queries():
-    with criterion(4, "closed-form feasibility agrees with vertex enumeration on "
-                      "10,000 random queries in under 10 s"):
+    with criterion(4, "the batched pass's elimination queries agree with vertex "
+                      "enumeration on 10,000 queries in under 10 s"):
         rng = np.random.default_rng(2024)
         start = time.perf_counter()
-        for _ in range(10_000):
-            n = int(rng.integers(1, 16))
-            k = int(rng.integers(0, min(n, 12) + 1))
+        queries = 0
+        classes = set()
+        while queries < 10_000:
+            n = int(rng.integers(1, 13))
             weights = rng.uniform(-10.0, 10.0, n)
             bias = float(rng.uniform(-5.0, 5.0))
             lower = rng.uniform(-2.0, 0.0, n)
             upper = lower + rng.uniform(0.5, 3.0, n)
             space = sr.FeatureSpace([f"f{i}" for i in range(n)], lower, upper)
-            fixed_idx = rng.choice(n, size=n - k, replace=False)
-            pa = PartialAssignment({
-                int(i): float(rng.uniform(lower[i], upper[i])) for i in fixed_idx
-            })
-            relation = ("<", "<=", ">", ">=")[int(rng.integers(4))]
-            atom = LinearAtom(weights, bias, relation, float(rng.uniform(-30.0, 30.0)))
-            fast = bool(sr.satisfiable(atom, pa, space))
-            slow = oracles.satisfiable_vertex_oracle(atom, pa, space)
-            assert fast == slow
+            t_plus, t_minus = float(rng.uniform(0.0, 5.0)), -float(rng.uniform(0.0, 5.0))
+            rm = sr.RejectModel(sr.LinearModel(weights, bias), t_minus, t_plus, 0.24)
+            X = rng.uniform(lower, upper, (4, n))
+            order = rng.permutation(n).tolist()
+            batch = sr.explain_batch(rm, space, X, order)
+            # float corner enumeration settles every query only away from knife edges
+            assert int(batch.knife_edges.sum()) == 0
+            for k, x in enumerate(X):
+                d = float(x @ weights + bias)
+                klass = 1 if d > t_plus else -1 if d < t_minus else 0
+                assert batch.classes[k] == klass
+                classes.add(klass)
+                # replay the elimination, each query decided by the vertex oracle
+                fixed = {i: float(v) for i, v in enumerate(x)}
+                asked = 0
+                for i in order:
+                    fixed.pop(i)
+                    for atom in sr.negate(sr.prediction_formula(rm, klass)):
+                        asked += 1
+                        if oracles.satisfiable_vertex_oracle(
+                                atom, oracles.PartialAssignment(dict(fixed)), space):
+                            assert not batch.removed[k, i]
+                            assert batch.at_max[k, i] == (atom.relation in (">", ">="))
+                            fixed[i] = float(x[i])
+                            break
+                    else:
+                        assert batch.removed[k, i]
+                assert batch.queries[k] == asked
+                queries += asked
+        assert classes == {-1, 0, 1}
         assert time.perf_counter() - start < 10.0
 
 

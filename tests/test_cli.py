@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from svcreject import FeatureSpace, LinearModel, RejectModel
 from svcreject.cli import JsonlWriter, build_parser, main
-from svcreject.explainer import explain_batch
+from svcreject.explainer import explain_batch, verify_batch
 from svcreject.rejector import predict_with_reject
 
 from conftest import BAND_B, BAND_T_MINUS, BAND_T_PLUS, BAND_W, BAND_X
@@ -439,34 +439,33 @@ class TestExplain:
         from svcreject import cli, explainer
 
         monkeypatch.setattr(
-            cli.explainer, "verify_explanation",
-            lambda *a, **k: explainer.VerificationReport(False, ("forced",)),
+            cli.explainer, "verify_batch",
+            lambda rm, space, batch: [explainer.VerificationReport(False, ("forced",))] * len(batch),
         )
         model_path = tmp_path / "reject.json"
         model_path.write_text(json.dumps(demo_reject_doc()))
         instances = tmp_path / "inst.csv"
         instances.write_text("f1,f2\n0.0526,0.3\n")
+        out_path = tmp_path / "e.jsonl"
         code = main([
             "explain", "--model", str(model_path), "--input", str(instances),
-            "--output", str(tmp_path / "e.jsonl"),
+            "--output", str(out_path),
         ])
         assert code == 1
-        assert "verification" in capsys.readouterr().err
-
+        assert "row 0: explanation failed verification: forced" in capsys.readouterr().err
+        assert not out_path.exists()
 
     def test_failed_verification_leaves_no_partial_output(self, tmp_path, monkeypatch, capsys):
         from svcreject import cli, explainer
 
-        verify = explainer.verify_explanation
-        calls = []
+        verify = explainer.verify_batch
 
         def second_row_fails(*args, **kwargs):
-            calls.append(1)
-            if len(calls) == 2:
-                return explainer.VerificationReport(False, ("forced",))
-            return verify(*args, **kwargs)
+            reports = verify(*args, **kwargs)
+            reports[1] = explainer.VerificationReport(False, ("forced",))
+            return reports
 
-        monkeypatch.setattr(cli.explainer, "verify_explanation", second_row_fails)
+        monkeypatch.setattr(cli.explainer, "verify_batch", second_row_fails)
         model_path = tmp_path / "reject.json"
         model_path.write_text(json.dumps(demo_reject_doc()))
         instances = tmp_path / "inst.csv"
@@ -479,6 +478,58 @@ class TestExplain:
         assert code == 1
         assert "row 1" in capsys.readouterr().err
         assert not out_path.exists()
+
+    def test_bench_verifies_too(self, tmp_path, monkeypatch, capsys):
+        from svcreject import cli, explainer
+
+        monkeypatch.setattr(
+            cli.explainer, "verify_batch",
+            lambda rm, space, batch: [explainer.VerificationReport(False, ("forced",))] * len(batch),
+        )
+        model_path = tmp_path / "reject.json"
+        model_path.write_text(json.dumps(demo_reject_doc()))
+        instances = tmp_path / "inst.csv"
+        instances.write_text("f1,f2\n0.0526,0.3\n")
+        report_path = tmp_path / "report.json"
+        assert main([
+            "bench", "--model", str(model_path), "--input", str(instances),
+            "--output", str(report_path),
+        ]) == 1
+        assert "row 0" in capsys.readouterr().err
+        assert not report_path.exists()
+
+    def test_each_witness_point_is_classified_once(self, tmp_path, iris_csv, monkeypatch,
+                                                   capsys):
+        from svcreject import rejector
+
+        model_path, reject_path = tmp_path / "model.json", tmp_path / "reject.json"
+        assert main([
+            "train", "--input", str(iris_csv), "--label-column", "species",
+            "--positive-label", "versicolor", "--model", str(model_path),
+        ]) == 0
+        assert main([
+            "calibrate", "--input", str(iris_csv), "--model", str(model_path),
+            "--output", str(reject_path),
+        ]) == 0
+        classify = rejector.classify
+        classified = []
+
+        def counting(rm, X):
+            classified.append(len(X))
+            return classify(rm, X)
+
+        # the explained rows' own classes come from explainer's reference to
+        # classify; every witness point goes through rejector.classify
+        monkeypatch.setattr(rejector, "classify", counting)
+        out_path = tmp_path / "expl.jsonl"
+        assert main([
+            "explain", "--model", str(reject_path), "--input", str(iris_csv),
+            "--output", str(out_path),
+        ]) == 0
+        capsys.readouterr()
+        records = [json.loads(line) for line in out_path.read_text().splitlines()]
+        assert len(records) == 150
+        assert sum(classified) == sum(len(r["witnesses"]) for r in records) > 150
 
     def test_band_edge_from_one_grid_step_explains(self, tmp_path, capsys):
         # --grid-steps 1 puts the band's ends on the extreme training decision
@@ -563,9 +614,9 @@ class TestJsonlWriter:
         space = FeatureSpace(names, lower, upper)
         rm = RejectModel(LinearModel(w, bias), -0.5, 0.5, 0.24)
         batch = explain_batch(rm, space, x[None, :])
-        writer = JsonlWriter(space.names, batch.box, rm)
+        (report,) = verify_batch(rm, space, batch)
+        line = JsonlWriter(space.names, batch).line(0, 7, raw, report.witness_classes)
         expl = batch.explanation(0)
-        line = writer.line(7, raw, expl, batch.layout(0))
         assert line == json.dumps(reference_record(space.names, rm, 7, raw, expl)) + "\n"
 
     def test_negative_zero_corner_beside_positive_zero_value(self):
@@ -574,9 +625,10 @@ class TestJsonlWriter:
         rm = RejectModel(LinearModel(np.array([1.0, 0.5]), 0.0), 0.0, 0.0, 0.24)
         x = np.array([0.5, 0.0])
         batch = explain_batch(rm, space, x[None, :])
-        expl = batch.explanation(0)
-        line = JsonlWriter(space.names, batch.box, rm).line(0, x, expl, batch.layout(0))
+        (report,) = verify_batch(rm, space, batch)
+        line = JsonlWriter(space.names, batch).line(0, 0, x, report.witness_classes)
         assert '"point": [-0.0, 0.0]' in line
+        expl = batch.explanation(0)
         assert line == json.dumps(reference_record(space.names, rm, 0, x, expl)) + "\n"
 
 
@@ -663,3 +715,54 @@ class TestOutOfDomain:
         assert main(["bench", "--input", str(instances), "--model", str(model_path)]) == 2
         assert ("12 row(s) outside the model's feature domains: "
                 "0, 1, 2, 3, 4, 5, 6, 7, 8, 9 and 2 more;") in capsys.readouterr().err
+
+
+class TestSplitIndices:
+    """Every split manifest index must name a row of --input: a negative or
+    too large one exits 2 before anything is written."""
+
+    BAD = ([-1, -150], [150])
+
+    @pytest.fixture
+    def trained(self, tmp_path, iris_csv, capsys):
+        model_path, reject_path = tmp_path / "model.json", tmp_path / "reject.json"
+        assert main([
+            "train", "--input", str(iris_csv), "--label-column", "species",
+            "--positive-label", "setosa", "--model", str(model_path),
+        ]) == 0
+        assert main([
+            "calibrate", "--input", str(iris_csv), "--model", str(model_path),
+            "--output", str(reject_path),
+        ]) == 0
+        capsys.readouterr()
+        return model_path, reject_path
+
+    @staticmethod
+    def corrupt(path, key, bad):
+        doc = json.loads(path.read_text())
+        doc["split"][key] = bad + doc["split"][key][len(bad):]
+        path.write_text(json.dumps(doc))
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_calibrate_exits_2(self, trained, tmp_path, iris_csv, bad, capsys):
+        model_path, _ = trained
+        self.corrupt(model_path, "train_indices", bad)
+        out_path = tmp_path / "other.json"
+        assert main([
+            "calibrate", "--input", str(iris_csv), "--model", str(model_path),
+            "--output", str(out_path),
+        ]) == 2
+        assert "split manifest indices fall outside the input's 150 rows" in capsys.readouterr().err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_explain_exits_2(self, trained, tmp_path, iris_csv, bad, capsys):
+        _, reject_path = trained
+        self.corrupt(reject_path, "test_indices", bad)
+        out_path = tmp_path / "expl.jsonl"
+        assert main([
+            "explain", "--model", str(reject_path), "--input", str(iris_csv),
+            "--output", str(out_path), "--scope", "test",
+        ]) == 2
+        assert "split manifest indices fall outside the input's 150 rows" in capsys.readouterr().err
+        assert not out_path.exists()

@@ -6,21 +6,23 @@ from hypothesis import given, settings, strategies as st
 
 from svcreject.dataset import DatasetError, FeatureSpace
 from svcreject.dataset import LabeledDataset
+from svcreject import explainer
 from svcreject.explainer import (
-    Explanation,
     explain_batch,
     feature_frequency,
     minimal_explanation,
     negate,
     prediction_formula,
+    verify_batch,
     verify_explanation,
 )
-from svcreject.feasibility import LinearAtom, PartialAssignment, satisfiable
+from svcreject.feasibility import LinearAtom
 from svcreject.rejector import calibrate, predict_with_reject, predictions_with_reject
 from svcreject.trainer import LinearModel, decision_values
 from svcreject import RejectModel
 
 import oracles
+from oracles import PartialAssignment, satisfiable
 from conftest import (
     BAND_B,
     BAND_T_MINUS,
@@ -359,35 +361,175 @@ class TestVerifyExplanation:
         assert any("certificate" in v for v in report.violations)
 
 
+    # the certificate contract: one certificate per kept feature and none for
+    # a removed one, each inside the box, each leaving the other kept values
+    # alone, and kept values that are the instance's
+
+    def test_detects_missing_certificates(self, band_reject, band_space):
+        expl = minimal_explanation(band_reject, band_space, BAND_X)
+        report = verify_explanation(band_reject, band_space,
+                                    dataclasses.replace(expl, certificates={}))
+        assert not report
+        assert report.violations == tuple(
+            f"kept feature {band_space.names[i]!r} has no certificate"
+            for i in expl.kept_indices)
+
+    def test_detects_one_certificate_of_five(self, band_reject, band_space):
+        expl = minimal_explanation(band_reject, band_space, BAND_X)
+        first = expl.kept_indices[0]
+        mutated = dataclasses.replace(expl, certificates={first: expl.certificates[first]})
+        report = verify_explanation(band_reject, band_space, mutated)
+        assert not report
+        assert len(report.violations) == 4
+        assert all(v.endswith("has no certificate") for v in report.violations)
+
+    def test_detects_certificate_for_removed_feature(self, band_reject, band_space):
+        expl = minimal_explanation(band_reject, band_space, BAND_X)
+        assert expl.removed == (2,)
+        extra = dict(expl.certificates)
+        extra[2] = expl.certificates[0]
+        report = verify_explanation(band_reject, band_space,
+                                    dataclasses.replace(expl, certificates=extra))
+        assert not report
+        assert "certificate for feature 'f3', which is not kept" in report.violations
+
+    def test_detects_certificates_outside_box_moving_kept_features(self, band_reject, band_space):
+        expl = minimal_explanation(band_reject, band_space, BAND_X)
+        far = 50.0 * np.sign(BAND_W)
+        assert predict_with_reject(band_reject, far) != expl.klass
+        mutated = dataclasses.replace(
+            expl, certificates={i: far.copy() for i in expl.certificates})
+        report = verify_explanation(band_reject, band_space, mutated)
+        assert not report
+        for i in expl.kept_indices:
+            name = band_space.names[i]
+            assert f"certificate for feature {name!r} lies outside the box" in report.violations
+            assert f"certificate for feature {name!r} moves another kept feature" in report.violations
+
+    def test_detects_kept_value_other_than_the_instance(self, band_reject, band_space):
+        expl = minimal_explanation(band_reject, band_space, BAND_X)
+        kept = ((0, 0.26),) + expl.kept[1:]
+        mutated = dataclasses.replace(expl, kept=kept)
+        report = verify_explanation(band_reject, band_space, mutated)
+        assert not report
+        assert "kept value of feature 'f1' differs from the instance" in report.violations
+
+    def test_bad_kept_index_and_domain_raise(self, band_reject, band_space):
+        expl = minimal_explanation(band_reject, band_space, BAND_X)
+        with pytest.raises(ValueError, match="fixed index 9 out of range for 6 features"):
+            verify_explanation(band_reject, band_space,
+                               dataclasses.replace(expl, kept=expl.kept + ((9, 0.5),)))
+        with pytest.raises(ValueError, match="outside its domain"):
+            verify_explanation(band_reject, band_space,
+                               dataclasses.replace(expl, kept=((0, 1.5),) + expl.kept[1:]))
+        with pytest.raises(ValueError, match="class must be"):
+            verify_explanation(band_reject, band_space, dataclasses.replace(expl, klass=2))
+        with pytest.raises(ValueError, match="certificate index out of range"):
+            verify_explanation(band_reject, band_space, dataclasses.replace(
+                expl, certificates={**expl.certificates, 9: BAND_X.copy()}))
+
+
+def _mutations(expl):
+    """The explanation and its broken variants: a kept feature dropped, a
+    removed feature kept, a certificate replaced by the instance."""
+    out = [expl]
+    if expl.kept:
+        dropped = expl.kept[0][0]
+        out.append(dataclasses.replace(
+            expl, kept=expl.kept[1:], removed=tuple(sorted(expl.removed + (dropped,))),
+            certificates={i: p for i, p in expl.certificates.items() if i != dropped}))
+        bad = dict(expl.certificates)
+        bad[dropped] = expl.instance.copy()
+        out.append(dataclasses.replace(expl, certificates=bad))
+    if expl.removed:
+        extra = expl.removed[0]
+        out.append(dataclasses.replace(
+            expl, kept=tuple(sorted(expl.kept + ((extra, float(expl.instance[extra])),))),
+            removed=expl.removed[1:]))
+    return out
+
+
+def _verdicts(report):
+    """Sufficiency, minimality and witness-class violations, in order."""
+    return [v for v in report.violations
+            if v.startswith(("sufficiency", "minimality")) or v.endswith("does not flip the class")]
+
+
+class TestVerifyBatch:
+    @given(batch_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_core_agrees_with_closed_form_reference(self, case):
+        rm, space, X, order = case
+        batch = explain_batch(rm, space, X, order)
+        for k in range(len(batch)):
+            for expl in _mutations(batch.explanation(k)):
+                report = verify_explanation(rm, space, expl)
+                reference = oracles.verify_explanation_closed_form(rm, space, expl)
+                assert _verdicts(report) == _verdicts(reference)
+                items = sorted(expl.certificates.items())
+                assert report.witness_classes.tolist() == [
+                    predict_with_reject(rm, p) for _, p in items]
+
+    @given(batch_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_batch_reports_equal_one_row_reports(self, case):
+        rm, space, X, order = case
+        batch = explain_batch(rm, space, X, order)
+        reports = verify_batch(rm, space, batch)
+        assert len(reports) == len(batch)
+        for k, report in enumerate(reports):
+            one = verify_explanation(rm, space, batch.explanation(k))
+            assert report and one, (report.violations, one.violations)
+            assert report.witness_classes.tolist() == one.witness_classes.tolist()
+
+    def test_detects_broken_rows_only(self, band_reject, band_space):
+        X = np.vstack([BAND_X, BAND_X, BAND_X])
+        batch = explain_batch(band_reject, band_space, X)
+        removed = batch.removed.copy()
+        removed[1, 0] = True    # row 1 loses a kept feature
+        removed[2, 2] = False   # row 2 keeps the droppable f3
+        reports = verify_batch(band_reject, band_space,
+                               dataclasses.replace(batch, removed=removed))
+        assert reports[0]
+        assert any("sufficiency" in v for v in reports[1].violations)
+        assert "minimality: feature 'f3' is droppable" in reports[2].violations
+
+    def test_witnesses_classified_in_bounded_chunks(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        n = 8
+        rm = random_reject_model(rng, n)
+        space = FeatureSpace.unit([f"f{i}" for i in range(n)])
+        batch = explain_batch(rm, space, rng.uniform(0.0, 1.0, (40, n)))
+        whole = verify_batch(rm, space, batch)
+        sizes = []
+
+        def recording(rm, points):
+            sizes.append(len(points))
+            return predictions_with_reject(rm, points)
+
+        monkeypatch.setattr(explainer, "VERIFY_CHUNK_CELLS", 3 * n * n)
+        monkeypatch.setattr(explainer, "predictions_with_reject", recording)
+        chunked = verify_batch(rm, space, batch)
+        assert len(sizes) == 14 and max(sizes) <= 3 * n
+        assert sum(sizes) == int((~batch.removed).sum())
+        for a, b in zip(whole, chunked):
+            assert (a.ok, a.violations) == (b.ok, b.violations)
+            assert a.witness_classes.tolist() == b.witness_classes.tolist()
+
+
 class TestFeatureFrequency:
     def test_counts_kept_features_per_class(self):
-        base = dict(
-            instance=np.zeros(3),
-            removed=(1, 2),
-            certificates={},
-            time_seconds=0.0,
-            queries=0,
-        )
-        expls = [
-            Explanation(klass=1, kept=((0, 0.5),), **base) for _ in range(3)
-        ]
-        table = feature_frequency(expls)
+        removed = np.array([[False, True, True]] * 3)
+        table = feature_frequency(np.array([1, 1, 1]), removed)
         assert table.counts[1].tolist() == [3, 0, 0]
         assert table.patterns == {1: 3}
 
     def test_empty_input_gives_empty_table(self):
-        table = feature_frequency([])
+        table = feature_frequency(np.zeros(0, dtype=int), np.zeros((0, 3), dtype=bool))
         assert table.counts == {} and table.patterns == {}
 
-    def test_mixed_feature_spaces_rejected(self):
-        a = Explanation(np.zeros(2), 1, ((0, 0.1),), (1,), {}, 0.0, 0)
-        b = Explanation(np.zeros(3), 1, ((0, 0.1),), (1, 2), {}, 0.0, 0)
-        with pytest.raises(ValueError, match="different feature spaces"):
-            feature_frequency([a, b])
-
     def test_text_layout_aligns_columns(self):
-        a = Explanation(np.zeros(2), 1, ((0, 0.1),), (1,), {}, 0.0, 0)
-        text = feature_frequency([a]).format_text(["alpha", "beta"])
+        text = feature_frequency([1], [[False, True]]).format_text(["alpha", "beta"])
         lines = text.splitlines()
         assert len(lines) == 2
         assert "alpha" in lines[0] and "patterns" in lines[0]
@@ -397,7 +539,7 @@ class TestFeatureFrequency:
         # with f2 <= 0.2 the value of f2 can never pin the class on its own
         instances = [np.array([f1, f2]) for f1 in (0.0, 0.02, 0.05)
                      for f2 in (0.0, 0.1, 0.2)]
-        expls = [minimal_explanation(demo_reject, demo_space, x) for x in instances]
-        table = feature_frequency(expls)
+        batch = explain_batch(demo_reject, demo_space, np.array(instances))
+        table = feature_frequency(batch.classes, batch.removed)
         assert table.counts[1].tolist() == [9, 0]
         assert table.patterns[1] == 9

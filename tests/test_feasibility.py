@@ -3,10 +3,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from svcreject.dataset import FeatureSpace
-from svcreject.feasibility import LinearAtom, PartialAssignment, linear_extrema, satisfiable
+from svcreject.feasibility import LinearAtom
 
 from conftest import DEMO_B, DEMO_W
-from oracles import MAX_ORACLE_FREE, satisfiable_vertex_oracle
+from oracles import (
+    MAX_ORACLE_FREE,
+    PartialAssignment,
+    holds_at,
+    linear_extrema,
+    satisfiable,
+    satisfiable_vertex_oracle,
+)
 
 
 @st.composite
@@ -121,7 +128,7 @@ class TestSatisfiable:
             assert space.contains(w)
             for i, v in pa.fixed.items():
                 assert w[i] == v
-            assert atom.holds_at(w)
+            assert holds_at(atom, w)
 
     @given(box_queries())
     @settings(max_examples=200, deadline=None)

@@ -15,7 +15,7 @@ from svcreject.rejector import (
     predictions_with_reject,
     threshold_grid,
 )
-from svcreject.trainer import LinearModel, TrainerConfig, decision_value, train_soft_margin
+from svcreject.trainer import LinearModel, TrainerConfig, train_soft_margin
 
 import oracles
 from conftest import BAND_T_MINUS, BAND_T_PLUS, BAND_X, DEMO_X
@@ -154,7 +154,7 @@ class TestCalibrate:
 
 class TestPredictWithReject:
     def test_band_instance_is_rejected(self, band_reject):
-        d = decision_value(band_reject.model, BAND_X)
+        d = oracles.decision_value(band_reject.model, BAND_X)
         assert d == pytest.approx(0.5830926140545138, abs=1e-12)
         assert BAND_T_MINUS <= d <= BAND_T_PLUS
         assert predict_with_reject(band_reject, BAND_X) == 0

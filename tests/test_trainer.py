@@ -14,13 +14,12 @@ from svcreject.trainer import (
     LinearModel,
     TrainerConfig,
     TrainingError,
-    decision_value,
     decision_values,
-    predict,
     train_soft_margin,
 )
 
 import oracles
+from oracles import decision_value, predict
 from conftest import DATA_DIR, DEMO_B, DEMO_W, DEMO_X
 
 
