@@ -11,7 +11,6 @@ from .dataset import (
     scale_dataset,
     stratified_split,
 )
-from .feasibility import LinearAtom
 from .trainer import (
     LinearModel,
     TrainerConfig,
@@ -37,8 +36,6 @@ from .explainer import (
     explain_batch,
     feature_frequency,
     minimal_explanation,
-    negate,
-    prediction_formula,
     verify_batch,
     verify_explanation,
 )
@@ -56,7 +53,6 @@ __all__ = [
     "load_csv",
     "scale_dataset",
     "stratified_split",
-    "LinearAtom",
     "LinearModel",
     "TrainerConfig",
     "TrainingError",
@@ -77,8 +73,6 @@ __all__ = [
     "explain_batch",
     "feature_frequency",
     "minimal_explanation",
-    "negate",
-    "prediction_formula",
     "verify_batch",
     "verify_explanation",
     "ModelBundle",

@@ -112,7 +112,6 @@ def bundle_from_json(doc: dict) -> ModelBundle:
         t = doc["training"]
         training = TrainReport(
             primal_objective=float(t["primal_objective"]),
-            max_margin_violation=float(t["max_margin_violation"]),
             passes_used=int(t["passes_used"]),
             converged=bool(t["converged"]),
             dual_gap=float(t["dual_gap"]),

@@ -149,8 +149,7 @@ def cmd_train(args) -> int:
     if not report.converged:
         print(f"warning: training stopped unconverged (dual gap {report.dual_gap:.3g})",
               file=sys.stderr)
-    print(f"primal objective: {report.primal_objective:.6f}  "
-          f"max margin violation: {report.max_margin_violation:.3g}")
+    print(f"primal objective: {report.primal_objective:.6f}")
     print(f"train accuracy: {accuracy(train_ds):.2%}")
     print(f"test accuracy: {accuracy(test_ds):.2%}")
     print(f"model written to {args.model}")

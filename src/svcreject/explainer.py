@@ -2,16 +2,16 @@
 
 An explanation of instance x is a subset of its feature-value pairs that
 forces the same prediction for every completion of the remaining features
-inside their domains.  The predicted class is encoded as a conjunction of
-linear atoms; entailment of that formula by a partial assignment holds when
-every atom of its negation is unsatisfiable over the box.  Dropping one
-feature at a time and keeping it exactly when entailment breaks yields a
-subset-minimal result in at most 2n queries.  For one linear atom, freeing
-feature i moves the box extremum by a constant, so each query costs O(1)
-per row and one pass explains a whole batch of rows in O(n) per row
-(Marques-Silva et al., "Explaining Naive Bayes and Other Linear
-Classifiers with Polynomial Time and Delay", NeurIPS 2020).  ``verify_batch``
-re-checks a whole pass from scratch, also O(n) per row plus the witnesses.
+inside their domains.  The reject rule (``rejector.band_classes``) is
+monotone in the decision value, so a partial assignment entails the class
+exactly when the largest and the smallest decision value over the box get
+that class.  Dropping one feature at a time and keeping it exactly when
+entailment breaks yields a subset-minimal result.  Freeing feature i moves
+each box extremum by a constant, so each step costs O(1) per row and one
+pass explains a whole batch of rows in O(n) per row (Marques-Silva et al.,
+"Explaining Naive Bayes and Other Linear Classifiers with Polynomial Time
+and Delay", NeurIPS 2020).  ``verify_batch`` re-checks a whole pass from
+scratch, also O(n) per row plus the witnesses.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import DatasetError, FeatureSpace
-from .feasibility import BoxExtrema, LinearAtom, decide, exact_value
-from .rejector import RejectModel, classify, predictions_with_reject
+from .feasibility import BoxExtrema, exact_value
+from .rejector import RejectModel, band_classes, classify, predictions_with_reject
 
 # coordinates of witness points that verify_batch builds and classifies at
 # once; a row's witnesses hold at most n * n, so a chunk is at least one row
@@ -62,34 +62,6 @@ class VerificationReport:
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-def prediction_formula(rm: RejectModel, klass: int) -> tuple[LinearAtom, ...]:
-    """Atoms whose conjunction holds exactly where the model outputs klass.
-
-    The reject class needs both band inequalities; either decided class is a
-    single strict atom.
-    """
-    w, b = rm.model.weights, rm.model.bias
-    if klass == 0:
-        return (
-            LinearAtom(w, b, "<=", rm.t_plus),
-            LinearAtom(w, b, ">=", rm.t_minus),
-        )
-    if klass == 1:
-        return (LinearAtom(w, b, ">", rm.t_plus),)
-    if klass == -1:
-        return (LinearAtom(w, b, "<", rm.t_minus),)
-    raise ValueError("class must be -1, 0 or +1")
-
-
-def negate(atoms) -> tuple[LinearAtom, ...]:
-    """De Morgan: negate every atom, conjunction becomes disjunction.
-
-    The class's formula is entailed where every negated atom is
-    unsatisfiable over the box.
-    """
-    return tuple(atom.negated() for atom in atoms)
 
 
 def _check_order(order, n: int) -> list[int]:
@@ -171,47 +143,59 @@ class ExplanationBatch:
         )
 
 
-def _eliminate(box: BoxExtrema, atoms, products: np.ndarray, values: np.ndarray, order):
-    """Greedy elimination for rows of one class, vectorized across rows.
+def _freed(rm: RejectModel, box: BoxExtrema, extreme, extremum, products, removed, i):
+    """Each row's extremum with feature i freed as well, its class and the
+    knife-edge masks of its ``t_plus`` and ``t_minus`` comparisons.
 
-    ``atoms`` is the negated prediction formula, ``products`` the rows'
-    rounded products w_i * x_i and ``values`` their decision values.
-    Freeing feature i moves the maximum by max_term[i] - w_i * x_i and the
-    minimum by min_term[i] - w_i * x_i, so each step is O(1) per row: the
-    feature stays when some atom becomes satisfiable (in formula order,
-    the first one picks the witness side) and is dropped otherwise.
+    ``extreme`` holds the extreme terms of the extremum's side; freeing i
+    moves ``extremum`` by extreme[i] - w_i * x_i.
+    """
+    moved = extremum + (extreme[i] - products[:, i])
+
+    def exact(k):
+        point = np.where(removed[k], extreme, products[k])
+        point[i] = extreme[i]
+        return exact_value(point.tolist(), box.bias)
+
+    return (moved, *band_classes(moved, rm.t_minus, rm.t_plus, box.bound, exact))
+
+
+def _eliminate(rm: RejectModel, box: BoxExtrema, classes, products, values, order):
+    """Greedy elimination, vectorized across rows.
+
+    ``classes`` are the rows' classes, ``products`` their rounded products
+    w_i * x_i and ``values`` their decision values.  Each step frees one
+    feature and classifies both moved extrema; the feature stays when
+    either extremum's class differs from the row's, with its witness at the
+    maximum when the maximum's class does, and is dropped otherwise.
+
+    The counters count the questions the elimination asks of the class's
+    negation: +1 whether the minimum can reach t_plus, -1 whether the
+    maximum can reach t_minus, and the reject class whether the maximum can
+    pass t_plus and, only if not, whether the minimum can pass t_minus.
     """
     rows, n = products.shape
     removed = np.zeros((rows, n), dtype=bool)
     at_max = np.zeros((rows, n), dtype=bool)
     queries = np.zeros(rows, dtype=int)
     knife_edges = np.zeros(rows, dtype=int)
-    sides = [(atom, atom.relation in (">", ">=")) for atom in atoms]
-    terms = {True: box.max_term, False: box.min_term}
-    extremum = {want_max: values.copy() for _, want_max in sides}
-    everyone = np.arange(rows)
+    high, low = values.copy(), values.copy()
+    positive, negative, reject = classes == 1, classes == -1, classes == 0
     for i in order:
-        moved = {want_max: ext + (terms[want_max][i] - products[:, i])
-                 for want_max, ext in extremum.items()}
-        open_rows = everyone
-        for atom, want_max in sides:
-            side = terms[want_max]
-
-            def exact(k, rows=open_rows, side=side, i=i):
-                point = np.where(removed[rows[k]], side, products[rows[k]])
-                point[i] = side[i]
-                return exact_value(point.tolist(), box.bias)
-
-            sat, near = decide(moved[want_max][open_rows], atom.relation,
-                               atom.threshold, box.bound, exact)
-            queries[open_rows] += 1
-            knife_edges[open_rows] += near
-            if want_max:
-                at_max[open_rows[sat], i] = True
-            open_rows = open_rows[~sat]
-        removed[open_rows, i] = True
-        for want_max, ext in extremum.items():
-            ext[open_rows] = moved[want_max][open_rows]
+        high_moved, high_class, high_plus, high_minus = _freed(
+            rm, box, box.max_term, high, products, removed, i)
+        low_moved, low_class, low_plus, low_minus = _freed(
+            rm, box, box.min_term, low, products, removed, i)
+        flips_high = high_class != classes
+        second = reject & ~flips_high
+        queries += 1 + second
+        knife_edges += (positive & low_plus) | (negative & high_minus) | (reject & high_plus)
+        knife_edges += second & low_minus
+        at_max[flips_high, i] = True
+        drop = ~flips_high & (low_class == classes)
+        removed[drop, i] = True
+        high[drop] = high_moved[drop]
+        low[drop] = low_moved[drop]
     return removed, at_max, queries, knife_edges
 
 
@@ -223,8 +207,8 @@ def explain_batch(rm: RejectModel, space: FeatureSpace, X, order=None) -> Explan
     results are subset-minimal by construction: a dropped feature stays
     droppable when later drops only free more coordinates, and every kept
     feature carries a witness completion that flips the prediction.  Every
-    comparison goes through the exact decision kernel; at most 2n queries
-    per row.
+    class decision goes through ``band_classes``; at most 2n queries per
+    row.
     """
     n = len(space)
     X = np.asarray(X, dtype=float)
@@ -237,22 +221,12 @@ def explain_batch(rm: RejectModel, space: FeatureSpace, X, order=None) -> Explan
     start = time.perf_counter()
     box = BoxExtrema.of(rm.model.weights, rm.model.bias, space)
     classes, knife_edges = classify(rm, X)
-    products = X * box.weights
-    values = X @ box.weights + box.bias
-    removed = np.zeros(X.shape, dtype=bool)
-    at_max = np.zeros(X.shape, dtype=bool)
-    queries = np.zeros(X.shape[0], dtype=int)
-    for klass in (-1, 0, 1):
-        rows = np.flatnonzero(classes == klass)
-        if rows.size:
-            atoms = negate(prediction_formula(rm, klass))
-            removed[rows], at_max[rows], queries[rows], knives = _eliminate(
-                box, atoms, products[rows], values[rows], order)
-            knife_edges[rows] += knives
+    removed, at_max, queries, knives = _eliminate(
+        rm, box, classes, X * box.weights, X @ box.weights + box.bias, order)
     position = np.empty(n, dtype=int)
     position[order] = np.arange(n)
     return ExplanationBatch(box, X, classes, removed, at_max, position, queries,
-                            knife_edges, time.perf_counter() - start)
+                            knife_edges + knives, time.perf_counter() - start)
 
 
 def minimal_explanation(rm: RejectModel, space: FeatureSpace, x: np.ndarray,
@@ -266,44 +240,31 @@ def _entailment(rm: RejectModel, box: BoxExtrema, values, classes, kept):
     """Per row, whether its kept values entail its class; per kept feature
     (``np.nonzero(kept)`` order), whether they still do with it freed.
 
-    The extrema are computed from scratch: the kept products plus the free
-    features' extreme terms, moved by one feature's swing for the second
-    answer.  A formula atom ``> t``/``>= t`` must hold at the minimum, a
-    ``< t``/``<= t`` atom at the maximum.
+    Entailment holds when both extrema get the row's class.  The extrema
+    are computed from scratch: the kept products plus the free features'
+    extreme terms, moved by one feature's swing for the second answer.
     """
     products = values * box.weights
-    terms = {False: np.where(kept, products, box.min_term),
-             True: np.where(kept, products, box.max_term)}
-    base = {at_max: t.sum(axis=1) + box.bias for at_max, t in terms.items()}
     rows, features = np.nonzero(kept)
-    sufficient = np.zeros(len(values), dtype=bool)
-    droppable = np.zeros(rows.size, dtype=bool)
-    for klass in (-1, 0, 1):
-        own = np.flatnonzero(classes == klass)
-        if not own.size:
-            continue
-        freed = np.flatnonzero(classes[rows] == klass)
-        # element e < own.size is row own[e]; the rest free one kept feature each
-        row = np.concatenate((own, rows[freed]))
-        feature = np.concatenate((np.full(own.size, -1), features[freed]))
-        holds = np.ones(row.size, dtype=bool)
-        for atom in prediction_formula(rm, klass):
-            at_max = atom.relation in ("<", "<=")
-            extreme = box.max_term if at_max else box.min_term
-            swing = extreme[features[freed]] - products[rows[freed], features[freed]]
-            estimate = np.concatenate((base[at_max][own], base[at_max][rows[freed]] + swing))
+    # element e < len(values) is row e; the rest free one kept feature each
+    row = np.concatenate((np.arange(len(values)), rows))
+    feature = np.concatenate((np.full(len(values), -1), features))
+    holds = np.ones(row.size, dtype=bool)
+    for extreme in (box.min_term, box.max_term):
+        terms = np.where(kept, products, extreme)
+        base = terms.sum(axis=1) + box.bias
+        swing = extreme[features] - products[rows, features]
+        estimate = np.concatenate((base, base[rows] + swing))
 
-            def exact(e, side=terms[at_max], extreme=extreme, row=row, feature=feature):
-                point = side[row[e]].copy()
-                if feature[e] >= 0:
-                    point[feature[e]] = extreme[feature[e]]
-                return exact_value(point.tolist(), box.bias)
+        def exact(e, terms=terms, extreme=extreme):
+            point = terms[row[e]].copy()
+            if feature[e] >= 0:
+                point[feature[e]] = extreme[feature[e]]
+            return exact_value(point.tolist(), box.bias)
 
-            ok, _ = decide(estimate, atom.relation, atom.threshold, box.bound, exact)
-            holds &= ok
-        sufficient[own] = holds[:own.size]
-        droppable[freed] = holds[own.size:]
-    return sufficient, droppable
+        got, _, _ = band_classes(estimate, rm.t_minus, rm.t_plus, box.bound, exact)
+        holds &= got == classes[row]
+    return holds[:len(values)], holds[len(values):]
 
 
 def _verify(rm: RejectModel, space: FeatureSpace, box: BoxExtrema, instances, values,
@@ -350,9 +311,10 @@ def verify_batch(rm: RejectModel, space: FeatureSpace, batch: ExplanationBatch) 
     """Re-check every row of an elimination pass from scratch.
 
     Sufficiency and minimality are decided from the rows, their classes and
-    their removed masks alone, with one box and one formula per class; the
-    witness points are the ones ``batch.witnesses`` lays out, built and
-    classified in chunks of at most ``VERIFY_CHUNK_CELLS`` coordinates.
+    their removed masks alone, from the box's extrema classified by
+    ``band_classes``; the witness points are the ones ``batch.witnesses``
+    lays out, built and classified in chunks of at most
+    ``VERIFY_CHUNK_CELLS`` coordinates.
     Returns one report per row.
     """
     n = len(space)

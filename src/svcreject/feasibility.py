@@ -1,11 +1,12 @@
 """The decision kernel every comparison of a decision value goes through, and
-the box's extreme terms that entailment questions are answered from.
+the box's extreme terms that explanations are decided from.
 
-Every entailment question reduces to: does some point of the box, with a
-subset of coordinates pinned, satisfy  w . z + bias REL c?  A linear
-function attains its extrema at box corners, so the answer is the pinned
-products plus each free feature's extreme term (``BoxExtrema``), not a
-general LP solve.
+A linear function attains its extrema over a box at corners, so the
+largest and smallest decision value with a subset of coordinates pinned
+are the pinned products plus each free feature's extreme term
+(``BoxExtrema``), not a general LP solve.  The reject rule is monotone in
+the decision value, so a class holds over such a box exactly when both
+extrema get it.
 
 A decision value is *defined* as the correctly rounded sum of the rounded
 products w_i * z_i and the bias (``exact_value``).  That definition does not
@@ -26,8 +27,6 @@ import numpy as np
 
 from .dataset import FeatureSpace
 
-RELATIONS = ("<", "<=", ">", ">=")
-NEGATED = {"<": ">=", "<=": ">", ">": "<=", ">=": "<"}
 UNIT_ROUNDOFF = 2.0 ** -53
 SMALLEST_SUBNORMAL = 2.0 ** -1074
 
@@ -103,30 +102,6 @@ class BoxExtrema:
             min_corner=np.where(w >= 0, space.lower, space.upper),
             bound=float(error_bound(scale, w.size)),
         )
-
-
-@dataclass(frozen=True, eq=False)
-class LinearAtom:
-    """One inequality  weights . z + bias  REL  threshold."""
-
-    weights: np.ndarray
-    bias: float
-    relation: str
-    threshold: float
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "weights", w)
-        if self.relation not in RELATIONS:
-            raise ValueError(f"relation must be one of {RELATIONS}, got {self.relation!r}")
-        if not (np.all(np.isfinite(w)) and np.isfinite(self.bias) and np.isfinite(self.threshold)):
-            raise ValueError("atom coefficients must be finite")
-
-    def negated(self) -> "LinearAtom":
-        return LinearAtom(self.weights, self.bias, NEGATED[self.relation], self.threshold)
-
-    def __repr__(self):  # pragma: no cover - debugging aid
-        return f"LinearAtom(d {self.relation} {self.threshold})"
 
 
 def _compare(value, relation: str, threshold: float):

@@ -68,7 +68,6 @@ class TrainerConfig:
 @dataclass(frozen=True)
 class TrainReport:
     primal_objective: float
-    max_margin_violation: float
     passes_used: int
     converged: bool
     dual_gap: float
@@ -216,11 +215,9 @@ def train_soft_margin(train: LabeledDataset, config: TrainerConfig = TrainerConf
     model = LinearModel(w, b)
     margins = y * (X @ w + b)
     slacks = np.maximum(0.0, 1.0 - margins)
-    violation = float(np.max(np.maximum(0.0, 1.0 - margins) - slacks, initial=0.0))
     objective = float(0.5 * (w @ w) + C * slacks.sum())
     report = TrainReport(
         primal_objective=objective,
-        max_margin_violation=violation,
         passes_used=passes,
         converged=converged,
         dual_gap=float(gap),

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from svcreject.explainer import VerificationReport, negate, prediction_formula
+from svcreject.explainer import VerificationReport
 from svcreject.feasibility import BoxExtrema, decide, exact_value
 from svcreject.rejector import predict_with_reject, predictions_with_reject
 from svcreject.trainer import (
@@ -26,6 +26,8 @@ from svcreject.trainer import (
 )
 
 MAX_ORACLE_FREE = 20
+RELATIONS = ("<", "<=", ">", ">=")
+NEGATED = {"<": ">=", "<=": ">", ">": "<=", ">=": "<"}
 _OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
@@ -171,11 +173,9 @@ def reference_train_soft_margin(train, config=TrainerConfig()):
     model = LinearModel(w, b)
     margins = y * (X @ w + b)
     slacks = np.maximum(0.0, 1.0 - margins)
-    violation = float(np.max(np.maximum(0.0, 1.0 - margins) - slacks, initial=0.0))
     objective = float(0.5 * (w @ w) + C * slacks.sum())
     report = TrainReport(
         primal_objective=objective,
-        max_margin_violation=violation,
         passes_used=passes,
         converged=converged,
         dual_gap=float(gap),
@@ -310,6 +310,63 @@ def minimal_explanation_by_queries(rm, space, x, order=None):
     kept = tuple(sorted(fixed))
     removed = tuple(sorted(set(range(n)) - set(fixed)))
     return klass, kept, removed, certificates, queries
+
+
+# --- the formula layer --------------------------------------------------------
+# Each class as a conjunction of linear atoms, and its negation by De Morgan:
+# a second encoding of the reject rule, independent of the library's
+# ``band_classes`` at the box extrema, that the references decide through.
+
+@dataclass(frozen=True, eq=False)
+class LinearAtom:
+    """One inequality  weights . z + bias  REL  threshold."""
+
+    weights: np.ndarray
+    bias: float
+    relation: str
+    threshold: float
+
+    def __post_init__(self):
+        w = np.asarray(self.weights, dtype=float)
+        object.__setattr__(self, "weights", w)
+        if self.relation not in RELATIONS:
+            raise ValueError(f"relation must be one of {RELATIONS}, got {self.relation!r}")
+        if not (np.all(np.isfinite(w)) and np.isfinite(self.bias) and np.isfinite(self.threshold)):
+            raise ValueError("atom coefficients must be finite")
+
+    def negated(self) -> "LinearAtom":
+        return LinearAtom(self.weights, self.bias, NEGATED[self.relation], self.threshold)
+
+    def __repr__(self):  # pragma: no cover - debugging aid
+        return f"LinearAtom(d {self.relation} {self.threshold})"
+
+
+def prediction_formula(rm, klass: int) -> tuple[LinearAtom, ...]:
+    """Atoms whose conjunction holds exactly where the model outputs klass.
+
+    The reject class needs both band inequalities; either decided class is a
+    single strict atom.
+    """
+    w, b = rm.model.weights, rm.model.bias
+    if klass == 0:
+        return (
+            LinearAtom(w, b, "<=", rm.t_plus),
+            LinearAtom(w, b, ">=", rm.t_minus),
+        )
+    if klass == 1:
+        return (LinearAtom(w, b, ">", rm.t_plus),)
+    if klass == -1:
+        return (LinearAtom(w, b, "<", rm.t_minus),)
+    raise ValueError("class must be -1, 0 or +1")
+
+
+def negate(atoms) -> tuple[LinearAtom, ...]:
+    """De Morgan: negate every atom, conjunction becomes disjunction.
+
+    The class's formula is entailed where every negated atom is
+    unsatisfiable over the box.
+    """
+    return tuple(atom.negated() for atom in atoms)
 
 
 # --- the single-query layer ---------------------------------------------------

@@ -109,7 +109,7 @@ def test_criterion_4_oracle_equivalence_10k_queries():
                 asked = 0
                 for i in order:
                     fixed.pop(i)
-                    for atom in sr.negate(sr.prediction_formula(rm, klass)):
+                    for atom in oracles.negate(oracles.prediction_formula(rm, klass)):
                         asked += 1
                         if oracles.satisfiable_vertex_oracle(
                                 atom, oracles.PartialAssignment(dict(fixed)), space):

@@ -85,8 +85,8 @@ class TestBundleRoundTrip:
             "split", "t_minus", "t_plus", "w_r", "risk_report"]
 
     def test_training_report_round_trips_and_survives_calibration(self, tmp_path):
-        report = TrainReport(primal_objective=np.pi * 1e3, max_margin_violation=0.0,
-                             passes_used=6162, converged=False, dual_gap=1.0 / 3.0)
+        report = TrainReport(primal_objective=np.pi * 1e3, passes_used=6162,
+                             converged=False, dual_gap=1.0 / 3.0)
         bundle = dataclasses.replace(awkward_bundle(), training=report)
         rm = RejectModel(bundle.model, -1.0 / 3.0, 2.0 / 7.0, 0.24)
         bundle = bundle.with_reject(rm, RiskReport(0.1, 0.2, 0.1 + 0.24 * 0.2, 17))
@@ -100,9 +100,19 @@ class TestBundleRoundTrip:
         assert list(doc) == [
             "weights", "bias", "features", "scaling", "label_column", "positive_label",
             "split", "training", "t_minus", "t_plus", "w_r", "risk_report"]
-        assert doc["training"] == {"primal_objective": np.pi * 1e3, "max_margin_violation": 0.0,
-                                   "passes_used": 6162, "converged": False,
-                                   "dual_gap": 1.0 / 3.0}
+        assert doc["training"] == {"primal_objective": np.pi * 1e3, "passes_used": 6162,
+                                   "converged": False, "dual_gap": 1.0 / 3.0}
+
+    def test_file_with_dropped_margin_violation_key_loads(self, tmp_path):
+        # files written before the always-zero max_margin_violation was dropped
+        report = TrainReport(primal_objective=2.5, passes_used=7, converged=True, dual_gap=1e-7)
+        doc = bundle_to_json(dataclasses.replace(awkward_bundle(), training=report))
+        doc["training"]["max_margin_violation"] = 0.0
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(doc))
+        loaded = load_bundle(path)
+        assert loaded.training == report
+        assert "max_margin_violation" not in bundle_to_json(loaded)["training"]
 
     def test_file_without_training_loads_and_stays_without(self, tmp_path):
         path = tmp_path / "model.json"

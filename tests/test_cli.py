@@ -179,8 +179,7 @@ class TestTrain:
         ]) == 0
         out = capsys.readouterr().out
         training = json.loads(model_path.read_text())["training"]
-        assert set(training) == {"passes_used", "converged", "dual_gap",
-                                 "primal_objective", "max_margin_violation"}
+        assert set(training) == {"passes_used", "converged", "dual_gap", "primal_objective"}
         assert training["converged"] is True
         assert 0.0 <= training["dual_gap"] <= 1e-6
         assert f"passes used: {training['passes_used']}  converged: True" in out

@@ -11,18 +11,15 @@ from svcreject.explainer import (
     explain_batch,
     feature_frequency,
     minimal_explanation,
-    negate,
-    prediction_formula,
     verify_batch,
     verify_explanation,
 )
-from svcreject.feasibility import LinearAtom
 from svcreject.rejector import calibrate, predict_with_reject, predictions_with_reject
 from svcreject.trainer import LinearModel, decision_values
 from svcreject import RejectModel
 
 import oracles
-from oracles import PartialAssignment, satisfiable
+from oracles import LinearAtom, PartialAssignment, negate, prediction_formula, satisfiable
 from conftest import (
     BAND_B,
     BAND_T_MINUS,
@@ -142,13 +139,24 @@ class TestMinimalExplanation:
         assert expl.queries <= 2 * len(band_space)
         assert expl.knife_edge_queries == 0
 
-    def test_knife_edge_queries_surface_in_explanation(self):
-        # dropping f1 makes the minimum of d land exactly on the threshold
-        rm = RejectModel(LinearModel(np.array([1.0]), 0.0), 0.0, 0.0, 0.24)
+    @pytest.mark.parametrize("w, b, klass, kept, queries, knife_edges", [
+        # +1: freeing f1 puts the minimum of d exactly on t_plus
+        (1.0, 0.0, 1, (0,), 1, 1),
+        # -1: freeing f1 puts the maximum of d exactly on t_minus
+        (1.0, -1.0, -1, (0,), 1, 1),
+        # reject: d is 0 everywhere, on both ends of the band; the class's
+        # two comparisons and both questions are knife edges
+        (0.0, 0.0, 0, (), 2, 4),
+    ], ids=["positive", "negative", "reject"])
+    def test_knife_edge_queries_surface_in_explanation(self, w, b, klass, kept, queries,
+                                                       knife_edges):
+        rm = RejectModel(LinearModel(np.array([w]), b), 0.0, 0.0, 0.24)
         space = FeatureSpace.unit(["f1"])
         expl = minimal_explanation(rm, space, np.array([0.5]))
-        assert expl.kept_indices == (0,)
-        assert expl.knife_edge_queries == 1
+        assert expl.klass == klass
+        assert expl.kept_indices == kept
+        assert expl.queries == queries
+        assert expl.knife_edge_queries == knife_edges
 
     def test_out_of_domain_instance_rejected(self, demo_reject, demo_space):
         with pytest.raises(DatasetError):

@@ -25,4 +25,12 @@ def test_single_query_layer_is_gone():
     for module in (svcreject, artifacts, cli, dataset, explainer, feasibility, rejector, trainer):
         for name in moved:
             assert not hasattr(module, name), f"{module.__name__}.{name}"
-    assert not hasattr(feasibility.LinearAtom, "holds_at")
+
+
+def test_formula_layer_is_gone():
+    # classes are decided at the box extrema by rejector.band_classes; the
+    # atom encoding lives on only as a test reference (oracles.py)
+    moved = ("LinearAtom", "RELATIONS", "NEGATED", "prediction_formula", "negate")
+    for module in (svcreject, explainer, feasibility):
+        for name in moved:
+            assert not hasattr(module, name), f"{module.__name__}.{name}"

@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from svcreject.dataset import FeatureSpace
-from svcreject.feasibility import LinearAtom
 
 from conftest import DEMO_B, DEMO_W
 from oracles import (
     MAX_ORACLE_FREE,
+    LinearAtom,
     PartialAssignment,
     holds_at,
     linear_extrema,

@@ -6,6 +6,7 @@ from svcreject.dataset import LabeledDataset
 from svcreject.rejector import (
     DegenerateGridError,
     RejectModel,
+    band_classes,
     calibrate,
     empirical_risk,
     evaluate,
@@ -47,34 +48,50 @@ class TestThresholdGrid:
             threshold_grid([])
 
 
+class TestBandClasses:
+    def test_band_ends_reject_and_report_knife_edges(self):
+        values = np.array([-0.5, -0.25, 0.0, 0.25, 0.5])
+        bound = np.full(values.size, 1e-15)
+        classes, near_plus, near_minus = band_classes(
+            values, -0.25, 0.25, bound, lambda k: float(values[k]))
+        assert classes.tolist() == [-1, 0, 0, 0, 1]
+        assert near_plus.tolist() == [False, False, False, True, False]
+        assert near_minus.tolist() == [False, True, False, False, False]
+
+    def test_knife_edges_are_decided_by_the_exact_value(self):
+        # the float estimates sit on the band's ends; the exact values do not
+        values = np.array([0.25, -0.25])
+        exact = [0.25 + 2.0 ** -54, -0.25 - 2.0 ** -54]
+        classes, _, _ = band_classes(values, -0.25, 0.25, np.full(2, 1e-15), exact.__getitem__)
+        assert classes.tolist() == [1, -1]
+
+
 class TestEmpiricalRisk:
     def test_half_rejected_one_wrong(self):
-        # 5 inside the band, 1 of the 5 accepted misclassified
-        values = [0.0, 0.1, -0.2, 0.3, 0.5, 0.6, 0.7, -0.6, -0.8, 0.9]
+        # 5 inside the band, 1 of the 5 accepted misclassified: the classes
+        # of values [0.0, 0.1, -0.2, 0.3, 0.5, 0.6, 0.7, -0.6, -0.8, 0.9]
+        # under the band [-0.5, 0.5]
+        classes = [0, 0, 0, 0, 0, 1, 1, -1, -1, 1]
         labels = [1, 1, -1, 1, 1, 1, 1, -1, -1, -1]  # last one wrong
-        report = empirical_risk(labels, values, t_plus=0.5, t_minus=-0.5, w_r=0.24)
+        report = empirical_risk(labels, classes, w_r=0.24)
         assert report.rejection_ratio == 0.5
         assert report.error_ratio == pytest.approx(0.2)
         assert report.risk == pytest.approx(0.32)
         assert report.risk == report.error_ratio + 0.24 * report.rejection_ratio
 
     def test_no_rejections_all_correct_is_zero_risk(self):
-        report = empirical_risk([1, -1], [2.0, -2.0], t_plus=0.1, t_minus=-0.1, w_r=0.24)
+        report = empirical_risk([1, -1], [1, -1], w_r=0.24)
         assert (report.error_ratio, report.rejection_ratio, report.risk) == (0.0, 0.0, 0.0)
 
     def test_everything_rejected_costs_exactly_wr(self):
-        report = empirical_risk([1, -1], [0.1, -0.1], t_plus=1.0, t_minus=-1.0, w_r=0.24)
+        report = empirical_risk([1, -1], [0, 0], w_r=0.24)
         assert report.error_ratio == 0.0
         assert report.rejection_ratio == 1.0
         assert report.risk == 0.24
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="lengths"):
-            empirical_risk([1], [0.1, 0.2], 0.1, -0.1, 0.24)
-
-    def test_inverted_band_rejected(self):
-        with pytest.raises(ValueError, match="t_minus"):
-            empirical_risk([1], [0.1], t_plus=-0.5, t_minus=0.5, w_r=0.24)
+            empirical_risk([1], [1, 0], 0.24)
 
 
 def overlapping_dataset(seed, n=80):
@@ -137,6 +154,20 @@ class TestCalibrate:
         assert report.risk == risk
         assert report.grid_index == idx
         assert report.risk == report.error_ratio + w_r * report.rejection_ratio
+
+    def test_risk_report_agrees_with_evaluate_at_band_edges(self):
+        # at one grid step the band's ends are the extreme matmul decision
+        # values, and their exact values may fall either side of them: the
+        # risk report must count rejections as evaluate predicts them
+        for seed in range(400):
+            rng = np.random.default_rng(seed)
+            m, n = int(rng.integers(50, 401)), int(rng.integers(5, 61))
+            X = rng.uniform(0.0, 1.0, (m, n))
+            w = rng.normal(size=n)
+            model = LinearModel(w, -float(np.median(X @ w)))
+            ds = LabeledDataset(X, np.where(rng.uniform(size=m) < 0.5, 1.0, -1.0))
+            rm, risk = calibrate(model, ds, w_r=0.24, grid_steps=1)
+            assert risk.rejection_ratio == evaluate(rm, ds).rejection_ratio, seed
 
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=60, deadline=None)
