@@ -34,7 +34,6 @@ from .explainer import (
     Explanation,
     ExplanationBatch,
     explain_batch,
-    feature_frequency,
     minimal_explanation,
     verify_batch,
     verify_explanation,
@@ -71,7 +70,6 @@ __all__ = [
     "Explanation",
     "ExplanationBatch",
     "explain_batch",
-    "feature_frequency",
     "minimal_explanation",
     "verify_batch",
     "verify_explanation",

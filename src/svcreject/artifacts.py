@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import FeatureSpace, ScalingParams, box_from_json, box_to_json
+from .dataset import FeatureSpace, ScalingParams
 from .rejector import RejectModel, RiskReport
 from .trainer import LinearModel, TrainReport
 
@@ -60,11 +60,40 @@ class ModelBundle:
                        risk_report=report)
 
 
+def _box_to_json(space: FeatureSpace, params: ScalingParams) -> dict:
+    """The ``features`` (name and domain) and ``scaling`` lists of a model file."""
+    return {
+        "features": [
+            {"name": name, "lower": float(lo), "upper": float(hi)}
+            for name, lo, hi in zip(space.names, space.lower, space.upper)
+        ],
+        "scaling": [
+            {"min": float(lo), "max": float(hi)}
+            for lo, hi in zip(params.mins, params.maxs)
+        ],
+    }
+
+
+def _box_from_json(doc: dict) -> tuple[FeatureSpace, ScalingParams]:
+    """The feature space and scaling read back from ``_box_to_json``'s lists."""
+    features = doc["features"]
+    space = FeatureSpace(
+        tuple(f["name"] for f in features),
+        np.array([f["lower"] for f in features], dtype=float),
+        np.array([f["upper"] for f in features], dtype=float),
+    )
+    params = ScalingParams(
+        np.array([s["min"] for s in doc["scaling"]], dtype=float),
+        np.array([s["max"] for s in doc["scaling"]], dtype=float),
+    )
+    return space, params
+
+
 def bundle_to_json(bundle: ModelBundle) -> dict:
     doc = {
         "weights": [float(v) for v in bundle.model.weights],
         "bias": float(bundle.model.bias),
-        **box_to_json(bundle.space, bundle.scaling),
+        **_box_to_json(bundle.space, bundle.scaling),
     }
     if bundle.label_column is not None:
         doc["label_column"] = bundle.label_column
@@ -93,8 +122,14 @@ def bundle_to_json(bundle: ModelBundle) -> dict:
     return doc
 
 
+def _optional_float(doc: dict, key: str) -> float | None:
+    """A number the file may leave out; null or absent reads as None."""
+    value = doc.get(key)
+    return None if value is None else float(value)
+
+
 def bundle_from_json(doc: dict) -> ModelBundle:
-    space, scaling = box_from_json(doc)
+    space, scaling = _box_from_json(doc)
     model = LinearModel(np.array(doc["weights"], dtype=float), float(doc["bias"]))
     if len(model) != len(space):
         raise ValueError("model file is inconsistent: weight/feature count mismatch")
@@ -133,9 +168,9 @@ def bundle_from_json(doc: dict) -> ModelBundle:
         positive_label=doc.get("positive_label"),
         split=split,
         training=training,
-        t_minus=doc.get("t_minus"),
-        t_plus=doc.get("t_plus"),
-        w_r=doc.get("w_r"),
+        t_minus=_optional_float(doc, "t_minus"),
+        t_plus=_optional_float(doc, "t_plus"),
+        w_r=_optional_float(doc, "w_r"),
         risk_report=report,
     )
 
@@ -152,3 +187,5 @@ def load_bundle(path) -> ModelBundle:
         return bundle_from_json(json.loads(path.read_text()))
     except KeyError as exc:
         raise ValueError(f"model file {path} is missing field {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"model file {path} has a field of the wrong type: {exc}") from None

@@ -21,6 +21,7 @@ EXIT_VERIFY = 1
 EXIT_INPUT = 2
 # out-of-domain rows an error message names before it counts the rest
 MAX_NAMED_ROWS = 10
+LABELS = {-1: "negative", 0: "rejected", 1: "positive"}
 
 
 class VerificationFailure(RuntimeError):
@@ -35,10 +36,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def files(p: argparse.ArgumentParser, output_help: str, output_required: bool) -> None:
+    def files(p: argparse.ArgumentParser) -> None:
         p.add_argument("--input", required=True, help="CSV file (header row, comma separated)")
         p.add_argument("--model", required=True, help="model JSON file")
-        p.add_argument("--output", required=output_required, help=output_help)
 
     def scope(p: argparse.ArgumentParser) -> None:
         p.add_argument("--scope", choices=("train", "test", "all"), default="all",
@@ -46,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "manifest for train/test)")
 
     p_train = sub.add_parser("train", help="fit a soft-margin linear SVC from a CSV")
-    files(p_train, "also write the scaled dataset as JSON", False)
+    files(p_train)
     p_train.add_argument("--label-column", required=True)
     p_train.add_argument("--positive-label", required=True,
                          help="label value mapped to +1; all others map to -1")
@@ -60,7 +60,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--max-passes", type=int, default=10_000)
 
     p_calibrate = sub.add_parser("calibrate", help="fit the reject band on training rows")
-    files(p_calibrate, "reject model file to write", True)
+    files(p_calibrate)
+    p_calibrate.add_argument("--output", required=True, help="reject model file to write")
     scope(p_calibrate)
     p_calibrate.add_argument("--wr", type=float, default=0.24,
                              help="rejection cost in (0, 1] (default 0.24)")
@@ -72,7 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
         ("bench", "time explanations without writing them", "also write the report as JSON"),
     ):
         p = sub.add_parser(name, help=help_text)
-        files(p, output_help, name == "explain")
+        files(p)
+        p.add_argument("--output", required=name == "explain", help=output_help)
         scope(p)
         p.add_argument("--order", choices=("ascending", "descending-weight", "lex"),
                        default="ascending", help="feature elimination order")
@@ -135,8 +137,6 @@ def cmd_train(args) -> int:
         training=report,
     )
     artifacts.save_bundle(args.model, bundle)
-    if args.output:
-        dataset.save_dataset(args.output, space, scaling, full)
 
     def accuracy(ds):
         pred = np.where(trainer.decision_values(model, ds.X) > 0.0, 1.0, -1.0)
@@ -179,17 +179,46 @@ def cmd_calibrate(args) -> int:
 
     scope_idx = _scope_indices(args.scope, scaled.shape[0], bundle)
     metrics = rejector.evaluate(rm, dataset.LabeledDataset(scaled[scope_idx], labels[scope_idx]))
+    doc = _metrics_json(rm, metrics)
     metrics_path = Path(str(args.output) + ".metrics.json")
-    metrics_path.write_text(
-        json.dumps({"scope": args.scope, **rejector.metrics_to_json(rm, metrics)},
-                   indent=2) + "\n"
-    )
+    metrics_path.write_text(json.dumps({"scope": args.scope, **doc}, indent=2) + "\n")
     print(f"calibrated on {len(cal_ds)} rows at w_r={args.wr:g} "
           f"(grid index {risk.grid_index}, risk {risk.risk:.6f})")
     print(f"metrics on scope {args.scope!r}:")
-    print(rejector.format_metrics_table(rm, metrics))
+    print(_metrics_table(doc))
     print(f"reject model written to {args.output}")
     return EXIT_OK
+
+
+def _table(headers, rows) -> str:
+    """Right-aligned columns separated by two spaces, headers first."""
+    lines = [headers, *rows]
+    widths = [max(len(cell) for cell in column) for column in zip(*lines)]
+    return "\n".join("  ".join(cell.rjust(w) for cell, w in zip(line, widths))
+                     for line in lines)
+
+
+def _metrics_json(rm: rejector.RejectModel, metrics: rejector.EvalMetrics) -> dict:
+    return {
+        "t_minus": rm.t_minus,
+        "t_plus": rm.t_plus,
+        "accuracy_without_reject": metrics.accuracy_without_reject,
+        "accuracy_with_reject": metrics.accuracy_with_reject,
+        "rejection_ratio": metrics.rejection_ratio,
+        "negative": metrics.negative_count,
+        "rejected": metrics.rejected_count,
+        "positive": metrics.positive_count,
+    }
+
+
+def _metrics_table(doc: dict) -> str:
+    """The text table of ``_metrics_json``'s dict, one column per key in its
+    order; an accuracy of None reads n/a."""
+    headers = ["t_minus", "t_plus", "acc w/o reject", "acc w/ reject",
+               "rejection", "negative", "rejected", "positive"]
+    formats = ["{:.4f}", "{:.4f}", "{:.2%}", "{:.2%}", "{:.2%}", "{}", "{}", "{}"]
+    return _table(headers, [["n/a" if value is None else form.format(value)
+                             for form, value in zip(formats, doc.values())]])
 
 
 def _explain_rows(args):
@@ -282,25 +311,37 @@ def _per_class_stats(batch) -> dict:
         if not rows.any():
             continue
         size = sizes[rows].astype(float)
-        times = np.full(size.size, batch.seconds / len(batch))
         out[klass] = {
             "patterns": int(size.size),
             "size_mean": float(size.mean()),
             "size_std": float(size.std()),
-            "time_mean": float(times.mean()),
-            "time_std": float(times.std()),
             "queries": int(batch.queries[rows].sum()),
         }
     return out
 
 
-def _print_stats(stats: dict) -> None:
-    label = {-1: "negative", 0: "rejected", 1: "positive"}
+def _print_stats(stats: dict, seconds: float) -> None:
     for klass, s in stats.items():
-        print(f"{label[klass]}: {s['patterns']} pattern(s), "
+        print(f"{LABELS[klass]}: {s['patterns']} pattern(s), "
               f"size {s['size_mean']:.2f} +- {s['size_std']:.2f}, "
-              f"time {s['time_mean'] * 1e3:.3f} +- {s['time_std'] * 1e3:.3f} ms, "
               f"{s['queries']} queries")
+    print(f"explanation pass: {seconds * 1e3:.3f} ms")
+
+
+def _frequency(classes, removed, names) -> tuple[dict, str]:
+    """Per predicted class, how many rows keep each feature and how many rows
+    there are: the summary's ``frequency`` dict and its text table."""
+    kept = ~removed
+    freq = {}
+    for klass in (-1, 0, 1):
+        rows = classes == klass
+        if rows.any():
+            freq[str(klass)] = {"counts": dict(zip(names, kept[rows].sum(axis=0).tolist())),
+                                "patterns": int(rows.sum())}
+    table = _table(["class", *names, "patterns"],
+                   [[LABELS[int(k)], *map(str, c["counts"].values()), str(c["patterns"])]
+                    for k, c in freq.items()])
+    return {"classes": freq}, table
 
 
 def cmd_explain(args) -> int:
@@ -311,21 +352,22 @@ def cmd_explain(args) -> int:
             fh.write(writer.line(k, row, raw[row], reports[k].witness_classes))
 
     stats = _per_class_stats(batch)
-    freq = explainer.feature_frequency(batch.classes, batch.removed)
+    frequency, table = _frequency(batch.classes, batch.removed, bundle.space.names)
     summary = {
         "patterns": len(batch),
         "skipped_rows": skipped,
+        "seconds": batch.seconds,
         "classes": {str(k): v for k, v in stats.items()},
-        "frequency": freq.to_json(bundle.space.names),
+        "frequency": frequency,
     }
     summary_path = Path(str(args.output) + ".summary.json")
     summary_path.write_text(json.dumps(summary, indent=2) + "\n")
 
     print(f"explained {len(batch)} instance(s); "
           f"{len(skipped)} skipped as out of domain")
-    _print_stats(stats)
+    _print_stats(stats, batch.seconds)
     if len(batch):
-        print(freq.format_text(bundle.space.names))
+        print(table)
     print(f"explanations written to {args.output}")
     return EXIT_OK
 
@@ -339,6 +381,7 @@ def cmd_bench(args) -> int:
         "instances": len(batch),
         "features": n,
         "skipped_rows": skipped,
+        "seconds": batch.seconds,
         "total_queries": total_queries,
         "knife_edge_queries": int(batch.knife_edges.sum()),
         "max_queries_per_instance": int(batch.queries.max(initial=0)),
@@ -349,7 +392,7 @@ def cmd_bench(args) -> int:
         Path(args.output).write_text(json.dumps(report, indent=2) + "\n")
 
     print(f"benchmarked {len(batch)} instance(s) over {n} features")
-    _print_stats(stats)
+    _print_stats(stats, batch.seconds)
     print(f"total feasibility queries: {total_queries} "
           f"(budget {2 * n} per instance)")
     return EXIT_OK

@@ -8,7 +8,6 @@ works in.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -282,54 +281,3 @@ def stratified_split(ds: LabeledDataset, train_fraction: float, seed: int) -> tu
         LabeledDataset(ds.X[test_idx], ds.y[test_idx]),
     )
 
-
-def box_to_json(space: FeatureSpace, params: ScalingParams) -> dict:
-    """The ``features`` (name and domain) and ``scaling`` lists of a JSON file."""
-    return {
-        "features": [
-            {"name": name, "lower": float(lo), "upper": float(hi)}
-            for name, lo, hi in zip(space.names, space.lower, space.upper)
-        ],
-        "scaling": [
-            {"min": float(lo), "max": float(hi)}
-            for lo, hi in zip(params.mins, params.maxs)
-        ],
-    }
-
-
-def box_from_json(doc: dict) -> tuple[FeatureSpace, ScalingParams]:
-    """The feature space and scaling read back from ``box_to_json``'s lists."""
-    features = doc["features"]
-    space = FeatureSpace(
-        tuple(f["name"] for f in features),
-        np.array([f["lower"] for f in features], dtype=float),
-        np.array([f["upper"] for f in features], dtype=float),
-    )
-    params = ScalingParams(
-        np.array([s["min"] for s in doc["scaling"]], dtype=float),
-        np.array([s["max"] for s in doc["scaling"]], dtype=float),
-    )
-    return space, params
-
-
-def dataset_to_json(space: FeatureSpace, params: ScalingParams, ds: LabeledDataset) -> dict:
-    return {
-        **box_to_json(space, params),
-        "rows": [[float(v) for v in row] for row in ds.X],
-        "labels": [int(v) for v in ds.y],
-    }
-
-
-def dataset_from_json(doc: dict) -> tuple[FeatureSpace, ScalingParams, LabeledDataset]:
-    space, params = box_from_json(doc)
-    rows = np.array(doc["rows"], dtype=float).reshape(-1, len(space))
-    ds = LabeledDataset(rows, np.array(doc["labels"], dtype=float))
-    return space, params, ds
-
-
-def save_dataset(path, space, params, ds) -> None:
-    Path(path).write_text(json.dumps(dataset_to_json(space, params, ds)) + "\n")
-
-
-def load_dataset(path) -> tuple[FeatureSpace, ScalingParams, LabeledDataset]:
-    return dataset_from_json(json.loads(Path(path).read_text()))

@@ -374,62 +374,3 @@ def verify_explanation(rm: RejectModel, space: FeatureSpace, expl: Explanation) 
     violations += report.violations
     return VerificationReport(not violations, tuple(violations), report.witness_classes)
 
-
-@dataclass(frozen=True, eq=False)
-class FrequencyTable:
-    """Per-class counts of how often each feature stays in an explanation."""
-
-    counts: dict[int, np.ndarray]
-    patterns: dict[int, int]
-    n_features: int
-
-    def to_json(self, feature_names=None) -> dict:
-        names = list(feature_names) if feature_names is not None else [
-            f"f{i + 1}" for i in range(self.n_features)
-        ]
-        return {
-            "classes": {
-                str(klass): {
-                    "counts": dict(zip(names, self.counts[klass].tolist())),
-                    "patterns": self.patterns[klass],
-                }
-                for klass in sorted(self.counts)
-            }
-        }
-
-    def format_text(self, feature_names=None) -> str:
-        names = list(feature_names) if feature_names is not None else [
-            f"f{i + 1}" for i in range(self.n_features)
-        ]
-        label = {-1: "negative", 0: "rejected", 1: "positive"}
-        headers = ["class", *names, "patterns"]
-        rows = []
-        for klass in sorted(self.counts):
-            rows.append([
-                label[klass],
-                *(str(int(c)) for c in self.counts[klass]),
-                str(self.patterns[klass]),
-            ])
-        widths = [
-            max(len(headers[c]), *(len(r[c]) for r in rows)) if rows else len(headers[c])
-            for c in range(len(headers))
-        ]
-        lines = ["  ".join(h.rjust(w) for h, w in zip(headers, widths))]
-        for r in rows:
-            lines.append("  ".join(v.rjust(w) for v, w in zip(r, widths)))
-        return "\n".join(lines)
-
-
-def feature_frequency(classes, removed) -> FrequencyTable:
-    """Count, per predicted class, how many rows keep each feature, from a
-    batch's ``classes`` and ``removed`` arrays."""
-    classes = np.asarray(classes, dtype=int)
-    kept = ~np.asarray(removed, dtype=bool)
-    counts: dict[int, np.ndarray] = {}
-    patterns: dict[int, int] = {}
-    for klass in (-1, 0, 1):
-        rows = classes == klass
-        if rows.any():
-            counts[klass] = kept[rows].sum(axis=0)
-            patterns[klass] = int(rows.sum())
-    return FrequencyTable(counts, patterns, kept.shape[1])

@@ -204,40 +204,3 @@ def evaluate(rm: RejectModel, data: LabeledDataset) -> EvalMetrics:
         positive_count=int(np.sum(pred == 1)),
     )
 
-
-def metrics_to_json(rm: RejectModel, metrics: EvalMetrics) -> dict:
-    return {
-        "t_minus": rm.t_minus,
-        "t_plus": rm.t_plus,
-        "accuracy_without_reject": metrics.accuracy_without_reject,
-        "accuracy_with_reject": metrics.accuracy_with_reject,
-        "rejection_ratio": metrics.rejection_ratio,
-        "negative": metrics.negative_count,
-        "rejected": metrics.rejected_count,
-        "positive": metrics.positive_count,
-    }
-
-
-def format_metrics_table(rm: RejectModel, metrics: EvalMetrics) -> str:
-    """Aligned text table of the calibration metrics."""
-    acc_ro = (
-        f"{metrics.accuracy_with_reject:.2%}"
-        if metrics.accuracy_with_reject is not None
-        else "n/a"
-    )
-    headers = ["t_minus", "t_plus", "acc w/o reject", "acc w/ reject",
-               "rejection", "negative", "rejected", "positive"]
-    row = [
-        f"{rm.t_minus:.4f}",
-        f"{rm.t_plus:.4f}",
-        f"{metrics.accuracy_without_reject:.2%}",
-        acc_ro,
-        f"{metrics.rejection_ratio:.2%}",
-        str(metrics.negative_count),
-        str(metrics.rejected_count),
-        str(metrics.positive_count),
-    ]
-    widths = [max(len(h), len(v)) for h, v in zip(headers, row)]
-    head = "  ".join(h.rjust(w) for h, w in zip(headers, widths))
-    body = "  ".join(v.rjust(w) for v, w in zip(row, widths))
-    return head + "\n" + body

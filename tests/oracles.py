@@ -8,6 +8,7 @@ brute-force search.  They are deliberately slow and simple.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 
@@ -198,10 +199,18 @@ def best_primal_with_bias(X, y, w, C):
     return best
 
 
-def grid_best_risk(labels, values, w_r, steps=100):
-    """Exhaustive scan of the threshold grid; returns (risk, index, t_plus, t_minus)."""
+def grid_best_risk(labels, model, X, w_r, steps=100):
+    """Exhaustive scan of the threshold grid; returns (risk, index, t_plus, t_minus).
+
+    The grid comes from the float decision values ``X @ w + b``, as
+    ``calibrate`` builds it, but each row is classified by its exact value:
+    ``math.fsum`` of the rounded products w_i * x_i and the bias.
+    """
     labels = list(labels)
-    values = list(values)
+    X = np.asarray(X, dtype=float)
+    w, b = model.weights.tolist(), float(model.bias)
+    values = (X @ model.weights + model.bias).tolist()
+    exact = [math.fsum([*(x * wi for x, wi in zip(row, w)), b]) for row in X.tolist()]
     upper = max(values)
     lower = min(values)
     total = len(values)
@@ -210,13 +219,13 @@ def grid_best_risk(labels, values, w_r, steps=100):
         frac = i * (1.0 / steps)
         t_plus = frac * upper
         t_minus = frac * lower
-        rejected = [t_minus <= d <= t_plus for d in values]
+        rejected = [t_minus <= d <= t_plus for d in exact]
         n_rej = sum(rejected)
         n_acc = total - n_rej
         if n_acc:
             wrong = sum(
                 1
-                for lab, d, rej in zip(labels, values, rejected)
+                for lab, d, rej in zip(labels, exact, rejected)
                 if not rej and (1.0 if d > t_plus else -1.0) != lab
             )
             err = wrong / n_acc

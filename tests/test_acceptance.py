@@ -205,7 +205,7 @@ def test_criterion_6_calibration_optimality_100_datasets():
             ds = sr.LabeledDataset(values.reshape(-1, 1), labels)
             rm, report = sr.calibrate(model, ds, w_r=w_r)
             best_risk, best_idx, t_plus, t_minus = oracles.grid_best_risk(
-                labels.tolist(), values.tolist(), w_r
+                labels, model, ds.X, w_r
             )
             assert report.risk == best_risk
             assert report.grid_index == best_idx

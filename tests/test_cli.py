@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from svcreject import FeatureSpace, LinearModel, RejectModel
-from svcreject.cli import JsonlWriter, build_parser, main
+from svcreject import FeatureSpace, LabeledDataset, LinearModel, RejectModel
+from svcreject.cli import JsonlWriter, _frequency, _metrics_json, _metrics_table, build_parser, main
 from svcreject.explainer import explain_batch, verify_batch
-from svcreject.rejector import predict_with_reject
+from svcreject.rejector import evaluate, predict_with_reject
 
 from conftest import BAND_B, BAND_T_MINUS, BAND_T_PLUS, BAND_W, BAND_X
 
@@ -53,7 +53,7 @@ def strip_times(jsonl_text):
 class TestFlags:
     # every settable option of each subcommand, and the ones it requires
     OPTIONS = {
-        "train": {"--input", "--model", "--output", "--label-column", "--positive-label",
+        "train": {"--input", "--model", "--label-column", "--positive-label",
                   "--seed", "--C", "--fraction", "--tolerance", "--max-passes"},
         "calibrate": {"--input", "--model", "--output", "--scope", "--wr", "--grid-steps"},
         "explain": {"--input", "--model", "--output", "--scope", "--order",
@@ -77,7 +77,7 @@ class TestFlags:
                 for name, acts in options.items()} == self.OPTIONS
         assert {name: {a.option_strings[0] for a in acts if a.required}
                 for name, acts in options.items()} == self.REQUIRED
-        assert sum(len(acts) for acts in options.values()) == 28
+        assert sum(len(acts) for acts in options.values()) == 27
 
     @pytest.mark.parametrize("argv", [
         ["explain", "--input", "i.csv", "--model", "m.json", "--output", "e.jsonl", "--wr", "0.3"],
@@ -85,6 +85,8 @@ class TestFlags:
          "--order", "lex"],
         ["train", "--input", "i.csv", "--model", "m.json", "--label-column", "y",
          "--positive-label", "a", "--grid-steps", "5"],
+        ["train", "--input", "i.csv", "--model", "m.json", "--label-column", "y",
+         "--positive-label", "a", "--output", "scaled.json"],
     ])
     def test_option_the_subcommand_never_reads_exits_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -137,19 +139,6 @@ class TestTrain:
             ]) == 0
         capsys.readouterr()
         assert paths[0].read_bytes() == paths[1].read_bytes()
-
-    def test_optional_dataset_dump(self, tmp_path, iris_csv, capsys):
-        out = tmp_path / "scaled.json"
-        assert main([
-            "train", "--input", str(iris_csv), "--label-column", "species",
-            "--positive-label", "setosa", "--model", str(tmp_path / "m.json"),
-            "--output", str(out),
-        ]) == 0
-        capsys.readouterr()
-        doc = json.loads(out.read_text())
-        assert set(doc) == {"features", "scaling", "rows", "labels"}
-        assert len(doc["rows"]) == 150
-
 
     def test_unconverged_training_warns_on_stderr(self, tmp_path, iris_csv, capsys):
         code = main([
@@ -246,6 +235,15 @@ class TestCalibrate:
         assert metrics["scope"] == "all"
         assert metrics["rejected"] == 0
         assert metrics["negative"] + metrics["positive"] == 150
+
+    def test_json_and_table_render(self):
+        rm = RejectModel(LinearModel(np.array([1.0]), 0.0), -0.1, 0.1, 0.24)
+        ds = LabeledDataset(np.array([[0.9], [-0.9]]), np.array([1.0, -1.0]))
+        m = evaluate(rm, ds)
+        doc = _metrics_json(rm, m)
+        assert doc["t_minus"] == -0.1 and doc["positive"] == 1
+        table = _metrics_table(doc)
+        assert "acc w/ reject" in table.splitlines()[0]
 
 
     def test_reads_the_csv_once(self, tmp_path, iris_csv, monkeypatch, capsys):
@@ -357,6 +355,26 @@ class TestExplain:
         ])
         assert code == 2
         assert "reject band" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("bias", None), ("t_minus", [-0.1]), ("t_plus", "wide"), ("w_r", {"w_r": 0.2}),
+    ])
+    def test_mistyped_model_file_exits_2(self, tmp_path, key, value, capsys):
+        doc = demo_reject_doc()
+        doc[key] = value
+        model_path = tmp_path / "reject.json"
+        model_path.write_text(json.dumps(doc))
+        instances = tmp_path / "inst.csv"
+        instances.write_text("f1,f2\n0.5,0.5\n")
+        out_path = tmp_path / "e.jsonl"
+        code = main([
+            "explain", "--model", str(model_path), "--input", str(instances),
+            "--output", str(out_path),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not out_path.exists()
 
     def test_deterministic_apart_from_timing(self, tmp_path, iris_csv, capsys):
         model_path = tmp_path / "model.json"
@@ -605,6 +623,35 @@ def writer_cases(draw):
     return names, np.array(lower), np.array(upper), np.array(x), np.array(raw), np.array(w), bias
 
 
+class TestFeatureFrequency:
+    def test_counts_kept_features_per_class(self):
+        removed = np.array([[False, True, True]] * 3)
+        freq, _ = _frequency(np.array([1, 1, 1]), removed, ["a", "b", "c"])
+        assert freq["classes"]["1"]["counts"] == {"a": 3, "b": 0, "c": 0}
+        assert {k: c["patterns"] for k, c in freq["classes"].items()} == {"1": 3}
+
+    def test_empty_input_gives_empty_table(self):
+        freq, _ = _frequency(np.zeros(0, dtype=int), np.zeros((0, 3), dtype=bool),
+                             ["a", "b", "c"])
+        assert freq == {"classes": {}}
+
+    def test_text_layout_aligns_columns(self):
+        _, text = _frequency(np.array([1]), np.array([[False, True]]), ["alpha", "beta"])
+        lines = text.splitlines()
+        assert len(lines) == 2
+        assert "alpha" in lines[0] and "patterns" in lines[0]
+
+    def test_largest_weight_feature_can_have_zero_count(self, demo_reject, demo_space):
+        # |w2| > |w1|, yet in this corner of the box only f1 is ever needed:
+        # with f2 <= 0.2 the value of f2 can never pin the class on its own
+        instances = [np.array([f1, f2]) for f1 in (0.0, 0.02, 0.05)
+                     for f2 in (0.0, 0.1, 0.2)]
+        batch = explain_batch(demo_reject, demo_space, np.array(instances))
+        freq, _ = _frequency(batch.classes, batch.removed, demo_space.names)
+        assert freq["classes"]["1"]["counts"] == {"f1": 9, "f2": 0}
+        assert freq["classes"]["1"]["patterns"] == 9
+
+
 class TestJsonlWriter:
     @given(writer_cases())
     @settings(max_examples=200, deadline=None)
@@ -646,7 +693,9 @@ class TestBench:
         report = json.loads(report_path.read_text())
         assert report["instances"] == 1
         stats = report["classes"]["1"]
-        assert stats["time_std"] == 0.0 and stats["size_std"] == 0.0
+        # the pass time is reported once, not split across classes
+        assert stats["size_std"] == 0.0 and "time_std" not in stats
+        assert report["seconds"] > 0.0
         assert report["max_queries_per_instance"] <= report["query_budget_per_instance"]
 
     def test_zero_instances_is_success(self, tmp_path, capsys):

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,13 +8,8 @@ from svcreject.dataset import (
     LabeledDataset,
     ScalingParams,
     apply_scaling,
-    dataset_from_json,
-    dataset_to_json,
     fit_scaling,
     load_csv,
-    load_dataset,
-    save_dataset,
-    scale_dataset,
     stratified_split,
     stratified_split_indices,
 )
@@ -172,46 +165,6 @@ class TestStratifiedSplit:
             got = int((y[train_idx] == cls).sum())
             assert abs(got - round(fraction * count)) <= 1
             assert 1 <= got <= count - 1
-
-
-class TestJsonSchema:
-    def test_round_trip_preserves_everything(self, tmp_path):
-        rng = np.random.default_rng(5)
-        raw = rng.uniform(-3, 9, (12, 3))
-        y = np.array([1.0, -1.0] * 6)
-        space, params, ds = scale_dataset(raw, y, ["a", "b", "c"])
-        path = tmp_path / "ds.json"
-        save_dataset(path, space, params, ds)
-
-        doc = json.loads(path.read_text())
-        assert set(doc) == {"features", "scaling", "rows", "labels"}
-        assert doc["features"][0] == {"name": "a", "lower": 0.0, "upper": 1.0}
-
-        space2, params2, ds2 = load_dataset(path)
-        assert space2.names == space.names
-        assert np.array_equal(params2.mins, params.mins)
-        assert np.array_equal(ds2.X, ds.X)
-        assert np.array_equal(ds2.y, ds.y)
-
-    def test_save_load_save_is_byte_identical(self, tmp_path):
-        rng = np.random.default_rng(6)
-        raw = rng.normal(0, 1e3, (9, 4)) / 7.0
-        y = np.array([1.0, -1.0, -1.0] * 3)
-        space, params, ds = scale_dataset(raw, y, ["w", "x", "y", "z"])
-        first, second = tmp_path / "first.json", tmp_path / "second.json"
-        save_dataset(first, space, params, ds)
-        save_dataset(second, *load_dataset(first))
-        assert first.read_bytes() == second.read_bytes()
-        assert list(json.loads(first.read_text())) == ["features", "scaling", "rows", "labels"]
-
-    def test_schema_shape(self):
-        space = FeatureSpace.unit(["a"])
-        params = ScalingParams(np.array([0.0]), np.array([1.0]))
-        ds = LabeledDataset(np.array([[0.5]]), np.array([1.0]))
-        doc = dataset_to_json(space, params, ds)
-        assert doc["scaling"] == [{"min": 0.0, "max": 1.0}]
-        assert doc["rows"] == [[0.5]] and doc["labels"] == [1]
-        dataset_from_json(doc)
 
 
 class TestDomainTypes:

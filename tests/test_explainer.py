@@ -9,7 +9,6 @@ from svcreject.dataset import LabeledDataset
 from svcreject import explainer
 from svcreject.explainer import (
     explain_batch,
-    feature_frequency,
     minimal_explanation,
     verify_batch,
     verify_explanation,
@@ -524,30 +523,3 @@ class TestVerifyBatch:
             assert (a.ok, a.violations) == (b.ok, b.violations)
             assert a.witness_classes.tolist() == b.witness_classes.tolist()
 
-
-class TestFeatureFrequency:
-    def test_counts_kept_features_per_class(self):
-        removed = np.array([[False, True, True]] * 3)
-        table = feature_frequency(np.array([1, 1, 1]), removed)
-        assert table.counts[1].tolist() == [3, 0, 0]
-        assert table.patterns == {1: 3}
-
-    def test_empty_input_gives_empty_table(self):
-        table = feature_frequency(np.zeros(0, dtype=int), np.zeros((0, 3), dtype=bool))
-        assert table.counts == {} and table.patterns == {}
-
-    def test_text_layout_aligns_columns(self):
-        text = feature_frequency([1], [[False, True]]).format_text(["alpha", "beta"])
-        lines = text.splitlines()
-        assert len(lines) == 2
-        assert "alpha" in lines[0] and "patterns" in lines[0]
-
-    def test_largest_weight_feature_can_have_zero_count(self, demo_reject, demo_space):
-        # |w2| > |w1|, yet in this corner of the box only f1 is ever needed:
-        # with f2 <= 0.2 the value of f2 can never pin the class on its own
-        instances = [np.array([f1, f2]) for f1 in (0.0, 0.02, 0.05)
-                     for f2 in (0.0, 0.1, 0.2)]
-        batch = explain_batch(demo_reject, demo_space, np.array(instances))
-        table = feature_frequency(batch.classes, batch.removed)
-        assert table.counts[1].tolist() == [9, 0]
-        assert table.patterns[1] == 9

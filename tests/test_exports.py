@@ -4,6 +4,16 @@ from pathlib import Path
 import svcreject
 from svcreject import artifacts, cli, dataset, explainer, feasibility, rejector, trainer
 
+SOURCES = {path.stem: ast.parse(path.read_text())
+           for path in sorted(Path(svcreject.__file__).parent.glob("*.py"))}
+
+
+def _loaded(tree) -> tuple[set[str], set[str]]:
+    """The bare names and the attribute names a module reads."""
+    nodes = list(ast.walk(tree))
+    return ({node.id for node in nodes if isinstance(node, ast.Name)},
+            {node.attr for node in nodes if isinstance(node, ast.Attribute)})
+
 
 def test_every_exported_name_resolves():
     for name in svcreject.__all__:
@@ -34,3 +44,31 @@ def test_formula_layer_is_gone():
     for module in (svcreject, explainer, feasibility):
         for name in moved:
             assert not hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_every_module_level_definition_has_a_reader():
+    # a function or class that no module of the package refers to and that
+    # __all__ does not export is dead code
+    used = set(svcreject.__all__)
+    for tree in SOURCES.values():
+        used.update(*_loaded(tree))
+    unused = [f"{module}.{node.name}" for module, tree in SOURCES.items() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in used]
+    assert unused == []
+
+
+def test_every_imported_name_is_used():
+    unused = []
+    for module, tree in SOURCES.items():
+        names, _ = _loaded(tree)
+        if module == "__init__":
+            names |= set(svcreject.__all__)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            unused += [f"{module}: {name}" for name in imported if name not in names]
+    assert unused == []
