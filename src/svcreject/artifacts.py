@@ -122,10 +122,10 @@ def bundle_to_json(bundle: ModelBundle) -> dict:
     return doc
 
 
-def _optional_float(doc: dict, key: str) -> float | None:
+def _optional(doc: dict, key: str, convert=float):
     """A number the file may leave out; null or absent reads as None."""
     value = doc.get(key)
-    return None if value is None else float(value)
+    return None if value is None else convert(value)
 
 
 def bundle_from_json(doc: dict) -> ModelBundle:
@@ -145,10 +145,12 @@ def bundle_from_json(doc: dict) -> ModelBundle:
     training = None
     if "training" in doc:
         t = doc["training"]
+        if not isinstance(t["converged"], bool):   # bool("false") is True
+            raise ValueError(f"training.converged must be true or false, not {t['converged']!r}")
         training = TrainReport(
             primal_objective=float(t["primal_objective"]),
             passes_used=int(t["passes_used"]),
-            converged=bool(t["converged"]),
+            converged=t["converged"],
             dual_gap=float(t["dual_gap"]),
         )
     report = None
@@ -158,7 +160,7 @@ def bundle_from_json(doc: dict) -> ModelBundle:
             error_ratio=float(r["error_ratio"]),
             rejection_ratio=float(r["rejection_ratio"]),
             risk=float(r["risk"]),
-            grid_index=r.get("grid_index"),
+            grid_index=_optional(r, "grid_index", int),
         )
     return ModelBundle(
         space=space,
@@ -168,9 +170,9 @@ def bundle_from_json(doc: dict) -> ModelBundle:
         positive_label=doc.get("positive_label"),
         split=split,
         training=training,
-        t_minus=_optional_float(doc, "t_minus"),
-        t_plus=_optional_float(doc, "t_plus"),
-        w_r=_optional_float(doc, "w_r"),
+        t_minus=_optional(doc, "t_minus"),
+        t_plus=_optional(doc, "t_plus"),
+        w_r=_optional(doc, "w_r"),
         risk_report=report,
     )
 
@@ -189,3 +191,5 @@ def load_bundle(path) -> ModelBundle:
         raise ValueError(f"model file {path} is missing field {exc}") from None
     except TypeError as exc:
         raise ValueError(f"model file {path} has a field of the wrong type: {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"model file {path}: {exc}") from None

@@ -138,9 +138,7 @@ def cmd_train(args) -> int:
     )
     artifacts.save_bundle(args.model, bundle)
 
-    def accuracy(ds):
-        pred = np.where(trainer.decision_values(model, ds.X) > 0.0, 1.0, -1.0)
-        return float(np.mean(pred == ds.y))
+    no_band = rejector.RejectModel(model, 0.0, 0.0, 1.0)
 
     print(f"trained on {len(train_ds)} rows, {len(space)} features "
           f"(C={args.C:g}, seed={args.seed})")
@@ -150,8 +148,8 @@ def cmd_train(args) -> int:
         print(f"warning: training stopped unconverged (dual gap {report.dual_gap:.3g})",
               file=sys.stderr)
     print(f"primal objective: {report.primal_objective:.6f}")
-    print(f"train accuracy: {accuracy(train_ds):.2%}")
-    print(f"test accuracy: {accuracy(test_ds):.2%}")
+    print(f"train accuracy: {rejector.evaluate(no_band, train_ds).accuracy_without_reject:.2%}")
+    print(f"test accuracy: {rejector.evaluate(no_band, test_ds).accuracy_without_reject:.2%}")
     print(f"model written to {args.model}")
     return EXIT_OK
 
@@ -165,19 +163,20 @@ def cmd_calibrate(args) -> int:
         )
     raw, labels, _ = dataset.load_csv(args.input, bundle.label_column, bundle.positive_label,
                                       features=bundle.space.names)
-    scaled, _ = dataset.apply_scaling(raw, bundle.scaling)
+    scaled = dataset.apply_scaling(raw, bundle.scaling)
 
     if bundle.split is not None:
         cal_idx = _split_rows(bundle.split.train_indices, scaled.shape[0])
     else:
         cal_idx = np.arange(scaled.shape[0])
+    _rows_in_box(bundle, scaled, cal_idx)
+    scope_idx, _ = _rows_in_box(bundle, scaled, _scope_indices(args.scope, scaled.shape[0], bundle))
     cal_ds = dataset.LabeledDataset(scaled[cal_idx], labels[cal_idx])
 
     rm, risk = rejector.calibrate(bundle.model, cal_ds, args.wr, args.grid_steps)
     out = bundle.with_reject(rm, risk)
     artifacts.save_bundle(args.output, out)
 
-    scope_idx = _scope_indices(args.scope, scaled.shape[0], bundle)
     metrics = rejector.evaluate(rm, dataset.LabeledDataset(scaled[scope_idx], labels[scope_idx]))
     doc = _metrics_json(rm, metrics)
     metrics_path = Path(str(args.output) + ".metrics.json")
@@ -221,6 +220,27 @@ def _metrics_table(doc: dict) -> str:
                              for form, value in zip(formats, doc.values())]])
 
 
+def _rows_in_box(bundle: artifacts.ModelBundle, scaled, rows, skip=False, hint=""):
+    """The selected ``rows`` of ``scaled`` that lie in the model's feature
+    box (``FeatureSpace.rows_inside``), and the row numbers outside it.
+
+    A row outside is an input error whose message names at most
+    ``MAX_NAMED_ROWS`` rows, counts the rest and ends with ``hint``; with
+    ``skip`` it is skipped with a warning instead.
+    """
+    inside = bundle.space.rows_inside(scaled[rows])
+    outside = rows[~inside].tolist()
+    if outside and not skip:
+        named = ", ".join(str(row) for row in outside[:MAX_NAMED_ROWS])
+        more = f" and {len(outside) - MAX_NAMED_ROWS} more" if len(outside) > MAX_NAMED_ROWS else ""
+        raise dataset.DatasetError(
+            f"{len(outside)} row(s) outside the model's feature domains: {named}{more}{hint}")
+    for row in outside:
+        print(f"warning: row {row} is outside the model's feature domains; skipped",
+              file=sys.stderr)
+    return rows[inside], outside
+
+
 def _explain_rows(args):
     """Shared explain/bench set-up: one elimination pass over every in-domain
     row of the scope, verified before anything is written.
@@ -234,21 +254,10 @@ def _explain_rows(args):
     bundle = artifacts.load_bundle(args.model)
     rm = bundle.reject_model()
     raw, _, _ = dataset.load_csv(args.input, features=bundle.space.names)
-    scaled, _ = dataset.apply_scaling(raw, bundle.scaling)
-    rows = _scope_indices(args.scope, scaled.shape[0], bundle)
-    inside = bundle.space.rows_inside(scaled[rows])
-    outside = rows[~inside].tolist()
-    if outside and not args.skip_out_of_domain:
-        named = ", ".join(str(row) for row in outside[:MAX_NAMED_ROWS])
-        more = f" and {len(outside) - MAX_NAMED_ROWS} more" if len(outside) > MAX_NAMED_ROWS else ""
-        raise dataset.DatasetError(
-            f"{len(outside)} row(s) outside the model's feature domains: {named}{more}; "
-            "pass --skip-out-of-domain to skip them"
-        )
-    for row in outside:
-        print(f"warning: row {row} is outside the model's feature domains; skipped",
-              file=sys.stderr)
-    rows = rows[inside]
+    scaled = dataset.apply_scaling(raw, bundle.scaling)
+    rows, outside = _rows_in_box(
+        bundle, scaled, _scope_indices(args.scope, scaled.shape[0], bundle),
+        args.skip_out_of_domain, "; pass --skip-out-of-domain to skip them")
     batch = explainer.explain_batch(rm, bundle.space, scaled[rows],
                                     _feature_order(args.order, bundle))
     reports = explainer.verify_batch(rm, bundle.space, batch)

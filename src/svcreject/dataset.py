@@ -53,26 +53,10 @@ class FeatureSpace:
         n = len(names)
         return cls(tuple(names), np.zeros(n), np.ones(n))
 
-    def contains(self, x: np.ndarray) -> bool:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (len(self),):
-            return False
-        return bool(self.rows_inside(x[None, :])[0])
-
     def rows_inside(self, X: np.ndarray) -> np.ndarray:
-        """Per row of X (n columns): does it lie in the box?"""
+        """Per row of X (n columns): does it lie in the box?  The one
+        membership test; a nan coordinate lies outside."""
         return np.all((X >= self.lower) & (X <= self.upper), axis=1)
-
-    def check_instance(self, x: np.ndarray) -> np.ndarray:
-        """Validate dimension and domain membership; return the float vector."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != (len(self),):
-            raise DatasetError(
-                f"instance has {x.shape} values, expected {len(self)} features"
-            )
-        if not self.contains(x):
-            raise DatasetError("instance lies outside the declared feature domains")
-        return x
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,7 +155,7 @@ def load_csv(path, label_column: str | None = None, positive_label=None,
             try:
                 rows.append([float(row[k]) for k in cols])
             except (ValueError, IndexError):
-                raise _cell_error(path, row_no, row, header, cols, features) from None
+                raise _cell_error(path, row_no, row, header, cols) from None
             if labelled:
                 labels.append(1.0 if row[label_idx].strip() == positive else -1.0)
 
@@ -190,20 +174,18 @@ def load_csv(path, label_column: str | None = None, positive_label=None,
     return raw, y, names
 
 
-def _cell_error(path, row_no: int, row, header, cols, features) -> DatasetError:
-    """The error for a row whose feature cells do not parse: per column when
-    reading every column, per row when reading named ones."""
-    if features is None:
-        for k in cols:
-            cell = row[k] if k < len(row) else ""
-            try:
-                float(cell)
-            except ValueError:
-                return DatasetError(
-                    f"{path}: row {row_no}, column {header[k]!r}: "
-                    f"cannot parse {cell.strip()!r} as a number"
-                )
-    return DatasetError(f"{path}: row {row_no} has unparseable feature values")
+def _cell_error(path, row_no: int, row, header, cols) -> DatasetError:
+    """The error for a row whose feature cells do not parse, naming the first
+    such column; a missing cell reads as empty."""
+    for k in cols:
+        cell = row[k] if k < len(row) else ""
+        try:
+            float(cell)
+        except ValueError:
+            return DatasetError(
+                f"{path}: row {row_no}, column {header[k]!r}: "
+                f"cannot parse {cell.strip()!r} as a number"
+            )
 
 
 def fit_scaling(raw: np.ndarray, names=None) -> ScalingParams:
@@ -222,31 +204,27 @@ def fit_scaling(raw: np.ndarray, names=None) -> ScalingParams:
     return ScalingParams(mins, maxs)
 
 
-def apply_scaling(raw: np.ndarray, params: ScalingParams) -> tuple[np.ndarray, list[tuple[int, int]]]:
+def apply_scaling(raw: np.ndarray, params: ScalingParams) -> np.ndarray:
     """Map raw values to (v - min) / (max - min).
 
-    Values from outside the fitted range map outside [0, 1]; they are
-    reported in the returned flag list as (row, column) pairs, never clamped.
+    Values from outside the fitted range map outside [0, 1], never clamped;
+    whether a row lies in the box is ``FeatureSpace.rows_inside``'s question.
     """
     raw = np.asarray(raw, dtype=float)
     if raw.size == 0:
-        return raw.reshape(0, len(params)), []
+        return raw.reshape(0, len(params))
     if raw.ndim != 2 or raw.shape[1] != len(params):
         raise DatasetError(
             f"raw table has shape {raw.shape}, expected {len(params)} columns"
         )
-    scaled = params.transform(raw)
-    out = np.nonzero((scaled < 0.0) | (scaled > 1.0))
-    flags = list(zip(out[0].tolist(), out[1].tolist()))
-    return scaled, flags
+    return params.transform(raw)
 
 
-def scale_dataset(raw, y, names, params=None) -> tuple[FeatureSpace, ScalingParams, LabeledDataset]:
-    """Fit-or-apply scaling and assemble the unit-box dataset used downstream."""
-    if params is None:
-        params = fit_scaling(raw, names)
-    scaled, _ = apply_scaling(raw, params)
-    return FeatureSpace.unit(names), params, LabeledDataset(scaled, y)
+def scale_dataset(raw, y, names) -> tuple[FeatureSpace, ScalingParams, LabeledDataset]:
+    """Fit scaling to the raw table and assemble the unit-box dataset used
+    downstream."""
+    params = fit_scaling(raw, names)
+    return FeatureSpace.unit(names), params, LabeledDataset(apply_scaling(raw, params), y)
 
 
 def stratified_split_indices(y: np.ndarray, train_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:

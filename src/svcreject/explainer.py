@@ -23,7 +23,7 @@ import numpy as np
 
 from .dataset import DatasetError, FeatureSpace
 from .feasibility import BoxExtrema, exact_value
-from .rejector import RejectModel, band_classes, classify, predictions_with_reject
+from .rejector import RejectModel, band_classes, classify
 
 # coordinates of witness points that verify_batch builds and classifies at
 # once; a row's witnesses hold at most n * n, so a chunk is at least one row
@@ -232,8 +232,7 @@ def explain_batch(rm: RejectModel, space: FeatureSpace, X, order=None) -> Explan
 def minimal_explanation(rm: RejectModel, space: FeatureSpace, x: np.ndarray,
                         order=None) -> Explanation:
     """The explanation of one instance: a one-row ``explain_batch``."""
-    x = space.check_instance(x)
-    return explain_batch(rm, space, x[None, :], order).explanation(0)
+    return explain_batch(rm, space, np.asarray(x, dtype=float)[None], order).explanation(0)
 
 
 def _entailment(rm: RejectModel, box: BoxExtrema, values, classes, kept):
@@ -297,7 +296,7 @@ def _verify(rm: RejectModel, space: FeatureSpace, box: BoxExtrema, instances, va
     others = kept[rows]
     others[np.arange(rows.size), features] = False
     moves = np.any(others & (points != values[rows]), axis=1)
-    witness_classes = predictions_with_reject(rm, points)
+    witness_classes, _ = classify(rm, points)
     for message, bad in (("lies outside the box", ~space.rows_inside(points)),
                          ("moves another kept feature", moves),
                          ("does not flip the class", witness_classes == classes[rows])):

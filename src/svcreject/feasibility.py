@@ -1,4 +1,4 @@
-"""The decision kernel every comparison of a decision value goes through, and
+"""The decision kernel's arithmetic (exact values, float error bounds) and
 the box's extreme terms that explanations are decided from.
 
 A linear function attains its extrema over a box at corners, so the
@@ -14,8 +14,8 @@ depend on summation order, and rounding is monotone, so the largest value
 over a box is the exact value of the largest terms: the predictor, the
 extremum scans and the verifier all agree bit for bit.  Hot paths compute
 values in float and re-decide only those within ``error_bound`` of their
-threshold exactly (a floating-point filter, Shewchuk 1997); such knife
-edges are counted.
+threshold exactly (a floating-point filter, Shewchuk 1997; its one entry is
+``rejector.band_classes``); such knife edges are counted.
 """
 
 from __future__ import annotations
@@ -53,21 +53,6 @@ def error_bound(scale, n_features: int):
     return 2.0 * gamma * scale + 2.0 * k * SMALLEST_SUBNORMAL
 
 
-def decide(values, relation: str, threshold: float, bound, exact):
-    """Elementwise ``values REL threshold``, answered as the exact values would.
-
-    ``values`` (1-d) are float estimates within ``bound`` of the exact
-    values; an element closer than that to the threshold is re-decided from
-    ``exact(k)``.  Returns the answers and the mask of re-decided elements.
-    """
-    answers = _compare(values, relation, threshold)
-    near = np.abs(values - threshold) <= bound
-    if near.any():
-        for k in np.flatnonzero(near).tolist():
-            answers[k] = _compare(exact(k), relation, threshold)
-    return answers, near
-
-
 @dataclass(frozen=True, eq=False)
 class BoxExtrema:
     """Per-feature extremes of w_i * z_i over a box, and where they lie.
@@ -103,12 +88,3 @@ class BoxExtrema:
             bound=float(error_bound(scale, w.size)),
         )
 
-
-def _compare(value, relation: str, threshold: float):
-    if relation == "<":
-        return value < threshold
-    if relation == "<=":
-        return value <= threshold
-    if relation == ">":
-        return value > threshold
-    return value >= threshold

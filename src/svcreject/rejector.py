@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import LabeledDataset
-from .feasibility import decide, error_bound, exact_value
+from .feasibility import error_bound, exact_value
 from .trainer import LinearModel, decision_values
 
 DEFAULT_GRID_STEPS = 100
@@ -70,13 +70,19 @@ class EvalMetrics:
 
 def band_classes(values, t_minus: float, t_plus: float, bound, exact):
     """The reject rule: +1 above ``t_plus``, -1 below ``t_minus``, 0 on the
-    band and its ends, decided through the kernel (``feasibility.decide``).
+    band and its ends, decided as the exact values would decide it: an
+    element of ``values`` within ``bound`` of either threshold is re-decided
+    once from ``exact(k)`` (the kernel's floating-point filter).
 
     Every class decision goes through here.  Returns the classes and the
     knife-edge masks of the ``t_plus`` and ``t_minus`` comparisons.
     """
-    above, near_plus = decide(values, ">", t_plus, bound, exact)
-    below, near_minus = decide(values, "<", t_minus, bound, exact)
+    above, below = values > t_plus, values < t_minus
+    near_plus = np.abs(values - t_plus) <= bound
+    near_minus = np.abs(values - t_minus) <= bound
+    for k in np.flatnonzero(near_plus | near_minus).tolist():
+        value = exact(k)
+        above[k], below[k] = value > t_plus, value < t_minus
     # above wins should the band be inverted; mask arithmetic is several
     # times faster than nested np.where
     return above.astype(int) - (below & ~above), near_plus, near_minus
@@ -165,11 +171,7 @@ def predict_with_reject(rm: RejectModel, x) -> int:
     x = np.asarray(x, dtype=float)
     if x.shape != (len(rm.model),):
         raise ValueError(f"instance has shape {x.shape}, expected ({len(rm.model)},)")
-    return int(predictions_with_reject(rm, x[None, :])[0])
-
-
-def predictions_with_reject(rm: RejectModel, X) -> np.ndarray:
-    return classify(rm, X)[0]
+    return int(classify(rm, x[None, :])[0][0])
 
 
 def classify(rm: RejectModel, X) -> tuple[np.ndarray, np.ndarray]:
@@ -181,14 +183,14 @@ def classify(rm: RejectModel, X) -> tuple[np.ndarray, np.ndarray]:
 
 
 def evaluate(rm: RejectModel, data: LabeledDataset) -> EvalMetrics:
-    """Accuracy without the band, accuracy among accepted instances, and
-    predicted-class counts.  Accuracy-with-reject is None when every
-    instance is rejected."""
+    """Accuracy without the band (+1 above 0, -1 otherwise), accuracy among
+    accepted instances, and predicted-class counts.  Accuracy-with-reject
+    is None when every instance is rejected."""
     if len(data) == 0:
         return EvalMetrics(0.0, None, 0.0, 0, 0, 0)
     d, bound, exact = _decision_inputs(rm.model, data.X)
-    plain = np.where(d > 0.0, 1.0, -1.0)
-    acc_plain = float(np.mean(plain == data.y))
+    plain, _, _ = band_classes(d, 0.0, 0.0, bound, exact)
+    acc_plain = float(np.mean(np.where(plain == 1, 1.0, -1.0) == data.y))
     pred, _, _ = band_classes(d, rm.t_minus, rm.t_plus, bound, exact)
     accepted = pred != 0
     if accepted.any():

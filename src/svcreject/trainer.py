@@ -108,7 +108,8 @@ def _leaving(rows: np.ndarray, m: int, scores: np.ndarray, up_pen: np.ndarray,
 
 
 def train_soft_margin(train: LabeledDataset, config: TrainerConfig = TrainerConfig()) -> tuple[LinearModel, TrainReport]:
-    """Fit the soft-margin SVC; deterministic for fixed data and config.
+    """Fit the soft-margin SVC; deterministic for fixed data, config and BLAS
+    thread count.
 
     One pass is one pair update.  Stops when the maximal dual-feasibility
     violation over all rows drops to ``config.tolerance`` or
@@ -206,11 +207,9 @@ def train_soft_margin(train: LabeledDataset, config: TrainerConfig = TrainerConf
     if free.any():
         b = float(scores[free].mean())
     else:
-        up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
-        low = ((y < 0) & (alpha < C)) | ((y > 0) & (alpha > 0))
-        hi = scores[up].max() if up.any() else 0.0
-        lo = scores[low].min() if low.any() else 0.0
-        b = float((hi + lo) / 2.0)
+        # neither side is empty: both classes are present and sum(y * alpha) = 0
+        up_pen, low_pen = _side_penalties(y, alpha, C)
+        b = float((np.max(scores + up_pen) + np.min(scores + low_pen)) / 2.0)
 
     model = LinearModel(w, b)
     margins = y * (X @ w + b)

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from svcreject.explainer import VerificationReport
-from svcreject.feasibility import BoxExtrema, decide, exact_value
-from svcreject.rejector import predict_with_reject, predictions_with_reject
+from svcreject.feasibility import BoxExtrema, exact_value
+from svcreject.rejector import classify, predict_with_reject
 from svcreject.trainer import (
     BOUND_SNAP,
     ETA_FLOOR,
@@ -299,7 +299,9 @@ def minimal_explanation_by_queries(rm, space, x, order=None):
     with the instance's remaining values pinned.  Returns
     (class, kept indices, removed indices, certificates, queries).
     """
-    x = space.check_instance(x)
+    x = np.asarray(x, dtype=float)
+    if not space.rows_inside(x[None, :]).all():
+        raise ValueError("instance lies outside the declared feature domains")
     n = len(space)
     klass = predict_with_reject(rm, x)
     neg_atoms = negate(prediction_formula(rm, klass))
@@ -482,15 +484,25 @@ def satisfiable(atom, pa: PartialAssignment, space) -> SatResult:
     return SatResult(True, np.where(pinned, point, corner), knife)
 
 
+def decide(values, relation: str, threshold: float, bound, exact):
+    """Elementwise ``values REL threshold``, answered as the exact values
+    would: an element within ``bound`` of the threshold is re-decided from
+    ``exact(k)``."""
+    answers = _OPS[relation](values, threshold)
+    for k in np.flatnonzero(np.abs(values - threshold) <= bound).tolist():
+        answers[k] = _OPS[relation](exact(k), threshold)
+    return answers
+
+
 def _entailed(formula, box, low, high, exact_low, exact_high):
     """Per element: does every decision value in [low, high] satisfy every
     atom of the formula?"""
     holds = True
     for atom in formula:
         if atom.relation in (">", ">="):
-            ok, _ = decide(low, atom.relation, atom.threshold, box.bound, exact_low)
+            ok = decide(low, atom.relation, atom.threshold, box.bound, exact_low)
         else:
-            ok, _ = decide(high, atom.relation, atom.threshold, box.bound, exact_high)
+            ok = decide(high, atom.relation, atom.threshold, box.bound, exact_high)
         holds = holds & ok
     return holds
 
@@ -541,7 +553,7 @@ def verify_explanation_closed_form(rm, space, expl) -> VerificationReport:
 
     if expl.certificates:
         items = sorted(expl.certificates.items())
-        flipped = predictions_with_reject(rm, np.array([p for _, p in items])) != expl.klass
+        flipped = classify(rm, np.array([p for _, p in items]))[0] != expl.klass
         for (i, _), ok in zip(items, flipped.tolist()):
             if not ok:
                 violations.append(

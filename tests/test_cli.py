@@ -236,6 +236,36 @@ class TestCalibrate:
         assert metrics["rejected"] == 0
         assert metrics["negative"] + metrics["positive"] == 150
 
+    @pytest.mark.parametrize("split_key, value", [
+        ("train_indices", "99"), ("test_indices", "nan"), ("train_indices", "nan"),
+    ])
+    def test_row_outside_the_box_exits_2_before_writing(self, tmp_path, iris_csv, split_key,
+                                                        value, capsys):
+        # a calibration row (train_indices) or a --scope all row (test_indices)
+        # with a raw sepal_width the fitted box does not hold
+        model_path = tmp_path / "model.json"
+        assert main([
+            "train", "--input", str(iris_csv), "--label-column", "species",
+            "--positive-label", "setosa", "--model", str(model_path),
+        ]) == 0
+        row = json.loads(model_path.read_text())["split"][split_key][0]
+        lines = iris_csv.read_text().splitlines()
+        cells = lines[row + 1].split(",")
+        cells[1] = value
+        lines[row + 1] = ",".join(cells)
+        bad_csv = tmp_path / "bad.csv"
+        bad_csv.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        reject_path = tmp_path / "reject.json"
+        assert main([
+            "calibrate", "--input", str(bad_csv), "--model", str(model_path),
+            "--output", str(reject_path),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert f"1 row(s) outside the model's feature domains: {row}\n" in err
+        assert not reject_path.exists()
+        assert not (tmp_path / "reject.json.metrics.json").exists()
+
     def test_json_and_table_render(self):
         rm = RejectModel(LinearModel(np.array([1.0]), 0.0), -0.1, 0.1, 0.24)
         ds = LabeledDataset(np.array([[0.9], [-0.9]]), np.array([1.0, -1.0]))
@@ -358,12 +388,22 @@ class TestExplain:
 
     @pytest.mark.parametrize("key, value", [
         ("bias", None), ("t_minus", [-0.1]), ("t_plus", "wide"), ("w_r", {"w_r": 0.2}),
+        ("weights", ["x", 2.0]),
+        ("features", [{"name": "f1", "lower": 5.0, "upper": 1.0},
+                      {"name": "f2", "lower": 0.0, "upper": 1.0}]),
+        ("split", {"seed": 0, "train_fraction": 0.5, "train_indices": ["a"],
+                   "test_indices": [0]}),
+        ("training", {"primal_objective": 1.0, "passes_used": 1, "converged": "false",
+                      "dual_gap": 0.0}),
+        ("risk_report", {"error_ratio": 0.0, "rejection_ratio": 0.0, "risk": 0.24,
+                         "grid_index": "x"}),
+        (None, "{not json"),   # the whole file
     ])
     def test_mistyped_model_file_exits_2(self, tmp_path, key, value, capsys):
         doc = demo_reject_doc()
         doc[key] = value
         model_path = tmp_path / "reject.json"
-        model_path.write_text(json.dumps(doc))
+        model_path.write_text(value if key is None else json.dumps(doc))
         instances = tmp_path / "inst.csv"
         instances.write_text("f1,f2\n0.5,0.5\n")
         out_path = tmp_path / "e.jsonl"
@@ -374,6 +414,7 @@ class TestExplain:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and "Traceback" not in err
+        assert f"model file {model_path}" in err
         assert not out_path.exists()
 
     def test_deterministic_apart_from_timing(self, tmp_path, iris_csv, capsys):
@@ -517,7 +558,7 @@ class TestExplain:
 
     def test_each_witness_point_is_classified_once(self, tmp_path, iris_csv, monkeypatch,
                                                    capsys):
-        from svcreject import rejector
+        from svcreject import explainer
 
         model_path, reject_path = tmp_path / "model.json", tmp_path / "reject.json"
         assert main([
@@ -528,16 +569,16 @@ class TestExplain:
             "calibrate", "--input", str(iris_csv), "--model", str(model_path),
             "--output", str(reject_path),
         ]) == 0
-        classify = rejector.classify
+        classify = explainer.classify
         classified = []
 
         def counting(rm, X):
             classified.append(len(X))
             return classify(rm, X)
 
-        # the explained rows' own classes come from explainer's reference to
-        # classify; every witness point goes through rejector.classify
-        monkeypatch.setattr(rejector, "classify", counting)
+        # the first call classifies the explained rows themselves; every
+        # witness point goes through a later one
+        monkeypatch.setattr(explainer, "classify", counting)
         out_path = tmp_path / "expl.jsonl"
         assert main([
             "explain", "--model", str(reject_path), "--input", str(iris_csv),
@@ -546,7 +587,8 @@ class TestExplain:
         capsys.readouterr()
         records = [json.loads(line) for line in out_path.read_text().splitlines()]
         assert len(records) == 150
-        assert sum(classified) == sum(len(r["witnesses"]) for r in records) > 150
+        assert classified[0] == 150
+        assert sum(classified[1:]) == sum(len(r["witnesses"]) for r in records) > 150
 
     def test_band_edge_from_one_grid_step_explains(self, tmp_path, capsys):
         # --grid-steps 1 puts the band's ends on the extreme training decision

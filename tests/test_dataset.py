@@ -32,6 +32,13 @@ class TestLoadCsv:
         p = write_csv(tmp_path / "t.csv", "a,b,y\n1,2,x\n1,abc,y\n3,4,x\n")
         with pytest.raises(DatasetError, match=r"row 2.*'b'"):
             load_csv(p, "y", "x")
+        # named features, as calibrate reads them
+        with pytest.raises(DatasetError, match=r"row 2, column 'b': cannot parse 'abc'"):
+            load_csv(p, "y", "x", features=["a", "b"])
+        # a short row in a feature-only read, as explain and bench read them
+        p = write_csv(tmp_path / "f.csv", "a,b\n1,2\n3\n")
+        with pytest.raises(DatasetError, match=r"row 2, column 'b': cannot parse ''"):
+            load_csv(p, features=["a", "b"])
 
     def test_single_class_file_rejected(self, tmp_path):
         p = write_csv(tmp_path / "t.csv", "a,y\n1,setosa\n2,setosa\n")
@@ -69,20 +76,19 @@ class TestScaling:
 
     def test_apply_maps_to_unit_interval(self):
         params = ScalingParams(np.array([2.0]), np.array([6.0]))
-        scaled, flags = apply_scaling(np.array([[2.0], [4.0], [6.0]]), params)
+        scaled = apply_scaling(np.array([[2.0], [4.0], [6.0]]), params)
         assert scaled.ravel().tolist() == [0.0, 0.5, 1.0]
-        assert flags == []
 
     def test_out_of_range_value_flagged_not_clamped(self):
         params = ScalingParams(np.array([2.0]), np.array([6.0]))
-        scaled, flags = apply_scaling(np.array([[8.0]]), params)
+        scaled = apply_scaling(np.array([[8.0]]), params)
         assert scaled[0, 0] == 1.5
-        assert flags == [(0, 0)]
+        assert not FeatureSpace.unit(["a"]).rows_inside(scaled)[0]
 
     def test_empty_table_gives_empty_dataset(self):
         params = ScalingParams(np.array([2.0]), np.array([6.0]))
-        scaled, flags = apply_scaling(np.empty((0, 1)), params)
-        assert scaled.shape == (0, 1) and flags == []
+        scaled = apply_scaling(np.empty((0, 1)), params)
+        assert scaled.shape == (0, 1)
 
     def test_shape_mismatch_rejected(self):
         params = ScalingParams(np.array([2.0]), np.array([6.0]))
@@ -110,8 +116,7 @@ class TestScaling:
         raw = rng.normal(0.0, 50.0, (rng.integers(2, 30), rng.integers(1, 5)))
         if np.any(raw.max(axis=0) <= raw.min(axis=0)):
             return
-        scaled, flags = apply_scaling(raw, fit_scaling(raw))
-        assert flags == []
+        scaled = apply_scaling(raw, fit_scaling(raw))
         assert scaled.min() >= 0.0 and scaled.max() <= 1.0
 
 
@@ -184,8 +189,7 @@ class TestDomainTypes:
         with pytest.raises(DatasetError, match="lengths"):
             LabeledDataset(np.ones((2, 1)), np.array([1.0]))
 
-    def test_instance_check_enforces_domain(self):
+    def test_rows_inside_enforces_domain(self):
         space = FeatureSpace.unit(["a", "b"])
-        assert space.contains(np.array([0.0, 1.0]))
-        with pytest.raises(DatasetError, match="outside"):
-            space.check_instance(np.array([0.5, 1.01]))
+        rows = np.array([[0.0, 1.0], [0.5, 1.01], [-0.01, 0.5], [np.nan, 0.5]])
+        assert space.rows_inside(rows).tolist() == [True, False, False, False]

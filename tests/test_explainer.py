@@ -13,7 +13,7 @@ from svcreject.explainer import (
     verify_batch,
     verify_explanation,
 )
-from svcreject.rejector import calibrate, predict_with_reject, predictions_with_reject
+from svcreject.rejector import calibrate, classify, predict_with_reject
 from svcreject.trainer import LinearModel, decision_values
 from svcreject import RejectModel
 
@@ -268,7 +268,7 @@ class TestBatchedPass:
                 # bit for bit, so that a -0.0 corner stays -0.0
                 assert expl.certificates[i].tobytes() == point.tobytes()
             points = np.array([expl.certificates[i] for i in kept]).reshape(-1, len(space))
-            assert predictions_with_reject(rm, points).tolist() == [
+            assert classify(rm, points)[0].tolist() == [
                 predict_with_reject(rm, certificates[i]) for i in kept]
             assert expl.queries == queries <= 2 * len(space)
             report = verify_explanation(rm, space, expl)
@@ -512,10 +512,10 @@ class TestVerifyBatch:
 
         def recording(rm, points):
             sizes.append(len(points))
-            return predictions_with_reject(rm, points)
+            return classify(rm, points)
 
         monkeypatch.setattr(explainer, "VERIFY_CHUNK_CELLS", 3 * n * n)
-        monkeypatch.setattr(explainer, "predictions_with_reject", recording)
+        monkeypatch.setattr(explainer, "classify", recording)
         chunked = verify_batch(rm, space, batch)
         assert len(sizes) == 14 and max(sizes) <= 3 * n
         assert sum(sizes) == int((~batch.removed).sum())

@@ -1,9 +1,14 @@
 import ast
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import svcreject
 from svcreject import artifacts, cli, dataset, explainer, feasibility, rejector, trainer
 
+ROOT = Path(__file__).resolve().parent.parent
 SOURCES = {path.stem: ast.parse(path.read_text())
            for path in sorted(Path(svcreject.__file__).parent.glob("*.py"))}
 
@@ -44,6 +49,28 @@ def test_formula_layer_is_gone():
     for module in (svcreject, explainer, feasibility):
         for name in moved:
             assert not hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_second_rule_copies_are_gone():
+    # box membership is FeatureSpace.rows_inside, and every threshold
+    # decision is rejector.band_classes; the atom-relation decide lives on
+    # only as a test reference (oracles.py)
+    for module in (svcreject, artifacts, cli, dataset, explainer, feasibility, rejector, trainer):
+        for name in ("decide", "_compare", "predictions_with_reject"):
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
+    for name in ("contains", "check_instance"):
+        assert not hasattr(dataset.FeatureSpace, name), f"FeatureSpace.{name}"
+
+
+def test_readme_library_use_runs():
+    readme = (ROOT / "README.md").read_text()
+    section = readme[readme.index("## Library use"):]
+    code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_every_module_level_definition_has_a_reader():

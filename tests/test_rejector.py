@@ -10,8 +10,8 @@ from svcreject.rejector import (
     calibrate,
     empirical_risk,
     evaluate,
+    classify,
     predict_with_reject,
-    predictions_with_reject,
     threshold_grid,
 )
 from svcreject.trainer import LinearModel, TrainerConfig, train_soft_margin
@@ -62,6 +62,21 @@ class TestBandClasses:
         exact = [0.25 + 2.0 ** -54, -0.25 - 2.0 ** -54]
         classes, _, _ = band_classes(values, -0.25, 0.25, np.full(2, 1e-15), exact.__getitem__)
         assert classes.tolist() == [1, -1]
+
+    def test_value_near_both_thresholds_is_decided_exactly_once(self):
+        # a band narrower than the bound: each value is near both ends
+        values = np.array([0.0, 1e-13, -1e-13])
+        exact = [0.5e-13, 1e-13, -1e-13]
+        calls = []
+
+        def counting(k):
+            calls.append(k)
+            return exact[k]
+
+        classes, near_plus, near_minus = band_classes(values, -1e-14, 1e-14, 1e-12, counting)
+        assert classes.tolist() == [1, 1, -1]
+        assert near_plus.all() and near_minus.all()
+        assert calls == [0, 1, 2]
 
 
 class TestEmpiricalRisk:
@@ -120,7 +135,7 @@ class TestCalibrate:
         rm, report = calibrate(model, ds, w_r=0.24)
         assert report.risk == 0.0
         assert report.grid_index == 1
-        assert int((predictions_with_reject(rm, X) == 0).sum()) == 0
+        assert int((classify(rm, X)[0] == 0).sum()) == 0
 
     def test_risk_ties_break_to_narrowest_band(self):
         # |d| = 1 for every point: bands i = 1..99 reject nothing, i = 100
@@ -215,7 +230,7 @@ class TestPredictWithReject:
         rng = np.random.default_rng(7)
         rm = RejectModel(LinearModel(rng.uniform(-2, 2, 3), 0.1), -0.4, 0.3, 0.24)
         X = rng.uniform(0, 1, (200, 3))
-        pred = predictions_with_reject(rm, X)
+        pred, _ = classify(rm, X)
         assert set(np.unique(pred)).issubset({-1, 0, 1})
         counts = [(pred == k).sum() for k in (-1, 0, 1)]
         assert sum(counts) == 200
@@ -240,6 +255,20 @@ class TestEvaluate:
         assert m.rejection_ratio == 0.4
         assert m.accuracy_with_reject == pytest.approx(5 / 6)
         assert m.total == 10
+
+    def test_plain_accuracy_is_decided_by_the_exact_value(self):
+        # the float decision value of x is 0.0, the exact one 1.0: the row
+        # is +1 with the band collapsed to 0, as band_classes decides it
+        rm = RejectModel(LinearModel(np.array([1e16, 1.0, -1e16]), 0.0), 0.0, 0.0, 0.24)
+        ds = LabeledDataset(np.array([[1.0, 1.0, 1.0]]), np.array([1.0]))
+        m = evaluate(rm, ds)
+        assert m.accuracy_without_reject == 1.0
+        assert m.accuracy_with_reject == 1.0
+
+    def test_plain_accuracy_maps_exact_zero_to_negative(self):
+        rm = RejectModel(LinearModel(np.array([1.0]), 0.0), 0.0, 0.0, 0.24)
+        ds = LabeledDataset(np.array([[0.0], [0.0]]), np.array([-1.0, 1.0]))
+        assert evaluate(rm, ds).accuracy_without_reject == 0.5
 
     def test_all_rejected_reports_no_accepted_accuracy(self):
         rm = RejectModel(LinearModel(np.array([1.0]), 0.0), -1.0, 1.0, 0.24)
