@@ -100,12 +100,7 @@ def bundle_to_json(bundle: ModelBundle) -> dict:
     if bundle.positive_label is not None:
         doc["positive_label"] = bundle.positive_label
     if bundle.split is not None:
-        doc["split"] = {
-            "seed": bundle.split.seed,
-            "train_fraction": bundle.split.train_fraction,
-            "train_indices": list(bundle.split.train_indices),
-            "test_indices": list(bundle.split.test_indices),
-        }
+        doc["split"] = asdict(bundle.split)
     if bundle.training is not None:
         doc["training"] = asdict(bundle.training)
     if bundle.has_reject_band:
@@ -113,12 +108,7 @@ def bundle_to_json(bundle: ModelBundle) -> dict:
         doc["t_plus"] = bundle.t_plus
         doc["w_r"] = bundle.w_r
         if bundle.risk_report is not None:
-            doc["risk_report"] = {
-                "error_ratio": bundle.risk_report.error_ratio,
-                "rejection_ratio": bundle.risk_report.rejection_ratio,
-                "risk": bundle.risk_report.risk,
-                "grid_index": bundle.risk_report.grid_index,
-            }
+            doc["risk_report"] = asdict(bundle.risk_report)
     return doc
 
 

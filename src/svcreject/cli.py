@@ -84,18 +84,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _split_rows(indices, n_rows: int) -> np.ndarray:
-    """Row numbers from a split manifest, each checked to be a row of the input."""
-    idx = np.asarray(indices, dtype=int)
-    if idx.size and (idx.min() < 0 or idx.max() >= n_rows):
-        raise dataset.DatasetError(
-            f"split manifest indices fall outside the input's {n_rows} rows; "
-            "pass the CSV the model was trained on"
-        )
-    return idx
-
-
 def _scope_indices(scope: str, n_rows: int, bundle: artifacts.ModelBundle) -> np.ndarray:
+    """The input's row numbers in ``scope``; train and test come from the
+    split manifest, each checked to be a row of the input."""
     if scope == "all":
         return np.arange(n_rows)
     if bundle.split is None:
@@ -103,7 +94,13 @@ def _scope_indices(scope: str, n_rows: int, bundle: artifacts.ModelBundle) -> np
             f"--scope {scope} needs a model file with a split manifest"
         )
     split = bundle.split
-    return _split_rows(split.train_indices if scope == "train" else split.test_indices, n_rows)
+    idx = np.asarray(split.train_indices if scope == "train" else split.test_indices, dtype=int)
+    if idx.size and (idx.min() < 0 or idx.max() >= n_rows):
+        raise dataset.DatasetError(
+            f"split manifest indices fall outside the input's {n_rows} rows; "
+            "pass the CSV the model was trained on"
+        )
+    return idx
 
 
 def _feature_order(name: str, bundle: artifacts.ModelBundle) -> list[int]:
@@ -165,10 +162,7 @@ def cmd_calibrate(args) -> int:
                                       features=bundle.space.names)
     scaled = dataset.apply_scaling(raw, bundle.scaling)
 
-    if bundle.split is not None:
-        cal_idx = _split_rows(bundle.split.train_indices, scaled.shape[0])
-    else:
-        cal_idx = np.arange(scaled.shape[0])
+    cal_idx = _scope_indices("all" if bundle.split is None else "train", scaled.shape[0], bundle)
     _rows_in_box(bundle, scaled, cal_idx)
     scope_idx, _ = _rows_in_box(bundle, scaled, _scope_indices(args.scope, scaled.shape[0], bundle))
     cal_ds = dataset.LabeledDataset(scaled[cal_idx], labels[cal_idx])
@@ -294,7 +288,7 @@ class JsonlWriter:
     def line(self, k: int, row: int, raw_row, witness_classes) -> str:
         """The record of the batch's row k, which is input row ``row``."""
         batch, names = self.batch, self.names
-        kept, free, at_max = batch.layout(k)
+        _, kept, free, at_max = batch.witnesses(k, k + 1)
         x = _reprs(batch.instances[k])
         kept_list = kept.tolist()
         kept_part = ", ".join(

@@ -70,7 +70,7 @@ class LabeledDataset:
         X = np.asarray(self.X, dtype=float)
         y = np.asarray(self.y, dtype=float)
         if X.ndim != 2:
-            X = X.reshape(len(y), -1) if len(y) else X.reshape(0, 0)
+            raise DatasetError(f"instances must form a 2-d array, got shape {X.shape}")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
         if X.shape[0] != y.shape[0]:
@@ -99,14 +99,6 @@ class ScalingParams:
 
     def __len__(self) -> int:
         return int(self.mins.shape[0])
-
-    def transform(self, raw: np.ndarray) -> np.ndarray:
-        raw = np.asarray(raw, dtype=float)
-        return (raw - self.mins) / (self.maxs - self.mins)
-
-    def invert(self, scaled: np.ndarray) -> np.ndarray:
-        scaled = np.asarray(scaled, dtype=float)
-        return scaled * (self.maxs - self.mins) + self.mins
 
 
 def load_csv(path, label_column: str | None = None, positive_label=None,
@@ -148,13 +140,13 @@ def load_csv(path, label_column: str | None = None, positive_label=None,
         for row_no, row in enumerate(reader, start=1):
             if not row or all(not c.strip() for c in row):
                 continue
-            if labelled and len(row) != len(header):
+            if len(row) != len(header):
                 raise DatasetError(
                     f"{path}: row {row_no} has {len(row)} cells, expected {len(header)}"
                 )
             try:
                 rows.append([float(row[k]) for k in cols])
-            except (ValueError, IndexError):
+            except ValueError:
                 raise _cell_error(path, row_no, row, header, cols) from None
             if labelled:
                 labels.append(1.0 if row[label_idx].strip() == positive else -1.0)
@@ -176,15 +168,14 @@ def load_csv(path, label_column: str | None = None, positive_label=None,
 
 def _cell_error(path, row_no: int, row, header, cols) -> DatasetError:
     """The error for a row whose feature cells do not parse, naming the first
-    such column; a missing cell reads as empty."""
+    such column."""
     for k in cols:
-        cell = row[k] if k < len(row) else ""
         try:
-            float(cell)
+            float(row[k])
         except ValueError:
             return DatasetError(
                 f"{path}: row {row_no}, column {header[k]!r}: "
-                f"cannot parse {cell.strip()!r} as a number"
+                f"cannot parse {row[k].strip()!r} as a number"
             )
 
 
@@ -217,7 +208,7 @@ def apply_scaling(raw: np.ndarray, params: ScalingParams) -> np.ndarray:
         raise DatasetError(
             f"raw table has shape {raw.shape}, expected {len(params)} columns"
         )
-    return params.transform(raw)
+    return (raw - params.mins) / (params.maxs - params.mins)
 
 
 def scale_dataset(raw, y, names) -> tuple[FeatureSpace, ScalingParams, LabeledDataset]:

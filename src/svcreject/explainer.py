@@ -2,13 +2,16 @@
 
 An explanation of instance x is a subset of its feature-value pairs that
 forces the same prediction for every completion of the remaining features
-inside their domains.  The reject rule (``rejector.band_classes``) is
-monotone in the decision value, so a partial assignment entails the class
-exactly when the largest and the smallest decision value over the box get
-that class.  Dropping one feature at a time and keeping it exactly when
-entailment breaks yields a subset-minimal result.  Freeing feature i moves
-each box extremum by a constant, so each step costs O(1) per row and one
-pass explains a whole batch of rows in O(n) per row (Marques-Silva et al.,
+inside their domains.  A linear function attains its extrema over a box at
+corners, so the largest and smallest decision value with a subset of
+coordinates pinned are the pinned products plus each free feature's extreme
+term (``BoxExtrema``), not a general LP solve.  The reject rule
+(``rejector.band_classes``) is monotone in the decision value, so a partial
+assignment entails the class exactly when both extrema get that class.
+Dropping one feature at a time and keeping it exactly when entailment
+breaks yields a subset-minimal result.  Freeing feature i moves each box
+extremum by a constant, so each step costs O(1) per row and one pass
+explains a whole batch of rows in O(n) per row (Marques-Silva et al.,
 "Explaining Naive Bayes and Other Linear Classifiers with Polynomial Time
 and Delay", NeurIPS 2020).  ``verify_batch`` re-checks a whole pass from
 scratch, also O(n) per row plus the witnesses.
@@ -16,18 +19,54 @@ scratch, also O(n) per row plus the witnesses.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dataset import DatasetError, FeatureSpace
-from .feasibility import BoxExtrema, exact_value
-from .rejector import RejectModel, band_classes, classify
+from .rejector import RejectModel, band_classes, classify, error_bound, exact_value
 
 # coordinates of witness points that verify_batch builds and classifies at
 # once; a row's witnesses hold at most n * n, so a chunk is at least one row
 VERIFY_CHUNK_CELLS = 1 << 18
+
+
+@dataclass(frozen=True, eq=False)
+class BoxExtrema:
+    """Per-feature extremes of w_i * z_i over a box, and where they lie.
+
+    ``max_term[i]``/``min_term[i]`` is the largest/smallest rounded product
+    over [lower_i, upper_i], attained at ``max_corner[i]``/``min_corner[i]``
+    (zero weights pin to the lower bound).  ``bound`` is ``error_bound`` for
+    every decision value over the box.
+    """
+
+    weights: np.ndarray
+    bias: float
+    max_term: np.ndarray
+    min_term: np.ndarray
+    max_corner: np.ndarray
+    min_corner: np.ndarray
+    bound: float
+
+    @classmethod
+    def of(cls, weights, bias: float, space: FeatureSpace) -> "BoxExtrema":
+        w = np.asarray(weights, dtype=float)
+        if w.shape != (len(space),):
+            raise ValueError(f"model has {w.size} weights but the space has {len(space)} features")
+        at_lower, at_upper = w * space.lower, w * space.upper
+        scale = abs(bias) + math.fsum(np.maximum(np.abs(at_lower), np.abs(at_upper)).tolist())
+        return cls(
+            weights=w,
+            bias=float(bias),
+            max_term=np.maximum(at_lower, at_upper),
+            min_term=np.minimum(at_lower, at_upper),
+            max_corner=np.where(w > 0, space.upper, space.lower),
+            min_corner=np.where(w >= 0, space.lower, space.upper),
+            bound=float(error_bound(scale, w.size)),
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,14 +159,8 @@ class ExplanationBatch:
         free[np.arange(kept.size), kept] = True
         return rows, kept, free, self.at_max[start:stop][rows, kept]
 
-    def layout(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Row k's kept features (ascending), the free mask of each one's
-        witness, and whether that witness sits on the maximum side."""
-        _, kept, free, at_max = self.witnesses(k, k + 1)
-        return kept, free, at_max
-
     def explanation(self, k: int) -> Explanation:
-        kept, free, at_max = self.layout(k)
+        _, kept, free, at_max = self.witnesses(k, k + 1)
         x = self.instances[k]
         points = witness_points(free, at_max, x, self.box.max_corner, self.box.min_corner)
         kept_list = kept.tolist()

@@ -1,22 +1,34 @@
-"""Reject-band calibration by empirical-risk minimization over a threshold grid.
+"""The reject rule, its decision kernel, and reject-band calibration by
+empirical-risk minimization over a threshold grid.
 
 A trained linear model abstains on instances whose decision value falls
 inside [t_minus, t_plus].  The band is picked from a fixed grid of candidate
 pairs scaled off the extreme decision values seen on calibration data, by
 minimizing  risk = error_ratio + w_r * rejection_ratio.
+
+A decision value is *defined* as the correctly rounded sum of the rounded
+products w_i * z_i and the bias (``exact_value``).  That definition does not
+depend on summation order, and rounding is monotone, so the largest value
+over a box is the exact value of the largest terms: the predictor, the
+extremum scans and the verifier all agree bit for bit.  Hot paths compute
+values in float and re-decide only those within ``error_bound`` of their
+threshold exactly (a floating-point filter, Shewchuk 1997; its one entry is
+``band_classes``); such knife edges are counted.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import LabeledDataset
-from .feasibility import error_bound, exact_value
 from .trainer import LinearModel, decision_values
 
 DEFAULT_GRID_STEPS = 100
+UNIT_ROUNDOFF = 2.0 ** -53
+SMALLEST_SUBNORMAL = 2.0 ** -1074
 
 
 class DegenerateGridError(ValueError):
@@ -63,9 +75,27 @@ class EvalMetrics:
     rejected_count: int
     positive_count: int
 
-    @property
-    def total(self) -> int:
-        return self.negative_count + self.rejected_count + self.positive_count
+
+def exact_value(terms, bias: float) -> float:
+    """The decision value: ``math.fsum`` of the rounded products and the bias."""
+    return math.fsum([*terms, bias])
+
+
+def error_bound(scale, n_features: int):
+    """How far a float decision value may lie from ``exact_value``.
+
+    ``scale`` bounds |bias| + sum |w_i * z_i| over the points concerned
+    (scalar or per value).  A dot product plus bias, in any summation order
+    and with or without fused multiply-adds, errs by at most
+    gamma_{n+2} * scale; an elimination pass adds at most n additions and
+    roundings of differences worth 2u * scale, and the exact value itself is
+    rounded once.  Altogether that stays below 2 * gamma_{n+3} * scale
+    (Higham, Accuracy and Stability of Numerical Algorithms, 3.1 and 4.2),
+    plus one subnormal per rounded product for underflow.
+    """
+    k = n_features + 3
+    gamma = k * UNIT_ROUNDOFF / (1.0 - k * UNIT_ROUNDOFF)
+    return 2.0 * gamma * scale + 2.0 * k * SMALLEST_SUBNORMAL
 
 
 def band_classes(values, t_minus: float, t_plus: float, bound, exact):

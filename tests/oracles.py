@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from svcreject.explainer import VerificationReport
-from svcreject.feasibility import BoxExtrema, exact_value
-from svcreject.rejector import classify, predict_with_reject
+from svcreject.explainer import BoxExtrema, VerificationReport
+from svcreject.rejector import classify, exact_value, predict_with_reject
 from svcreject.trainer import (
     BOUND_SNAP,
     ETA_FLOOR,

@@ -35,9 +35,12 @@ class TestLoadCsv:
         # named features, as calibrate reads them
         with pytest.raises(DatasetError, match=r"row 2, column 'b': cannot parse 'abc'"):
             load_csv(p, "y", "x", features=["a", "b"])
-        # a short row in a feature-only read, as explain and bench read them
+        # short and long rows in a feature-only read, as explain and bench read them
         p = write_csv(tmp_path / "f.csv", "a,b\n1,2\n3\n")
-        with pytest.raises(DatasetError, match=r"row 2, column 'b': cannot parse ''"):
+        with pytest.raises(DatasetError, match=r"row 2 has 1 cells, expected 2"):
+            load_csv(p, features=["a", "b"])
+        p = write_csv(tmp_path / "g.csv", "a,b\n1,2,3\n")
+        with pytest.raises(DatasetError, match=r"row 1 has 3 cells, expected 2"):
             load_csv(p, features=["a", "b"])
 
     def test_single_class_file_rejected(self, tmp_path):
@@ -106,7 +109,7 @@ class TestScaling:
         if np.any(raw.max(axis=0) <= raw.min(axis=0)):
             return
         params = fit_scaling(raw)
-        back = params.invert(params.transform(raw))
+        back = apply_scaling(raw, params) * (params.maxs - params.mins) + params.mins
         assert np.allclose(back, raw, rtol=1e-9, atol=1e-9)
 
     @given(st.integers(min_value=0, max_value=2**31 - 1))
@@ -188,6 +191,10 @@ class TestDomainTypes:
     def test_labeled_dataset_rejects_length_mismatch(self):
         with pytest.raises(DatasetError, match="lengths"):
             LabeledDataset(np.ones((2, 1)), np.array([1.0]))
+
+    def test_labeled_dataset_rejects_non_2d_instances(self):
+        with pytest.raises(DatasetError, match=r"2-d.*\(6,\)"):
+            LabeledDataset(np.arange(6.0), np.array([1.0, -1.0, 1.0]))
 
     def test_rows_inside_enforces_domain(self):
         space = FeatureSpace.unit(["a", "b"])

@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 import svcreject
-from svcreject import artifacts, cli, dataset, explainer, feasibility, rejector, trainer
+from svcreject import artifacts, cli, dataset, explainer, rejector, trainer
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = {path.stem: ast.parse(path.read_text())
@@ -37,7 +37,7 @@ def test_single_query_layer_is_gone():
     # the one-query-at-a-time API lives on only as a test reference (oracles.py)
     moved = ("satisfiable", "linear_extrema", "SatResult", "_pinned_extremum",
              "PartialAssignment", "predict", "decision_value")
-    for module in (svcreject, artifacts, cli, dataset, explainer, feasibility, rejector, trainer):
+    for module in (svcreject, artifacts, cli, dataset, explainer, rejector, trainer):
         for name in moved:
             assert not hasattr(module, name), f"{module.__name__}.{name}"
 
@@ -46,7 +46,7 @@ def test_formula_layer_is_gone():
     # classes are decided at the box extrema by rejector.band_classes; the
     # atom encoding lives on only as a test reference (oracles.py)
     moved = ("LinearAtom", "RELATIONS", "NEGATED", "prediction_formula", "negate")
-    for module in (svcreject, explainer, feasibility):
+    for module in (svcreject, explainer, rejector):
         for name in moved:
             assert not hasattr(module, name), f"{module.__name__}.{name}"
 
@@ -55,7 +55,7 @@ def test_second_rule_copies_are_gone():
     # box membership is FeatureSpace.rows_inside, and every threshold
     # decision is rejector.band_classes; the atom-relation decide lives on
     # only as a test reference (oracles.py)
-    for module in (svcreject, artifacts, cli, dataset, explainer, feasibility, rejector, trainer):
+    for module in (svcreject, artifacts, cli, dataset, explainer, rejector, trainer):
         for name in ("decide", "_compare", "predictions_with_reject"):
             assert not hasattr(module, name), f"{module.__name__}.{name}"
     for name in ("contains", "check_instance"):
@@ -73,15 +73,30 @@ def test_readme_library_use_runs():
     assert done.returncode == 0, done.stderr
 
 
+def test_readme_module_table_lists_the_package_modules():
+    readme = (ROOT / "README.md").read_text()
+    section = readme[readme.index("## How it fits together"):]
+    table = section[:section.index("\n\n", section.index("| module"))]
+    listed = re.findall(r"^\| `(\w+)`", table, re.MULTILINE)
+    assert sorted(listed) == sorted(set(SOURCES) - {"__init__"})
+
+
 def test_every_module_level_definition_has_a_reader():
-    # a function or class that no module of the package refers to and that
-    # __all__ does not export is dead code
+    # a function, class, method or property that no module of the package
+    # refers to and that __all__ does not export is dead code
     used = set(svcreject.__all__)
     for tree in SOURCES.values():
         used.update(*_loaded(tree))
-    unused = [f"{module}.{node.name}" for module, tree in SOURCES.items() for node in tree.body
-              if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in used]
-    assert unused == []
+    defined = []
+    for module, tree in SOURCES.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((f"{module}.{node.name}", node.name))
+            if isinstance(node, ast.ClassDef):
+                defined += [(f"{module}.{node.name}.{member.name}", member.name)
+                            for member in node.body if isinstance(member, ast.FunctionDef)
+                            and not member.name.startswith("__")]
+    assert [label for label, name in defined if name not in used] == []
 
 
 def test_every_imported_name_is_used():

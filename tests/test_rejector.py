@@ -2,14 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from svcreject.dataset import LabeledDataset
+from svcreject.dataset import FeatureSpace, LabeledDataset
+from svcreject.explainer import BoxExtrema
 from svcreject.rejector import (
     DegenerateGridError,
     RejectModel,
     band_classes,
     calibrate,
     empirical_risk,
+    error_bound,
     evaluate,
+    exact_value,
     classify,
     predict_with_reject,
     threshold_grid,
@@ -77,6 +80,55 @@ class TestBandClasses:
         assert classes.tolist() == [1, 1, -1]
         assert near_plus.all() and near_minus.all()
         assert calls == [0, 1, 2]
+
+
+@st.composite
+def badly_scaled_models(draw, max_features=80, max_rows=8):
+    """Weights spanning 1e-8..1e8 in magnitude, with cancelling pairs such as
+    (1e16, -1e16) whose partners share their coordinate, a bias of any such
+    size, and rows in the unit box, many on its corners."""
+    n = draw(st.integers(min_value=1, max_value=max_features))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31 - 1)))
+    w = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-8.0, 8.0, n)
+    b = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-8.0, 8.0))
+    X = rng.uniform(0.0, 1.0, (int(rng.integers(1, max_rows + 1)), n))
+    corners = rng.random(X.shape) < 0.5
+    X[corners] = rng.integers(0, 2, X.shape)[corners]
+    pairs = rng.permutation(n)[:2 * int(rng.integers(0, n // 2 + 1))].reshape(-1, 2)
+    for i, j in pairs:
+        w[i] = 10.0 ** rng.uniform(8.0, 16.0)
+        w[j] = -w[i]
+        X[:, j] = X[:, i]
+    return w, b, X
+
+
+class TestErrorBound:
+    @given(badly_scaled_models())
+    @settings(max_examples=200, deadline=None)
+    def test_bounds_the_float_decision_value(self, case):
+        w, b, X = case
+        d = X @ w + b
+        bound = error_bound(np.abs(X) @ np.abs(w) + abs(b), w.size)
+        exact = np.array([exact_value((x * w).tolist(), b) for x in X])
+        assert np.all(np.abs(d - exact) <= bound)
+
+    @given(badly_scaled_models(), st.integers(min_value=0, max_value=2**31 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_bounds_the_running_extrema(self, case, seed):
+        # the elimination pass moves each extremum by extreme[i] - w_i * x_i
+        # as it frees feature i; free every feature, in random order
+        w, b, X = case
+        box = BoxExtrema.of(w, b, FeatureSpace.unit([f"f{i}" for i in range(w.size)]))
+        order = np.random.default_rng(seed).permutation(w.size)
+        for x in X:
+            products = x * w
+            for extreme in (box.max_term, box.min_term):
+                running = float(x @ w + b)
+                terms = products.copy()
+                for i in order:
+                    running += extreme[i] - products[i]
+                    terms[i] = extreme[i]
+                    assert abs(running - exact_value(terms.tolist(), b)) <= box.bound
 
 
 class TestEmpiricalRisk:
@@ -254,7 +306,7 @@ class TestEvaluate:
         m = evaluate(rm, ds)
         assert m.rejection_ratio == 0.4
         assert m.accuracy_with_reject == pytest.approx(5 / 6)
-        assert m.total == 10
+        assert m.negative_count + m.rejected_count + m.positive_count == 10
 
     def test_plain_accuracy_is_decided_by_the_exact_value(self):
         # the float decision value of x is 0.0, the exact one 1.0: the row
