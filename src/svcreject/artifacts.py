@@ -10,7 +10,7 @@ round-trip decimal representation, so save/load is bit-exact.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -100,15 +100,15 @@ def bundle_to_json(bundle: ModelBundle) -> dict:
     if bundle.positive_label is not None:
         doc["positive_label"] = bundle.positive_label
     if bundle.split is not None:
-        doc["split"] = asdict(bundle.split)
+        doc["split"] = dict(vars(bundle.split))
     if bundle.training is not None:
-        doc["training"] = asdict(bundle.training)
+        doc["training"] = dict(vars(bundle.training))
     if bundle.has_reject_band:
         doc["t_minus"] = bundle.t_minus
         doc["t_plus"] = bundle.t_plus
         doc["w_r"] = bundle.w_r
         if bundle.risk_report is not None:
-            doc["risk_report"] = asdict(bundle.risk_report)
+            doc["risk_report"] = dict(vars(bundle.risk_report))
     return doc
 
 

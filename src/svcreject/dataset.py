@@ -8,6 +8,7 @@ works in.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -103,14 +104,21 @@ class ScalingParams:
 
 def load_csv(path, label_column: str | None = None, positive_label=None,
              features=None) -> tuple[np.ndarray, np.ndarray | None, list[str]]:
-    """Read a comma-separated file with a header row, in one pass.
+    """Read a comma-separated file with a header row.
 
     Returns (raw feature matrix, labels in {-1,+1}, feature names).  The
     label column is matched by name; rows whose label equals
-    ``positive_label`` (string comparison) map to +1, everything else to -1.
-    ``features`` names the feature columns to read (default: every column
-    but the label).  Without ``label_column`` no labels are read, labels are
-    None and a file without data rows is accepted.
+    ``positive_label`` (string comparison after ``strip``) map to +1,
+    everything else to -1.  ``features`` names the feature columns to read
+    (default: every column but the label).  Without ``label_column`` no
+    labels are read, labels are None and a file without data rows is
+    accepted.
+
+    ``_read_rows``, a loop over ``csv.reader`` rows calling ``float`` per
+    cell, defines the accepted format and every error message.  The data
+    lines are first parsed in one call to numpy's C reader (``_read_fast``);
+    any input it does not read exactly as the loop would is read again by
+    the loop.
     """
     path = Path(path)
     if not path.exists():
@@ -135,35 +143,88 @@ def load_csv(path, label_column: str | None = None, positive_label=None,
             cols = [header.index(name) for name in features]
         positive = str(positive_label).strip()
 
-        rows: list[list[float]] = []
-        labels: list[float] = []
-        for row_no, row in enumerate(reader, start=1):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(header):
-                raise DatasetError(
-                    f"{path}: row {row_no} has {len(row)} cells, expected {len(header)}"
-                )
-            try:
-                rows.append([float(row[k]) for k in cols])
-            except ValueError:
-                raise _cell_error(path, row_no, row, header, cols) from None
-            if labelled:
-                labels.append(1.0 if row[label_idx].strip() == positive else -1.0)
+        parsed = _read_fast(fh, len(header), label_idx, cols, positive)
+        if parsed is None:
+            fh.seek(0)
+            next(reader)
+            parsed = _read_rows(path, reader, header, label_idx, cols, positive)
+    raw, y = parsed
 
     names = [header[k] for k in cols]
-    raw = np.asarray(rows, dtype=float).reshape(-1, len(cols))
     if not labelled:
         return raw, None, names
-    if not rows:
+    if not y.size:
         raise DatasetError(f"{path}: no data rows")
-    y = np.asarray(labels)
     if np.all(y == y[0]):
         raise DatasetError(
             f"{path}: only one class present after binarization "
             f"(positive label {positive!r})"
         )
     return raw, y, names
+
+
+def _read_fast(fh, width: int, label_idx: int, cols, positive: str):
+    """(raw, labels) of the data lines left in ``fh``, parsed by ``np.loadtxt``,
+    or None where its reading could differ from ``_read_rows``'s.
+
+    loadtxt tokenizes quotes, line ends and empty lines as ``csv.reader``
+    does and parses floats through the same ``PyOS_string_to_double``.
+    Everything it rejects goes to the row loop: a ragged row, a
+    whitespace-only line or blank cell, a cell ``float`` reads and loadtxt
+    does not (``1_0``), and an input without data rows, where loadtxt warns.
+    A first row wider than the header is a width loadtxt accepts, and a label
+    column that is also a feature would be shadowed by its converter.
+    """
+    if not cols or label_idx in cols:
+        return None
+    # a constant for every column neither feature nor label: loadtxt still
+    # checks each row's width
+    converters = dict.fromkeys((k for k in range(width) if k not in cols), lambda s: 0.0)
+    if label_idx >= 0:
+        converters[label_idx] = lambda s: 1.0 if s.strip() == positive else -1.0
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(_plain_lines(fh), delimiter=",", dtype=float, comments=None,
+                               quotechar='"', ndmin=2, converters=converters)
+    except (ValueError, Warning):
+        return None
+    if table.shape[1] != width:
+        return None
+    return table[:, cols], table[:, label_idx].copy() if label_idx >= 0 else None
+
+
+def _plain_lines(fh):
+    """The lines of ``fh``; a ValueError at the first one holding one of the
+    information separators U+001C..U+001F, which loadtxt strips around a
+    number as whitespace and ``float`` rejects."""
+    for line in fh:
+        if "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line:
+            raise ValueError("information separator in a data line")
+        yield line
+
+
+def _read_rows(path, reader, header, label_idx: int, cols, positive: str):
+    """(raw, labels) of the rows left in ``reader``: the definition of the
+    accepted format.  Rows whose cells are all blank are skipped; every other
+    row must have one cell per header column and parse under ``float``."""
+    rows: list[list[float]] = []
+    labels: list[float] = []
+    for row_no, row in enumerate(reader, start=1):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != len(header):
+            raise DatasetError(
+                f"{path}: row {row_no} has {len(row)} cells, expected {len(header)}"
+            )
+        try:
+            rows.append([float(row[k]) for k in cols])
+        except ValueError:
+            raise _cell_error(path, row_no, row, header, cols) from None
+        if label_idx >= 0:
+            labels.append(1.0 if row[label_idx].strip() == positive else -1.0)
+    raw = np.asarray(rows, dtype=float).reshape(-1, len(cols))
+    return raw, np.asarray(labels, dtype=float) if label_idx >= 0 else None
 
 
 def _cell_error(path, row_no: int, row, header, cols) -> DatasetError:

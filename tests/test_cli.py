@@ -1,5 +1,9 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -355,6 +359,24 @@ class TestExplain:
         assert "explained 0 instance(s)" in out
         summary = json.loads((tmp_path / "expl.jsonl.summary.json").read_text())
         assert summary["patterns"] == 0
+
+    def test_empty_instance_file_leaves_stderr_empty(self, tmp_path):
+        # a process of its own, under Python's default warning filters: no
+        # warning of the CSV reader about the empty input reaches the user
+        model_path = tmp_path / "reject.json"
+        model_path.write_text(json.dumps(demo_reject_doc()))
+        instances = tmp_path / "inst.csv"
+        instances.write_text("f1,f2\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        env.pop("PYTHONWARNINGS", None)
+        done = subprocess.run(
+            [sys.executable, "-m", "svcreject.cli", "explain", "--model", str(model_path),
+             "--input", str(instances), "--output", str(tmp_path / "expl.jsonl")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert "explained 0 instance(s)" in done.stdout
 
     def test_out_of_domain_rows_skipped_with_warning(self, tmp_path, capsys):
         model_path = tmp_path / "reject.json"

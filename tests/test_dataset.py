@@ -1,7 +1,11 @@
+import struct
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from svcreject import dataset
 from svcreject.dataset import (
     DatasetError,
     FeatureSpace,
@@ -16,8 +20,60 @@ from svcreject.dataset import (
 
 
 def write_csv(path, text):
-    path.write_text(text)
+    path.write_text(text, newline="")
     return path
+
+
+def outcome(path, *args, **kwargs):
+    """What load_csv makes of a file, bit for bit: the shape and bytes of the
+    matrix and labels and the names, or the DatasetError message."""
+    try:
+        raw, labels, names = load_csv(path, *args, **kwargs)
+    except DatasetError as exc:
+        return str(exc)
+    return raw.shape, raw.tobytes(), None if labels is None else labels.tobytes(), names
+
+
+def row_loop_outcome(path, *args, **kwargs):
+    """``outcome`` with the C-reader path switched off, so only the row loop
+    reads the file."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataset, "_read_fast", lambda *a: None)
+        return outcome(path, *args, **kwargs)
+
+
+def float_repr(bits: int) -> str:
+    return repr(struct.unpack("<d", struct.pack("<Q", bits))[0])
+
+
+# Cells for the differential test: every float64 bit pattern's repr, decimals
+# longer than any float has digits, and tokens float and loadtxt may read
+# differently (underscores, non-ASCII digits and spaces, NUL, hex, Fortran
+# exponents) or that csv.reader tokenizes specially (quotes).
+NUMBER_CELLS = st.one_of(
+    st.integers(0, 2**64 - 1).map(float_repr),
+    st.builds("{}{}.{}e{}".format, st.sampled_from(["", "-", "+"]),
+              st.integers(1, 9), st.integers(10**23, 10**24 - 1), st.integers(-340, 300)),
+    st.builds("{}e{}".format, st.integers(10**29, 10**30 - 1), st.integers(-340, 300)),
+)
+ODD_CELLS = st.sampled_from([
+    "", " ", "\t", " 1 ", "\xa02", "\u20003", "\x1c4", "1_0", "1__0", "_1", "\u0661",
+    "1\x00", "0x10", "1d5", "1e400", "-1e400", "nan", "-nan", "inf", "-Infinity",
+    "+.5", "5.", "-0", "abc", '"3"', '"1,5"', '"a""b"', 'x"y', '"7"8', ' "2"', '"4\n5"',
+])
+LABEL_CELLS = st.sampled_from(["pos", " pos ", '"pos"', "neg", "neg ", '"n,g"', '"p""s"'])
+CELLS = st.one_of(NUMBER_CELLS, ODD_CELLS)
+LINES = st.one_of(
+    st.tuples(NUMBER_CELLS, NUMBER_CELLS, LABEL_CELLS).map(",".join),
+    st.tuples(CELLS, CELLS, st.one_of(LABEL_CELLS, CELLS)).map(",".join),
+    st.lists(st.one_of(CELLS, LABEL_CELLS), max_size=4).map(",".join),
+)
+# (label column, positive label, features) as train, calibrate and explain
+# read, plus the label column named as a feature
+READS = st.sampled_from([
+    ("y", "pos", None), ("y", " pos ", ["b", "a"]), (None, None, ["a", "b"]),
+    (None, None, ["b"]), ("b", "3", None), ("y", "pos", ["a", "y"]),
+])
 
 
 class TestLoadCsv:
@@ -62,6 +118,96 @@ class TestLoadCsv:
         assert raw.shape == (150, 4)
         assert int((labels == 1).sum()) == 50
         assert names[0] == "sepal_length"
+
+    @pytest.mark.parametrize("text", [
+        # quoted cells, CRLF and lone CR line ends
+        'a,b,y\r\n"1",2,"pos"\r\n3,"4.5",neg\r\n',
+        'a,b,y\r1,2,pos\r3,4.5,neg\r',
+        # blank lines, whitespace-only lines and rows of blank cells are skipped
+        "a,b,y\n\n1,2,pos\n \n , , \n,,\n\t\n3,4.5,neg\n\n",
+        # header cells keep no surrounding whitespace
+        " a ,b\t, y \n1,2,pos\n3,4.5,neg\n",
+        # labels are compared after strip, cells parse as float reads them
+        "a,b,y\n 1 ,\t2,  pos \n3,4.5,neg\n",
+    ])
+    def test_accepted_spellings_read_alike(self, tmp_path, text):
+        raw, labels, names = load_csv(write_csv(tmp_path / "t.csv", text), "y", "pos")
+        assert names == ["a", "b"]
+        assert raw.tolist() == [[1.0, 2.0], [3.0, 4.5]]
+        assert labels.tolist() == [1.0, -1.0]
+
+    def test_float_spellings_loadtxt_reads_otherwise(self, tmp_path):
+        # float accepts digit-group underscores and non-ASCII digits
+        p = write_csv(tmp_path / "t.csv", "a,y\n1_0,pos\n\u0661,neg\n")
+        raw, labels, _ = load_csv(p, "y", "pos")
+        assert raw.tolist() == [[10.0], [1.0]]
+        assert labels.tolist() == [1.0, -1.0]
+        # float rejects the information separators U+001C..U+001F around a
+        # number, which loadtxt strips as whitespace
+        for sep in "\x1c\x1d\x1e\x1f":
+            p = write_csv(tmp_path / "u.csv", f"a,y\n1,pos\n2{sep},neg\n")
+            with pytest.raises(DatasetError, match=r"row 2, column 'a': cannot parse '2'"):
+                load_csv(p, "y", "pos")
+
+    def test_quoted_label_with_delimiter_and_doubled_quote(self, tmp_path):
+        p = write_csv(tmp_path / "t.csv", 'a,y\n1,"p,""q"""\n2,"p,q"\n')
+        _, labels, _ = load_csv(p, "y", 'p,"q"')
+        assert labels.tolist() == [1.0, -1.0]
+
+    def test_header_only_file(self, tmp_path):
+        p = write_csv(tmp_path / "t.csv", "a,b,y\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            raw, labels, names = load_csv(p, features=["a", "b"])
+        assert raw.shape == (0, 2) and labels is None and names == ["a", "b"]
+        with pytest.raises(DatasetError, match="no data rows"):
+            load_csv(p, "y", "pos")
+
+    def test_label_column_named_as_feature(self, tmp_path):
+        # the label cells must then parse as numbers, and still binarize
+        p = write_csv(tmp_path / "t.csv", "a,y\n1,2\n3, 4\n")
+        raw, labels, names = load_csv(p, "y", "4", features=["a", "y"])
+        assert names == ["a", "y"]
+        assert raw.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert labels.tolist() == [-1.0, 1.0]
+        p = write_csv(tmp_path / "u.csv", "a,y\n1,2\n3,pos\n")
+        with pytest.raises(DatasetError, match=r"row 2, column 'y': cannot parse 'pos'"):
+            load_csv(p, "y", "pos", features=["a", "y"])
+
+    def test_undecodable_byte_raises_the_decoders_error(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_bytes(b"a,y\n1,pos\n2,\xff\n3,neg\n")
+        with pytest.raises(UnicodeDecodeError, match="position 12"):
+            load_csv(p, "y", "pos")
+
+    @pytest.mark.parametrize("text", [
+        "a,b,y\r\n1,2,pos\r\n3,4.5,neg\r\n",
+        'a,b,y\n"1",2,"pos"\n3,"4.5","n,g"\n',
+        "a,b,y\n\n1,2,pos\n\n3,4.5,neg\n\n",
+    ])
+    def test_well_formed_files_skip_the_row_loop(self, tmp_path, iris_csv, monkeypatch, text):
+        # the row loop is the fallback; a file it has to read loses the
+        # C reader's speed without changing any result
+        def row_loop(*args):
+            raise AssertionError("row loop called")
+
+        monkeypatch.setattr(dataset, "_read_rows", row_loop)
+        raw, labels, _ = load_csv(write_csv(tmp_path / "t.csv", text), "y", "pos")
+        assert raw.tolist() == [[1.0, 2.0], [3.0, 4.5]]
+        assert labels.tolist() == [1.0, -1.0]
+        raw, _, _ = load_csv(iris_csv, features=["petal_width", "sepal_length"])
+        assert raw.shape == (150, 2)
+        assert load_csv(iris_csv, "species", "setosa")[0].shape == (150, 4)
+
+    @given(st.lists(LINES, max_size=6), st.sampled_from(["\n", "\r\n", "\r"]),
+           st.booleans(), READS)
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_the_row_loop(self, tmp_path_factory, lines, newline, last, read):
+        text = newline.join(["a,b,y", *lines]) + (newline if last else "")
+        p = write_csv(tmp_path_factory.getbasetemp() / "differential.csv", text)
+        label_column, positive, features = read
+        assert outcome(p, label_column, positive, features=features) == \
+            row_loop_outcome(p, label_column, positive, features=features)
 
 
 class TestScaling:
