@@ -277,7 +277,15 @@ class JsonlWriter:
     a row formats its n values once and each witness picks strings by its
     free mask; by mask, not by value, because 0.0 and -0.0 print differently.
     The witnesses' classes come from the verification.
+
+    A record holds |kept|·n coordinates, megabytes on a wide row, so it is
+    produced in pieces of at most ``block_cells`` witness coordinates
+    (about 80 KB of text).  Whole-record temporaries would each be mapped
+    and unmapped by the allocator, and the page faults cost as much as the
+    formatting.
     """
+
+    block_cells = 4096
 
     def __init__(self, names, batch):
         self.names = [json.dumps(name) for name in names]
@@ -285,8 +293,9 @@ class JsonlWriter:
         self.max_corner = _reprs(batch.box.max_corner)
         self.min_corner = _reprs(batch.box.min_corner)
 
-    def line(self, k: int, row: int, raw_row, witness_classes) -> str:
-        """The record of the batch's row k, which is input row ``row``."""
+    def pieces(self, k: int, row: int, raw_row, witness_classes):
+        """The record of the batch's row k, which is input row ``row``, as
+        consecutive strings for ``writelines``."""
         batch, names = self.batch, self.names
         _, kept, free, at_max = batch.witnesses(k, k + 1)
         x = _reprs(batch.instances[k])
@@ -295,15 +304,22 @@ class JsonlWriter:
             f'{{"feature": {names[i]}, "value": {x[i]}, "raw_value": {r!r}}}'
             for i, r in zip(kept_list, np.asarray(raw_row, dtype=float)[kept].tolist())
         )
-        points = explainer.witness_points(free, at_max, x, self.max_corner, self.min_corner)
-        witness_part = ", ".join(
-            f'{{"feature": {names[i]}, "point": [{", ".join(p)}], "class": {c}}}'
-            for i, p, c in zip(kept_list, points.tolist(), np.asarray(witness_classes).tolist())
-        )
         removed_part = ", ".join(names[i] for i in np.flatnonzero(batch.removed[k]).tolist())
-        return (f'{{"index": {int(row)}, "class": {int(batch.classes[k])}, "kept": [{kept_part}], '
-                f'"removed": [{removed_part}], "witnesses": [{witness_part}], '
-                f'"time_seconds": {batch.seconds / len(batch)!r}}}\n')
+        yield (f'{{"index": {int(row)}, "class": {int(batch.classes[k])}, "kept": [{kept_part}], '
+               f'"removed": [{removed_part}], "witnesses": [')
+        classes = np.asarray(witness_classes).tolist()
+        step = max(1, self.block_cells // max(1, x.size))
+        for start in range(0, len(kept_list), step):
+            stop = start + step
+            points = explainer.witness_points(free[start:stop], at_max[start:stop], x,
+                                              self.max_corner, self.min_corner)
+            if start:
+                yield ", "
+            yield ", ".join(
+                f'{{"feature": {names[i]}, "point": [{", ".join(p)}], "class": {c}}}'
+                for i, p, c in zip(kept_list[start:stop], points.tolist(), classes[start:stop])
+            )
+        yield f'], "time_seconds": {batch.seconds / len(batch)!r}}}\n'
 
 
 def _per_class_stats(batch) -> dict:
@@ -352,7 +368,7 @@ def cmd_explain(args) -> int:
     writer = JsonlWriter(bundle.space.names, batch)
     with Path(args.output).open("w") as fh:
         for k, row in enumerate(rows.tolist()):
-            fh.write(writer.line(k, row, raw[row], reports[k].witness_classes))
+            fh.writelines(writer.pieces(k, row, raw[row], reports[k].witness_classes))
 
     stats = _per_class_stats(batch)
     frequency, table = _frequency(batch.classes, batch.removed, bundle.space.names)

@@ -717,15 +717,19 @@ class TestFeatureFrequency:
 
 
 class TestJsonlWriter:
-    @given(writer_cases())
+    # blocks of one witness up to whole records, so that the pieces split
+    # at every witness boundary
+    @given(writer_cases(), st.integers(min_value=1, max_value=8) | st.just(JsonlWriter.block_cells))
     @settings(max_examples=200, deadline=None)
-    def test_bytes_equal_json_dumps(self, case):
+    def test_bytes_equal_json_dumps(self, case, block_cells):
         names, lower, upper, x, raw, w, bias = case
         space = FeatureSpace(names, lower, upper)
         rm = RejectModel(LinearModel(w, bias), -0.5, 0.5, 0.24)
         batch = explain_batch(rm, space, x[None, :])
         (report,) = verify_batch(rm, space, batch)
-        line = JsonlWriter(space.names, batch).line(0, 7, raw, report.witness_classes)
+        writer = JsonlWriter(space.names, batch)
+        writer.block_cells = block_cells
+        line = "".join(writer.pieces(0, 7, raw, report.witness_classes))
         expl = batch.explanation(0)
         assert line == json.dumps(reference_record(space.names, rm, 7, raw, expl)) + "\n"
 
@@ -736,7 +740,7 @@ class TestJsonlWriter:
         x = np.array([0.5, 0.0])
         batch = explain_batch(rm, space, x[None, :])
         (report,) = verify_batch(rm, space, batch)
-        line = JsonlWriter(space.names, batch).line(0, 0, x, report.witness_classes)
+        line = "".join(JsonlWriter(space.names, batch).pieces(0, 0, x, report.witness_classes))
         assert '"point": [-0.0, 0.0]' in line
         expl = batch.explanation(0)
         assert line == json.dumps(reference_record(space.names, rm, 0, x, expl)) + "\n"
