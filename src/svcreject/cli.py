@@ -56,8 +56,11 @@ def build_parser() -> argparse.ArgumentParser:
                          help="soft-margin trade-off (default 1.0)")
     p_train.add_argument("--fraction", type=float, default=0.7,
                          help="train fraction for the stratified split (default 0.7)")
-    p_train.add_argument("--tolerance", type=float, default=1e-6)
-    p_train.add_argument("--max-passes", type=int, default=10_000)
+    p_train.add_argument("--tolerance", type=float, default=1e-6,
+                         help="stop when the maximal violating pair's gap over all "
+                              "training rows is at most this (default 1e-6)")
+    p_train.add_argument("--max-passes", type=int, default=10_000,
+                         help="budget of single pair updates (default 10,000)")
 
     p_calibrate = sub.add_parser("calibrate", help="fit the reject band on training rows")
     files(p_calibrate)

@@ -6,9 +6,9 @@ Training solves the standard problem
     s.t. y_i (w . x_i + b) >= 1 - xi_i,   xi_i >= 0
 
 via its dual, updating the maximal-violating pair of multipliers per
-iteration.  The intercept stays an explicit unregularized variable (it is
-recovered from the KKT conditions), so feature domains are untouched by any
-augmentation trick.
+iteration, a working set of rows at a time.  The intercept stays an explicit
+unregularized variable (it is recovered from the KKT conditions), so feature
+domains are untouched by any augmentation trick.
 """
 
 from __future__ import annotations
@@ -21,10 +21,8 @@ from .dataset import LabeledDataset
 
 ETA_FLOOR = 1e-12
 BOUND_SNAP = 1e-10
-# updates between shrink checks, LIBSVM's constant; the interval is min(m, this)
-SHRINK_INTERVAL = 1000
-# rows per block of a BLAS matrix-vector product (see _leaving)
-GEMV_BLOCK = 4
+# rows per working set (Joachims 1999), half from each side's extreme scores
+WORKING_SET = 256
 
 
 class TrainingError(ValueError):
@@ -81,30 +79,17 @@ def _side_penalties(y: np.ndarray, alpha: np.ndarray, C: float) -> tuple[np.ndar
     return np.where(up, 0.0, -np.inf), np.where(low, 0.0, np.inf)
 
 
-def _leaving(rows: np.ndarray, m: int, scores: np.ndarray, up_pen: np.ndarray,
-             low_pen: np.ndarray, tolerance: float) -> np.ndarray:
-    """Mask of the working rows to shrink out of the working set.
-
-    A row leaves when it lies on one side only and its score is further than
-    the gap beyond the other side's extreme score.  Without that margin,
-    early checks, while scores still move by about the gap, left out rows
-    that the loop selected later.  Nothing leaves once the gap is within
-    ``tolerance``; before that, the two extreme rows always stay.
-    """
-    up_max = np.max(scores + up_pen)
-    low_min = np.min(scores + low_pen)
-    spread = up_max - low_min
-    if not spread > tolerance:
-        return np.zeros(rows.size, dtype=bool)
-    leave = (((low_pen > 0) & (scores < low_min - spread))
-             | ((up_pen < 0) & (scores > up_max + spread)))
-    # a BLAS matrix-vector product runs in blocks of GEMV_BLOCK rows and may
-    # round a trailing partial block differently: so the full product's tail
-    # rows stay last, with a whole number of blocks before them
-    tail = m % GEMV_BLOCK
-    leave[rows >= m - tail] = False
-    leave[np.flatnonzero(leave)[:(leave.sum() - rows.size + tail) % GEMV_BLOCK]] = False
-    return leave
+def _working_set(up_scores: np.ndarray, low_scores: np.ndarray) -> np.ndarray:
+    """Ascending row numbers of the next working set: the ``WORKING_SET // 2``
+    rows with the highest up-side scores and as many with the lowest low-side
+    scores, so the set always holds the maximal violating pair.  Every row
+    while there are at most ``WORKING_SET``."""
+    m = up_scores.size
+    if m <= WORKING_SET:
+        return np.arange(m)
+    k = WORKING_SET // 2
+    return np.union1d(np.argpartition(up_scores, m - k)[m - k:],
+                      np.argpartition(low_scores, k - 1)[:k])
 
 
 def train_soft_margin(train: LabeledDataset, config: TrainerConfig = TrainerConfig()) -> tuple[LinearModel, TrainReport]:
@@ -115,14 +100,14 @@ def train_soft_margin(train: LabeledDataset, config: TrainerConfig = TrainerConf
     violation over all rows drops to ``config.tolerance`` or
     ``config.max_passes`` is hit.
 
-    Shrinking (Joachims 1999; LIBSVM, Chang & Lin 2011, section 5.1): every
-    ``min(m, SHRINK_INTERVAL)`` updates, rows that cannot be selected soon
-    leave the working set (``_leaving``), and an update costs O(n) per
-    working row.  When the working set's gap closes, the left-out rows'
-    scores are recomputed from ``w`` and the check repeats over all rows.
-    The working rows keep their incrementally updated scores, so as long as
-    no left-out row would have been selected, every update is bit for bit
-    the one the unshrunk loop makes.
+    Working sets (Joachims 1999; the maximal-violating-pair argument of
+    LIBSVM, Chang & Lin 2011): each outer step takes a working set
+    (``_working_set``) and its Gram matrix, and makes pair updates inside it
+    at O(|set| + n) each until the set's gap is within a tenth of the
+    all-rows gap (or ``tolerance``).  Then ``w`` and every row's score move
+    once, by the sum of the step directions, and the gap is checked over all
+    rows.  The set holds the maximal violating pair, so its gap starts at the
+    all-rows gap and every outer step makes at least one update.
     """
     X = np.asarray(train.X, dtype=float)
     y = np.asarray(train.y, dtype=float)
@@ -137,69 +122,51 @@ def train_soft_margin(train: LabeledDataset, config: TrainerConfig = TrainerConf
     w = np.zeros(n)
     # score_t = y_t - w . x_t; KKT expressed without the intercept
     scores = y.copy()
-    up_pen, low_pen = _side_penalties(y, alpha, C)
-    # the working set: its row numbers, and compact copies of the per-row
-    # arrays (the full arrays themselves while no row is left out)
-    rows = np.arange(m)
-    Xw, yw, aw, sw, upw, loww = X, y, alpha, scores, up_pen, low_pen
-    interval = min(m, SHRINK_INTERVAL)
-
-    def write_back():
-        for full, part in ((alpha, aw), (scores, sw), (up_pen, upw), (low_pen, loww)):
-            full[rows] = part
-
-    def unshrink():
-        write_back()
-        out = np.ones(m, dtype=bool)
-        out[rows] = False
-        scores[out] = y[out] - X[out] @ w
-        return np.arange(m), (X, y, alpha, scores, up_pen, low_pen)
-
     passes = 0
-    gap = np.inf
-    converged = False
-    while passes < config.max_passes:
-        i = int(np.argmax(sw + upw))
-        j = int(np.argmin(sw + loww))
-        gap = (sw[i] + upw[i]) - (sw[j] + loww[j])
-        if gap <= config.tolerance:
-            if rows.size == m:
-                converged = True
+    while True:
+        up_pen, low_pen = _side_penalties(y, alpha, C)
+        up_scores, low_scores = scores + up_pen, scores + low_pen
+        gap = float(np.max(up_scores) - np.min(low_scores))
+        if gap <= config.tolerance or passes >= config.max_passes:
+            break
+        rows = _working_set(up_scores, low_scores)
+        Xw, yw, aw, sw, upw, loww = (a[rows] for a in (X, y, alpha, scores, up_pen, low_pen))
+        gram = Xw @ Xw.T
+        # each update's step, +step at i and -step at j: w moves by Xw.T @ steps,
+        # the same steps the working scores move by.  The alpha differences
+        # would also hold the BOUND_SNAP snaps, which those scores never see.
+        steps = np.zeros(rows.size)
+        target = max(config.tolerance, gap / 10.0)
+        while passes < config.max_passes:
+            i = int(np.argmax(sw + upw))
+            j = int(np.argmin(sw + loww))
+            pair_gap = (sw[i] + upw[i]) - (sw[j] + loww[j])
+            if pair_gap <= target:
                 break
-            rows, (Xw, yw, aw, sw, upw, loww) = unshrink()
-            continue
-
-        diff = Xw[i] - Xw[j]
-        eta = max(float(diff @ diff), ETA_FLOOR)
-        step = gap / eta
-        step = min(step,
-                   C - aw[i] if yw[i] > 0 else aw[i],
-                   aw[j] if yw[j] > 0 else C - aw[j])
-        aw[i] += yw[i] * step
-        aw[j] -= yw[j] * step
-        for k in (i, j):
-            if aw[k] < BOUND_SNAP * C:
-                aw[k] = 0.0
-            elif aw[k] > (1.0 - BOUND_SNAP) * C:
-                aw[k] = C
-            upw[k] = 0.0 if (aw[k] < C if yw[k] > 0 else aw[k] > 0) else -np.inf
-            loww[k] = 0.0 if (aw[k] < C if yw[k] < 0 else aw[k] > 0) else np.inf
-        w += step * diff
-        sw -= step * (Xw @ diff)
-        passes += 1
-
-        if passes % interval == 0 and passes < config.max_passes:
-            leave = _leaving(rows, m, sw, upw, loww, config.tolerance)
-            if leave.any():
-                write_back()
-                keep = ~leave
-                rows = rows[keep]
-                Xw, yw, aw, sw, upw, loww = (a[keep] for a in (Xw, yw, aw, sw, upw, loww))
-
-    if rows.size < m:  # the budget ran out with rows left out: report over all rows
-        unshrink()
-        gap = np.max(scores + up_pen) - np.min(scores + low_pen)
-        converged = bool(gap <= config.tolerance)
+            diff = Xw[i] - Xw[j]
+            eta = max(float(diff @ diff), ETA_FLOOR)
+            step = pair_gap / eta
+            step = min(step,
+                       C - aw[i] if yw[i] > 0 else aw[i],
+                       aw[j] if yw[j] > 0 else C - aw[j])
+            aw[i] += yw[i] * step
+            aw[j] -= yw[j] * step
+            for k in (i, j):
+                if aw[k] < BOUND_SNAP * C:
+                    aw[k] = 0.0
+                elif aw[k] > (1.0 - BOUND_SNAP) * C:
+                    aw[k] = C
+                upw[k] = 0.0 if (aw[k] < C if yw[k] > 0 else aw[k] > 0) else -np.inf
+                loww[k] = 0.0 if (aw[k] < C if yw[k] < 0 else aw[k] > 0) else np.inf
+            steps[i] += step
+            steps[j] -= step
+            sw -= step * (gram[i] - gram[j])
+            passes += 1
+        alpha[rows] = aw
+        dw = Xw.T @ steps
+        w += dw
+        scores -= X @ dw
+    converged = gap <= config.tolerance
 
     # recompute scores once to clear incremental drift before picking b
     scores = y - X @ w
@@ -219,7 +186,7 @@ def train_soft_margin(train: LabeledDataset, config: TrainerConfig = TrainerConf
         primal_objective=objective,
         passes_used=passes,
         converged=converged,
-        dual_gap=float(gap),
+        dual_gap=gap,
     )
     return model, report
 

@@ -105,9 +105,10 @@ def soft_margin_optimum(X, y, C):
 
 
 def reference_train_soft_margin(train, config=TrainerConfig()):
-    """The trainer's maximal-violating-pair loop without shrinking, the
-    referee for ``trainer.train_soft_margin``: every update scans all rows
-    and rebuilds both side masks.
+    """The maximal-violating-pair loop over all rows, the referee for
+    ``trainer.train_soft_margin``, which makes its updates a working set at a
+    time: here every update scans all rows, rebuilds both side masks and
+    moves every score by a full matrix-vector product.
 
     One pass is one pair update.  Stops when the maximal dual-feasibility
     violation drops to ``config.tolerance`` or ``config.max_passes`` is hit.
