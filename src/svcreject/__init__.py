@@ -9,7 +9,6 @@ from .dataset import (
     fit_scaling,
     load_csv,
     scale_dataset,
-    stratified_split,
 )
 from .trainer import (
     LinearModel,
@@ -51,7 +50,6 @@ __all__ = [
     "fit_scaling",
     "load_csv",
     "scale_dataset",
-    "stratified_split",
     "LinearModel",
     "TrainerConfig",
     "TrainingError",

@@ -1,4 +1,4 @@
-"""Command-line pipeline: train, calibrate, explain, bench.
+"""Command-line pipeline: train, calibrate, explain.
 
 Models are plain JSON files, so externally supplied weights can be explained
 without retraining.  Exit codes: 0 success, 1 internal verification failure,
@@ -71,19 +71,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_calibrate.add_argument("--grid-steps", type=int, default=rejector.DEFAULT_GRID_STEPS,
                              help="threshold grid resolution (default 100)")
 
-    for name, help_text, output_help in (
-        ("explain", "minimal explanation per instance, as JSONL", "JSONL file to write"),
-        ("bench", "time explanations without writing them", "also write the report as JSON"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        files(p)
-        p.add_argument("--output", required=name == "explain", help=output_help)
-        scope(p)
-        p.add_argument("--order", choices=("ascending", "descending-weight", "lex"),
-                       default="ascending", help="feature elimination order")
-        p.add_argument("--skip-out-of-domain", action="store_true",
-                       help="skip rows outside the model's feature domains instead "
-                            "of exiting 2")
+    p_explain = sub.add_parser("explain", help="verified minimal explanation per instance")
+    files(p_explain)
+    p_explain.add_argument("--output", help="JSONL file to write (default: write nothing)")
+    scope(p_explain)
+    p_explain.add_argument("--order", choices=("ascending", "descending-weight", "lex"),
+                           default="ascending", help="feature elimination order")
+    p_explain.add_argument("--skip-out-of-domain", action="store_true",
+                           help="skip rows outside the model's feature domains instead "
+                                "of exiting 2")
     return parser
 
 
@@ -238,35 +234,6 @@ def _rows_in_box(bundle: artifacts.ModelBundle, scaled, rows, skip=False, hint="
     return rows[inside], outside
 
 
-def _explain_rows(args):
-    """Shared explain/bench set-up: one elimination pass over every in-domain
-    row of the scope, verified before anything is written.
-
-    A row outside the model's feature domains is an input error, unless
-    ``--skip-out-of-domain`` asks to skip it with a warning.  A row that
-    fails verification is a bug trap.  Returns the bundle, the raw rows, the
-    explained row numbers, the pass, its verification reports and the
-    skipped row numbers.
-    """
-    bundle = artifacts.load_bundle(args.model)
-    rm = bundle.reject_model()
-    raw, _, _ = dataset.load_csv(args.input, features=bundle.space.names)
-    scaled = dataset.apply_scaling(raw, bundle.scaling)
-    rows, outside = _rows_in_box(
-        bundle, scaled, _scope_indices(args.scope, scaled.shape[0], bundle),
-        args.skip_out_of_domain, "; pass --skip-out-of-domain to skip them")
-    batch = explainer.explain_batch(rm, bundle.space, scaled[rows],
-                                    _feature_order(args.order, bundle))
-    reports = explainer.verify_batch(rm, bundle.space, batch)
-    for row, report in zip(rows.tolist(), reports):
-        if not report:
-            raise VerificationFailure(
-                f"row {row}: explanation failed verification: "
-                + "; ".join(report.violations)
-            )
-    return bundle, raw, rows, batch, reports, outside
-
-
 def _reprs(values) -> np.ndarray:
     return np.array([repr(v) for v in np.asarray(values, dtype=float).tolist()], dtype=object)
 
@@ -342,14 +309,6 @@ def _per_class_stats(batch) -> dict:
     return out
 
 
-def _print_stats(stats: dict, seconds: float) -> None:
-    for klass, s in stats.items():
-        print(f"{LABELS[klass]}: {s['patterns']} pattern(s), "
-              f"size {s['size_mean']:.2f} +- {s['size_std']:.2f}, "
-              f"{s['queries']} queries")
-    print(f"explanation pass: {seconds * 1e3:.3f} ms")
-
-
 def _frequency(classes, removed, names) -> tuple[dict, str]:
     """Per predicted class, how many rows keep each feature and how many rows
     there are: the summary's ``frequency`` dict and its text table."""
@@ -367,56 +326,65 @@ def _frequency(classes, removed, names) -> tuple[dict, str]:
 
 
 def cmd_explain(args) -> int:
-    bundle, raw, rows, batch, reports, skipped = _explain_rows(args)
-    writer = JsonlWriter(bundle.space.names, batch)
-    with Path(args.output).open("w") as fh:
-        for k, row in enumerate(rows.tolist()):
-            fh.writelines(writer.pieces(k, row, raw[row], reports[k].witness_classes))
+    """One elimination pass over every in-domain row of the scope, verified
+    before anything is written; with ``--output``, the JSONL and its summary.
+
+    A row outside the model's feature domains is an input error, unless
+    ``--skip-out-of-domain`` asks to skip it with a warning.  A row that
+    fails verification is a bug trap.
+    """
+    bundle = artifacts.load_bundle(args.model)
+    rm = bundle.reject_model()
+    raw, _, _ = dataset.load_csv(args.input, features=bundle.space.names)
+    scaled = dataset.apply_scaling(raw, bundle.scaling)
+    rows, skipped = _rows_in_box(
+        bundle, scaled, _scope_indices(args.scope, scaled.shape[0], bundle),
+        args.skip_out_of_domain, "; pass --skip-out-of-domain to skip them")
+    batch = explainer.explain_batch(rm, bundle.space, scaled[rows],
+                                    _feature_order(args.order, bundle))
+    reports = explainer.verify_batch(rm, bundle.space, batch)
+    for row, report in zip(rows.tolist(), reports):
+        if not report:
+            raise VerificationFailure(
+                f"row {row}: explanation failed verification: "
+                + "; ".join(report.violations)
+            )
 
     stats = _per_class_stats(batch)
     frequency, table = _frequency(batch.classes, batch.removed, bundle.space.names)
-    summary = {
-        "patterns": len(batch),
-        "skipped_rows": skipped,
-        "seconds": batch.seconds,
-        "classes": {str(k): v for k, v in stats.items()},
-        "frequency": frequency,
-    }
-    summary_path = Path(str(args.output) + ".summary.json")
-    summary_path.write_text(json.dumps(summary, indent=2) + "\n")
+    n = len(bundle.space)
+    if args.output:
+        writer = JsonlWriter(bundle.space.names, batch)
+        with Path(args.output).open("w") as fh:
+            for k, row in enumerate(rows.tolist()):
+                fh.writelines(writer.pieces(k, row, raw[row], reports[k].witness_classes))
+        summary = {
+            "patterns": len(batch),
+            "features": n,
+            "skipped_rows": skipped,
+            "seconds": batch.seconds,
+            "knife_edge_queries": int(batch.knife_edges.sum()),
+            "max_queries_per_instance": int(batch.queries.max(initial=0)),
+            "query_budget_per_instance": 2 * n,
+            "classes": {str(k): v for k, v in stats.items()},
+            "frequency": frequency,
+        }
+        summary_path = Path(str(args.output) + ".summary.json")
+        summary_path.write_text(json.dumps(summary, indent=2) + "\n")
 
     print(f"explained {len(batch)} instance(s); "
           f"{len(skipped)} skipped as out of domain")
-    _print_stats(stats, batch.seconds)
+    for klass, s in stats.items():
+        print(f"{LABELS[klass]}: {s['patterns']} pattern(s), "
+              f"size {s['size_mean']:.2f} +- {s['size_std']:.2f}, "
+              f"{s['queries']} queries")
+    print(f"explanation pass: {batch.seconds * 1e3:.3f} ms")
+    print(f"total feasibility queries: {int(batch.queries.sum())} "
+          f"(budget {2 * n} per instance)")
     if len(batch):
         print(table)
-    print(f"explanations written to {args.output}")
-    return EXIT_OK
-
-
-def cmd_bench(args) -> int:
-    bundle, _, _, batch, _, skipped = _explain_rows(args)
-    stats = _per_class_stats(batch)
-    total_queries = int(batch.queries.sum())
-    n = len(bundle.space)
-    report = {
-        "instances": len(batch),
-        "features": n,
-        "skipped_rows": skipped,
-        "seconds": batch.seconds,
-        "total_queries": total_queries,
-        "knife_edge_queries": int(batch.knife_edges.sum()),
-        "max_queries_per_instance": int(batch.queries.max(initial=0)),
-        "query_budget_per_instance": 2 * n,
-        "classes": {str(k): v for k, v in stats.items()},
-    }
     if args.output:
-        Path(args.output).write_text(json.dumps(report, indent=2) + "\n")
-
-    print(f"benchmarked {len(batch)} instance(s) over {n} features")
-    _print_stats(stats, batch.seconds)
-    print(f"total feasibility queries: {total_queries} "
-          f"(budget {2 * n} per instance)")
+        print(f"explanations written to {args.output}")
     return EXIT_OK
 
 
@@ -424,7 +392,6 @@ COMMANDS = {
     "train": cmd_train,
     "calibrate": cmd_calibrate,
     "explain": cmd_explain,
-    "bench": cmd_bench,
 }
 
 

@@ -110,8 +110,9 @@ def load_csv(path, label_column: str | None = None, positive_label=None,
     label column is matched by name; rows whose label equals
     ``positive_label`` (string comparison after ``strip``) map to +1,
     everything else to -1.  ``features`` names the feature columns to read
-    (default: every column but the label).  Without ``label_column`` no
-    labels are read, labels are None and a file without data rows is
+    (default: every column but the label); a column that is read, feature
+    or label, may appear only once in the header.  Without ``label_column``
+    no labels are read, labels are None and a file without data rows is
     accepted.
 
     ``_read_rows``, a loop over ``csv.reader`` rows calling ``float`` per
@@ -136,6 +137,12 @@ def load_csv(path, label_column: str | None = None, positive_label=None,
         labelled = label_column is not None
         if labelled and label_column not in header:
             raise DatasetError(f"{path}: label column {label_column!r} not in header {header}")
+        read = set(header) if features is None else {*features, label_column}
+        seen = set()
+        for name in header:
+            if name in seen and name in read:
+                raise DatasetError(f"{path}: column {name!r} appears more than once in the header")
+            seen.add(name)
         label_idx = header.index(label_column) if labelled else -1
         if features is None:
             cols = [k for k in range(len(header)) if k != label_idx]
@@ -302,12 +309,3 @@ def stratified_split_indices(y: np.ndarray, train_fraction: float, seed: int) ->
     train = np.sort(np.concatenate(train_parts))
     test = np.sort(np.concatenate(test_parts))
     return train, test
-
-
-def stratified_split(ds: LabeledDataset, train_fraction: float, seed: int) -> tuple[LabeledDataset, LabeledDataset]:
-    train_idx, test_idx = stratified_split_indices(ds.y, train_fraction, seed)
-    return (
-        LabeledDataset(ds.X[train_idx], ds.y[train_idx]),
-        LabeledDataset(ds.X[test_idx], ds.y[test_idx]),
-    )
-

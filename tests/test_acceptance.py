@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import svcreject as sr
+from svcreject.dataset import stratified_split_indices
 
 import oracles
 from conftest import (
@@ -65,12 +66,13 @@ def test_criterion_3_iris_pipeline(iris_csv):
                       "zero rejections at w_r=0.24"):
         raw, y, names = sr.load_csv(iris_csv, "species", "setosa")
         space, scaling, full = sr.scale_dataset(raw, y, names)
-        train, test = sr.stratified_split(full, 0.7, seed=0)
+        train_idx, test_idx = stratified_split_indices(full.y, 0.7, seed=0)
+        train = sr.LabeledDataset(full.X[train_idx], full.y[train_idx])
         model, report = sr.train_soft_margin(train, sr.TrainerConfig(C=1.0))
         assert report.converged
 
-        pred = np.where(sr.decision_values(model, test.X) > 0.0, 1.0, -1.0)
-        assert float(np.mean(pred == test.y)) == 1.0
+        pred = np.where(sr.decision_values(model, full.X[test_idx]) > 0.0, 1.0, -1.0)
+        assert float(np.mean(pred == full.y[test_idx])) == 1.0
 
         rm, _ = sr.calibrate(model, train, w_r=0.24)
         metrics = sr.evaluate(rm, full)
@@ -158,7 +160,8 @@ def _soundness_corpus(iris_csv):
     # the iris CSV through the full pipeline
     raw, y, names = sr.load_csv(iris_csv, "species", "setosa")
     space, scaling, full = sr.scale_dataset(raw, y, names)
-    train, _ = sr.stratified_split(full, 0.7, seed=0)
+    train_idx, _ = stratified_split_indices(full.y, 0.7, seed=0)
+    train = sr.LabeledDataset(full.X[train_idx], full.y[train_idx])
     model, _ = sr.train_soft_margin(train)
     rm, _ = sr.calibrate(model, train, w_r=0.24)
     corpus.append((rm, space, full.X))

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from svcreject import FeatureSpace, LabeledDataset, LinearModel, RejectModel
+from svcreject.artifacts import load_bundle
 from svcreject.cli import JsonlWriter, _frequency, _metrics_json, _metrics_table, build_parser, main
 from svcreject.explainer import explain_batch, verify_batch
 from svcreject.rejector import evaluate, predict_with_reject
@@ -62,14 +63,11 @@ class TestFlags:
         "calibrate": {"--input", "--model", "--output", "--scope", "--wr", "--grid-steps"},
         "explain": {"--input", "--model", "--output", "--scope", "--order",
                     "--skip-out-of-domain"},
-        "bench": {"--input", "--model", "--output", "--scope", "--order",
-                  "--skip-out-of-domain"},
     }
     REQUIRED = {
         "train": {"--input", "--model", "--label-column", "--positive-label"},
         "calibrate": {"--input", "--model", "--output"},
-        "explain": {"--input", "--model", "--output"},
-        "bench": {"--input", "--model"},
+        "explain": {"--input", "--model"},
     }
 
     def test_each_subcommand_takes_only_the_options_it_reads(self):
@@ -81,7 +79,7 @@ class TestFlags:
                 for name, acts in options.items()} == self.OPTIONS
         assert {name: {a.option_strings[0] for a in acts if a.required}
                 for name, acts in options.items()} == self.REQUIRED
-        assert sum(len(acts) for acts in options.values()) == 27
+        assert sum(len(acts) for acts in options.values()) == 21
 
     @pytest.mark.parametrize("argv", [
         ["explain", "--input", "i.csv", "--model", "m.json", "--output", "e.jsonl", "--wr", "0.3"],
@@ -102,13 +100,20 @@ class TestFlags:
         ["train", "--model", "m.json", "--label-column", "y", "--positive-label", "a"],
         ["calibrate", "--model", "m.json", "--output", "r.json"],
         ["explain", "--model", "m.json", "--output", "e.jsonl"],
-        ["bench", "--model", "m.json"],
+        ["explain", "--model", "m.json"],
     ])
     def test_missing_input_exits_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         assert "required: --input" in capsys.readouterr().err
+
+    def test_bench_subcommand_is_gone(self, capsys):
+        # explain without --output does what bench did
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--input", "i.csv", "--model", "m.json"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
 class TestTrain:
@@ -393,6 +398,20 @@ class TestExplain:
         records = [json.loads(line) for line in out_path.read_text().splitlines()]
         assert [r["index"] for r in records] == [1]
 
+    def test_repeated_feature_column_exits_2(self, tmp_path, capsys):
+        model_path = tmp_path / "reject.json"
+        model_path.write_text(json.dumps(demo_reject_doc()))
+        instances = tmp_path / "inst.csv"
+        instances.write_text("f1,f2,f1\n0.0526,0.3,0.9\n")
+        out_path = tmp_path / "e.jsonl"
+        assert main([
+            "explain", "--model", str(model_path), "--input", str(instances),
+            "--output", str(out_path),
+        ]) == 2
+        assert (f"error: {instances}: column 'f1' appears more than once in the header"
+                in capsys.readouterr().err)
+        assert not out_path.exists()
+
     def test_plain_model_without_band_exits_2(self, tmp_path, capsys):
         doc = demo_reject_doc()
         for key in ("t_minus", "t_plus", "w_r"):
@@ -559,7 +578,7 @@ class TestExplain:
         assert "row 1" in capsys.readouterr().err
         assert not out_path.exists()
 
-    def test_bench_verifies_too(self, tmp_path, monkeypatch, capsys):
+    def test_verifies_without_output_too(self, tmp_path, monkeypatch, capsys):
         from svcreject import cli, explainer
 
         monkeypatch.setattr(
@@ -570,13 +589,11 @@ class TestExplain:
         model_path.write_text(json.dumps(demo_reject_doc()))
         instances = tmp_path / "inst.csv"
         instances.write_text("f1,f2\n0.0526,0.3\n")
-        report_path = tmp_path / "report.json"
         assert main([
-            "bench", "--model", str(model_path), "--input", str(instances),
-            "--output", str(report_path),
+            "explain", "--model", str(model_path), "--input", str(instances),
         ]) == 1
         assert "row 0" in capsys.readouterr().err
-        assert not report_path.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["inst.csv", "reject.json"]
 
     def test_each_witness_point_is_classified_once(self, tmp_path, iris_csv, monkeypatch,
                                                    capsys):
@@ -746,25 +763,28 @@ class TestJsonlWriter:
         assert line == json.dumps(reference_record(space.names, rm, 0, x, expl)) + "\n"
 
 
-class TestBench:
+class TestReport:
+    """The summary beside the JSONL, and the stdout report, which is the
+    same with or without --output."""
+
     def test_single_instance_reports_zero_std(self, tmp_path, capsys):
         model_path = tmp_path / "reject.json"
         model_path.write_text(json.dumps(demo_reject_doc()))
         instances = tmp_path / "inst.csv"
         instances.write_text("f1,f2\n0.0526,0.3\n")
-        report_path = tmp_path / "report.json"
+        out_path = tmp_path / "expl.jsonl"
         assert main([
-            "bench", "--model", str(model_path), "--input", str(instances),
-            "--output", str(report_path),
+            "explain", "--model", str(model_path), "--input", str(instances),
+            "--output", str(out_path),
         ]) == 0
         capsys.readouterr()
-        report = json.loads(report_path.read_text())
-        assert report["instances"] == 1
-        stats = report["classes"]["1"]
+        summary = json.loads((tmp_path / "expl.jsonl.summary.json").read_text())
+        assert summary["patterns"] == 1
+        stats = summary["classes"]["1"]
         # the pass time is reported once, not split across classes
         assert stats["size_std"] == 0.0 and "time_std" not in stats
-        assert report["seconds"] > 0.0
-        assert report["max_queries_per_instance"] <= report["query_budget_per_instance"]
+        assert summary["seconds"] > 0.0
+        assert summary["max_queries_per_instance"] <= summary["query_budget_per_instance"]
 
     def test_zero_instances_is_success(self, tmp_path, capsys):
         model_path = tmp_path / "reject.json"
@@ -772,9 +792,62 @@ class TestBench:
         instances = tmp_path / "inst.csv"
         instances.write_text("f1,f2\n")
         assert main([
-            "bench", "--model", str(model_path), "--input", str(instances),
+            "explain", "--model", str(model_path), "--input", str(instances),
         ]) == 0
-        assert "benchmarked 0 instance(s)" in capsys.readouterr().out
+        assert "explained 0 instance(s)" in capsys.readouterr().out
+
+    def test_summary_counters_match_the_batch(self, tmp_path, capsys):
+        model_path = tmp_path / "reject.json"
+        model_path.write_text(json.dumps(band_reject_doc()))
+        rng = np.random.default_rng(5)
+        X = np.vstack([BAND_X, rng.uniform(0.0, 1.0, (20, 6))])
+        instances = tmp_path / "inst.csv"
+        instances.write_text("f1,f2,f3,f4,f5,f6\n" + "".join(
+            ",".join(repr(float(v)) for v in x) + "\n" for x in X))
+        out_path = tmp_path / "expl.jsonl"
+        assert main([
+            "explain", "--model", str(model_path), "--input", str(instances),
+            "--output", str(out_path),
+        ]) == 0
+        capsys.readouterr()
+        summary = json.loads((tmp_path / "expl.jsonl.summary.json").read_text())
+        bundle = load_bundle(model_path)
+        batch = explain_batch(bundle.reject_model(), bundle.space, X)
+        assert summary["features"] == 6
+        assert summary["query_budget_per_instance"] == 12
+        assert summary["knife_edge_queries"] == int(batch.knife_edges.sum())
+        assert summary["max_queries_per_instance"] == int(batch.queries.max())
+        assert summary["max_queries_per_instance"] <= summary["query_budget_per_instance"]
+        assert sum(c["queries"] for c in summary["classes"].values()) == int(batch.queries.sum())
+
+    def test_without_output_writes_nothing_and_prints_the_same(self, tmp_path, iris_csv,
+                                                                 capsys):
+        model_path, reject_path = tmp_path / "model.json", tmp_path / "reject.json"
+        assert main([
+            "train", "--input", str(iris_csv), "--label-column", "species",
+            "--positive-label", "versicolor", "--model", str(model_path),
+        ]) == 0
+        assert main([
+            "calibrate", "--input", str(iris_csv), "--model", str(model_path),
+            "--output", str(reject_path),
+        ]) == 0
+        capsys.readouterr()
+        listing = sorted(p.name for p in tmp_path.iterdir())
+        assert main(["explain", "--model", str(reject_path), "--input", str(iris_csv)]) == 0
+        bare = capsys.readouterr().out.splitlines()
+        assert sorted(p.name for p in tmp_path.iterdir()) == listing
+
+        out_path = tmp_path / "expl.jsonl"
+        assert main(["explain", "--model", str(reject_path), "--input", str(iris_csv),
+                     "--output", str(out_path)]) == 0
+        written = capsys.readouterr().out.splitlines()
+        assert written[-1] == f"explanations written to {out_path}"
+        assert any(line.startswith("total feasibility queries: ") for line in bare)
+
+        def untimed(lines):
+            return [line for line in lines if not line.startswith("explanation pass: ")]
+        assert untimed(bare) == untimed(written[:-1])
+        assert len(untimed(bare)) == len(bare) - 1
 
 
 class TestOutOfDomain:
@@ -800,17 +873,19 @@ class TestOutOfDomain:
         capsys.readouterr()
         return bad_csv, reject_path
 
-    @pytest.mark.parametrize("command", ["explain", "bench"])
-    def test_exits_2_and_names_the_row(self, setup, tmp_path, command, capsys):
+    @pytest.mark.parametrize("output", [True, False], ids=["explain", "without-output"])
+    def test_exits_2_and_names_the_row(self, setup, tmp_path, output, capsys):
         bad_csv, reject_path = setup
         out_path = tmp_path / "out.jsonl"
-        code = main([command, "--input", str(bad_csv), "--model", str(reject_path),
-                     "--output", str(out_path)])
+        listing = sorted(p.name for p in tmp_path.iterdir())
+        code = main(["explain", "--input", str(bad_csv), "--model", str(reject_path),
+                     *(["--output", str(out_path)] if output else [])])
         assert code == 2
         err = capsys.readouterr().err
         assert "1 row(s) outside the model's feature domains: 2;" in err
         assert "--skip-out-of-domain" in err
         assert not out_path.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == listing
 
     def test_skip_flag_explains_the_other_rows(self, setup, tmp_path, capsys):
         bad_csv, reject_path = setup
@@ -828,7 +903,7 @@ class TestOutOfDomain:
         model_path.write_text(json.dumps(demo_reject_doc()))
         instances = tmp_path / "inst.csv"
         instances.write_text("f1,f2\n" + "1.5,0.3\n" * 12)
-        assert main(["bench", "--input", str(instances), "--model", str(model_path)]) == 2
+        assert main(["explain", "--input", str(instances), "--model", str(model_path)]) == 2
         assert ("12 row(s) outside the model's feature domains: "
                 "0, 1, 2, 3, 4, 5, 6, 7, 8, 9 and 2 more;") in capsys.readouterr().err
 

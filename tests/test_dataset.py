@@ -14,7 +14,6 @@ from svcreject.dataset import (
     apply_scaling,
     fit_scaling,
     load_csv,
-    stratified_split,
     stratified_split_indices,
 )
 
@@ -91,7 +90,7 @@ class TestLoadCsv:
         # named features, as calibrate reads them
         with pytest.raises(DatasetError, match=r"row 2, column 'b': cannot parse 'abc'"):
             load_csv(p, "y", "x", features=["a", "b"])
-        # short and long rows in a feature-only read, as explain and bench read them
+        # short and long rows in a feature-only read, as explain reads them
         p = write_csv(tmp_path / "f.csv", "a,b\n1,2\n3\n")
         with pytest.raises(DatasetError, match=r"row 2 has 1 cells, expected 2"):
             load_csv(p, features=["a", "b"])
@@ -173,6 +172,23 @@ class TestLoadCsv:
         p = write_csv(tmp_path / "u.csv", "a,y\n1,2\n3,pos\n")
         with pytest.raises(DatasetError, match=r"row 2, column 'y': cannot parse 'pos'"):
             load_csv(p, "y", "pos", features=["a", "y"])
+
+    def test_repeated_feature_column_rejected(self, tmp_path):
+        # as calibrate and explain read a CSV: by feature name
+        p = write_csv(tmp_path / "t.csv", "f1,f2,f1,y\n1,2,3,a\n4,5,6,b\n")
+        with pytest.raises(DatasetError, match=r"t\.csv: column 'f1' appears more than once"):
+            load_csv(p, features=["f1", "f2"])
+        with pytest.raises(DatasetError, match=r"column 'f1' appears more than once"):
+            load_csv(p, "y", "a", features=["f1", "f2"])
+        # a repeated column that is not read is no error
+        raw, _, names = load_csv(p, features=["f2"])
+        assert names == ["f2"] and raw.tolist() == [[2.0], [5.0]]
+
+    def test_repeated_label_column_rejected(self, tmp_path):
+        # as train reads a CSV: every column but the label is a feature
+        p = write_csv(tmp_path / "t.csv", "f1,y,f2,y\n1,a,2,b\n3,b,4,a\n")
+        with pytest.raises(DatasetError, match=r"t\.csv: column 'y' appears more than once"):
+            load_csv(p, "y", "a")
 
     def test_undecodable_byte_raises_the_decoders_error(self, tmp_path):
         p = tmp_path / "t.csv"
@@ -271,39 +287,38 @@ class TestScaling:
 
 class TestStratifiedSplit:
     @staticmethod
-    def dataset(n_pos, n_neg):
-        X = np.arange(float(n_pos + n_neg)).reshape(-1, 1)
-        y = np.array([1.0] * n_pos + [-1.0] * n_neg)
-        return LabeledDataset(X, y)
+    def labels(n_pos, n_neg):
+        return np.array([1.0] * n_pos + [-1.0] * n_neg)
 
     def test_preserves_class_proportions(self):
-        train, test = stratified_split(self.dataset(100, 50), 0.7, seed=0)
-        assert int((train.y == 1).sum()) == 70
-        assert int((train.y == -1).sum()) == 35
+        y = self.labels(100, 50)
+        train, test = stratified_split_indices(y, 0.7, seed=0)
+        assert int((y[train] == 1).sum()) == 70
+        assert int((y[train] == -1).sum()) == 35
         assert len(train) + len(test) == 150
 
     def test_same_seed_reproduces_split(self):
-        ds = self.dataset(20, 10)
-        a = stratified_split(ds, 0.7, seed=42)
-        b = stratified_split(ds, 0.7, seed=42)
-        assert np.array_equal(a[0].X, b[0].X) and np.array_equal(a[1].X, b[1].X)
+        y = self.labels(20, 10)
+        a = stratified_split_indices(y, 0.7, seed=42)
+        b = stratified_split_indices(y, 0.7, seed=42)
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     def test_different_seeds_move_members_not_counts(self):
-        ds = self.dataset(10, 10)
-        idx1 = stratified_split_indices(ds.y, 0.7, seed=1)
-        idx2 = stratified_split_indices(ds.y, 0.7, seed=2)
+        y = self.labels(10, 10)
+        idx1 = stratified_split_indices(y, 0.7, seed=1)
+        idx2 = stratified_split_indices(y, 0.7, seed=2)
         for train_idx, _ in (idx1, idx2):
-            assert int((ds.y[train_idx] == 1).sum()) == 7
-            assert int((ds.y[train_idx] == -1).sum()) == 7
+            assert int((y[train_idx] == 1).sum()) == 7
+            assert int((y[train_idx] == -1).sum()) == 7
         assert idx1[0].tolist() != idx2[0].tolist()
 
     def test_tiny_class_rejected(self):
         with pytest.raises(DatasetError, match="fewer than 2"):
-            stratified_split(self.dataset(1, 5), 0.7, seed=0)
+            stratified_split_indices(self.labels(1, 5), 0.7, seed=0)
 
     def test_bad_fraction_rejected(self):
         with pytest.raises(DatasetError, match="fraction"):
-            stratified_split(self.dataset(5, 5), 1.0, seed=0)
+            stratified_split_indices(self.labels(5, 5), 1.0, seed=0)
 
     @given(st.integers(min_value=0, max_value=2**31 - 1),
            st.integers(min_value=2, max_value=60),

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import os
 import re
@@ -79,6 +80,20 @@ def test_readme_module_table_lists_the_package_modules():
     table = section[:section.index("\n\n", section.index("| module"))]
     listed = re.findall(r"^\| `(\w+)`", table, re.MULTILINE)
     assert sorted(listed) == sorted(set(SOURCES) - {"__init__"})
+
+
+def test_readme_flag_table_matches_the_parser():
+    # a removed subcommand or flag must not linger in the README
+    readme = (ROOT / "README.md").read_text()
+    start = readme.index("| subcommand")
+    table = readme[start:readme.index("\n\n", start)]
+    listed = {name: set(re.findall(r"`(--[\w-]+)`", flags))
+              for name, flags in re.findall(r"^\| `(\w+)`\s*\|(.*)\|$", table, re.MULTILINE)}
+    (sub,) = [a for a in cli.build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    parsed = {name: {a.option_strings[0] for a in p._actions if a.dest != "help"}
+              - {"--input", "--model", "--output"} for name, p in sub.choices.items()}
+    assert listed == parsed
 
 
 def test_every_module_level_definition_has_a_reader():
