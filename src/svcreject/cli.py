@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -234,62 +235,99 @@ def _rows_in_box(bundle: artifacts.ModelBundle, scaled, rows, skip=False, hint="
     return rows[inside], outside
 
 
-def _reprs(values) -> np.ndarray:
-    return np.array([repr(v) for v in np.asarray(values, dtype=float).tolist()], dtype=object)
+# witness coordinates that one string of the JSONL holds at most, and
+# instance values that the writer formats at once
+BLOCK_CELLS = 4096
 
 
-class JsonlWriter:
-    """Explanation records of a batch as JSON lines, byte for byte what
-    ``json.dumps`` gives for the record, but formatted from cached value
-    strings.
+def _jsonl_pieces(names, batch, rows, raw, reports):
+    """The explanation records of ``batch`` as JSON lines, byte for byte
+    what ``json.dumps`` gives for each record, as consecutive strings for
+    ``writelines``.  Batch row k is input row ``rows[k]``, with raw values
+    ``raw[rows[k]]``; its witnesses' classes come from ``reports[k]``.
 
-    Every witness coordinate is the instance's own value or a box corner, so
-    a row formats its n values once and each witness picks strings by its
-    free mask; by mask, not by value, because 0.0 and -0.0 print differently.
-    The witnesses' classes come from the verification.
+    Every witness coordinate is the instance's own value or a box corner.
+    The rows go in chunks of at most ``BLOCK_CELLS`` values and, as in
+    ``verify_batch``, ``VERIFY_CHUNK_CELLS`` witness coordinates.  A chunk
+    formats its values once, into a pool of strings after the box corners
+    and the witnesses' openers and closers, and each witness becomes a row
+    of codes into that pool, picked by ``witness_points`` from its free mask
+    (by mask, not by value, because 0.0 and -0.0 print differently).
 
-    A record holds |kept|·n coordinates, megabytes on a wide row, so it is
-    produced in pieces of at most ``block_cells`` witness coordinates
-    (about 80 KB of text).  Whole-record temporaries would each be mapped
-    and unmapped by the allocator, and the page faults cost as much as the
-    formatting.
+    A record holds |kept|·n coordinates, megabytes on a wide row, so the
+    codes are gathered in blocks of at most ``BLOCK_CELLS`` coordinates,
+    and each string yielded holds the witnesses of at most one block (about
+    80 KB of text) beside the rows' other fields.  Whole-record temporaries
+    would each be mapped and unmapped by the allocator, and the page faults
+    cost as much as the formatting.
     """
+    if not len(batch):
+        return
+    n = len(names)
+    quoted = [json.dumps(name) for name in names]
+    ends = [", "] * (n - 1) + [""]   # the text after each coordinate of a point
 
-    block_cells = 4096
+    def cells(plain):
+        return [text + end for text, end in zip(plain, ends * (len(plain) // n))]
 
-    def __init__(self, names, batch):
-        self.names = [json.dumps(name) for name in names]
-        self.batch = batch
-        self.max_corner = _reprs(batch.box.max_corner)
-        self.min_corner = _reprs(batch.box.min_corner)
+    # codes: the maximum corner at 0, the minimum corner at n, each feature's
+    # witness opener at 2n and again after a separator at 3n, the closer of
+    # class c at 4n + 1 + c, and the chunk's values from 4n + 3 on
+    fixed = [*cells([repr(v) for v in batch.box.max_corner.tolist()]),
+             *cells([repr(v) for v in batch.box.min_corner.tolist()]),
+             *(f'{{"feature": {q}, "point": [' for q in quoted),
+             *(f', {{"feature": {q}, "point": [' for q in quoted),
+             *(f'], "class": {c}}}' for c in (-1, 0, 1))]
+    columns = np.arange(n)
+    width = n + 2
+    per_block = max(1, BLOCK_CELLS // n)
+    trailer = f'], "time_seconds": {batch.seconds / len(batch)!r}}}\n'
+    step = max(1, min(BLOCK_CELLS // n, explainer.VERIFY_CHUNK_CELLS // (n * n)))
+    for start in range(0, len(batch), step):
+        stop = min(start + step, len(batch))
+        local, kept, free, at_max = batch.witnesses(start, stop)
+        plain = [repr(v) for v in batch.instances[start:stop].ravel().tolist()]
+        pool = np.array(fixed + cells(plain), dtype=object)
+        chunk_rows = rows[start:stop]
+        kept_list, raw_list = kept.tolist(), raw[chunk_rows[local], kept].tolist()
+        gone_rows, gone = np.nonzero(batch.removed[start:stop])
+        gone_names = [quoted[i] for i in gone.tolist()]
+        counted = np.arange(stop - start + 1)
+        kept_at = np.searchsorted(local, counted).tolist()
+        gone_at = np.searchsorted(gone_rows, counted).tolist()
 
-    def pieces(self, k: int, row: int, raw_row, witness_classes):
-        """The record of the batch's row k, which is input row ``row``, as
-        consecutive strings for ``writelines``."""
-        batch, names = self.batch, self.names
-        _, kept, free, at_max = batch.witnesses(k, k + 1)
-        x = _reprs(batch.instances[k])
-        kept_list = kept.tolist()
-        kept_part = ", ".join(
-            f'{{"feature": {names[i]}, "value": {x[i]}, "raw_value": {r!r}}}'
-            for i, r in zip(kept_list, np.asarray(raw_row, dtype=float)[kept].tolist())
-        )
-        removed_part = ", ".join(names[i] for i in np.flatnonzero(batch.removed[k]).tolist())
-        yield (f'{{"index": {int(row)}, "class": {int(batch.classes[k])}, "kept": [{kept_part}], '
-               f'"removed": [{removed_part}], "witnesses": [')
-        classes = np.asarray(witness_classes).tolist()
-        step = max(1, self.block_cells // max(1, x.size))
-        for start in range(0, len(kept_list), step):
-            stop = start + step
-            points = explainer.witness_points(free[start:stop], at_max[start:stop], x,
-                                              self.max_corner, self.min_corner)
-            if start:
-                yield ", "
-            yield ", ".join(
-                f'{{"feature": {names[i]}, "point": [{", ".join(p)}], "class": {c}}}'
-                for i, p, c in zip(kept_list[start:stop], points.tolist(), classes[start:stop])
-            )
-        yield f'], "time_seconds": {batch.seconds / len(batch)!r}}}\n'
+        first = np.ones(local.size, dtype=bool)
+        first[1:] = local[1:] != local[:-1]
+        openers = np.where(first, 2 * n, 3 * n) + kept
+        closers = 4 * n + 1 + np.concatenate([reports[k].witness_classes
+                                              for k in range(start, stop)])
+        values = 4 * n + 3 + local * n
+        text, strings, block_start, block_stop = [], [], 0, 0
+        for r, (row, klass) in enumerate(zip(chunk_rows.tolist(),
+                                             batch.classes[start:stop].tolist())):
+            t, row_stop = kept_at[r], kept_at[r + 1]
+            kept_part = ", ".join([
+                f'{{"feature": {quoted[i]}, "value": {plain[r * n + i]}, "raw_value": {v!r}}}'
+                for i, v in zip(kept_list[t:row_stop], raw_list[t:row_stop])])
+            removed_part = ", ".join(gone_names[gone_at[r]:gone_at[r + 1]])
+            text.append(f'{{"index": {row}, "class": {klass}, "kept": [{kept_part}], '
+                        f'"removed": [{removed_part}], "witnesses": [')
+            while t < row_stop:
+                if t >= block_stop:
+                    yield "".join(text)
+                    text = []
+                    block_start, block_stop = t, min(t + per_block, local.size)
+                    block = slice(block_start, block_stop)
+                    points = explainer.witness_points(free[block], at_max[block],
+                                                      values[block, None] + columns,
+                                                      columns, columns + n)
+                    codes = np.column_stack((openers[block], points, closers[block]))
+                    strings = pool[codes].ravel().tolist()
+                end = min(row_stop, block_stop)
+                text += strings[(t - block_start) * width:(end - block_start) * width]
+                t = end
+            text.append(trailer)
+        yield "".join(text)
 
 
 def _per_class_stats(batch) -> dict:
@@ -333,15 +371,19 @@ def cmd_explain(args) -> int:
     ``--skip-out-of-domain`` asks to skip it with a warning.  A row that
     fails verification is a bug trap.
     """
+    started = time.perf_counter()
     bundle = artifacts.load_bundle(args.model)
     rm = bundle.reject_model()
     raw, _, _ = dataset.load_csv(args.input, features=bundle.space.names)
     scaled = dataset.apply_scaling(raw, bundle.scaling)
+    loaded = time.perf_counter()
     rows, skipped = _rows_in_box(
         bundle, scaled, _scope_indices(args.scope, scaled.shape[0], bundle),
         args.skip_out_of_domain, "; pass --skip-out-of-domain to skip them")
+    boxed = time.perf_counter()
     batch = explainer.explain_batch(rm, bundle.space, scaled[rows],
                                     _feature_order(args.order, bundle))
+    explained = time.perf_counter()
     reports = explainer.verify_batch(rm, bundle.space, batch)
     for row, report in zip(rows.tolist(), reports):
         if not report:
@@ -349,15 +391,18 @@ def cmd_explain(args) -> int:
                 f"row {row}: explanation failed verification: "
                 + "; ".join(report.violations)
             )
+    verified = time.perf_counter()
 
     stats = _per_class_stats(batch)
     frequency, table = _frequency(batch.classes, batch.removed, bundle.space.names)
     n = len(bundle.space)
     if args.output:
-        writer = JsonlWriter(bundle.space.names, batch)
+        writing = time.perf_counter()
         with Path(args.output).open("w") as fh:
-            for k, row in enumerate(rows.tolist()):
-                fh.writelines(writer.pieces(k, row, raw[row], reports[k].witness_classes))
+            fh.writelines(_jsonl_pieces(bundle.space.names, batch, rows, raw, reports))
+        stage_seconds = {"load": loaded - started, "box_check": boxed - loaded,
+                         "explain": explained - boxed, "verify": verified - explained,
+                         "write": time.perf_counter() - writing}
         summary = {
             "patterns": len(batch),
             "features": n,
@@ -368,6 +413,7 @@ def cmd_explain(args) -> int:
             "query_budget_per_instance": 2 * n,
             "classes": {str(k): v for k, v in stats.items()},
             "frequency": frequency,
+            "run": {"stage_seconds": stage_seconds, "out_of_box_rows": len(skipped)},
         }
         summary_path = Path(str(args.output) + ".summary.json")
         summary_path.write_text(json.dumps(summary, indent=2) + "\n")

@@ -114,8 +114,8 @@ def witness_points(free, at_max, x, max_corner, min_corner) -> np.ndarray:
     """Certificate points, one row per kept feature: ``x`` with the ``free``
     coordinates moved to the corner of the row's extremum side.
 
-    Works on any element type, so writers can pick preformatted strings the
-    same way the explainer picks floats.
+    Works on any element type: the JSONL writer picks integer codes of
+    preformatted strings the same way the explainer picks floats.
     """
     corner = np.where(np.asarray(at_max)[:, None], max_corner, min_corner)
     return np.where(free, corner, x)

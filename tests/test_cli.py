@@ -3,19 +3,22 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from svcreject import FeatureSpace, LabeledDataset, LinearModel, RejectModel
+from svcreject import FeatureSpace, LabeledDataset, LinearModel, RejectModel, cli, explainer
 from svcreject.artifacts import load_bundle
-from svcreject.cli import JsonlWriter, _frequency, _metrics_json, _metrics_table, build_parser, main
+from svcreject.cli import _frequency, _metrics_json, _metrics_table, build_parser, main
+from svcreject.dataset import apply_scaling, load_csv
 from svcreject.explainer import explain_batch, verify_batch
 from svcreject.rejector import evaluate, predict_with_reject
 
-from conftest import BAND_B, BAND_T_MINUS, BAND_T_PLUS, BAND_W, BAND_X
+from conftest import (BAND_B, BAND_T_MINUS, BAND_T_PLUS, BAND_W, BAND_X, DATA_DIR,
+                      random_reject_model)
 
 
 def demo_reject_doc():
@@ -685,23 +688,60 @@ def reference_record(names, rm, row, raw_row, expl) -> dict:
 
 
 @st.composite
-def writer_cases(draw):
-    """Boxes, instances and raw values built from awkward floats; weights
-    scaled to the box so that no product overflows."""
+def batch_cases(draw):
+    """Boxes, batches of instances and raw values built from awkward floats,
+    and a band; weights scaled to the box so that no product overflows."""
     n = draw(st.integers(min_value=1, max_value=6))
-    lower, upper, x, raw, w = [], [], [], [], []
+    m = draw(st.integers(min_value=1, max_value=5))
+    lower, upper, w = [], [], []
     for _ in range(n):
         lo, hi = sorted(draw(st.lists(st.sampled_from(SPECIAL), min_size=2, max_size=2,
                                       unique_by=float).filter(lambda p: p[0] != p[1])))
-        inside = [v for v in SPECIAL if lo <= v <= hi]
         lower.append(lo)
         upper.append(hi)
-        x.append(draw(st.sampled_from(inside)))
-        raw.append(draw(st.sampled_from(SPECIAL)))
         w.append(draw(st.sampled_from((0.0, 1.0, -1.0, 0.5))) / max(1.0, abs(lo), abs(hi)))
+    X = [[draw(st.sampled_from([v for v in SPECIAL if lo <= v <= hi]))
+          for lo, hi in zip(lower, upper)] for _ in range(m)]
+    raw = [[draw(st.sampled_from(SPECIAL)) for _ in range(n)] for _ in range(m)]
     bias = draw(st.sampled_from((0.0, -0.0, 0.25, -1.0)))
+    band = draw(st.sampled_from(((-0.5, 0.5), (0.0, 0.0), (-1.0, 0.25))))
     names = draw(st.lists(st.text(min_size=1, max_size=4), min_size=n, max_size=n, unique=True))
-    return names, np.array(lower), np.array(upper), np.array(x), np.array(raw), np.array(w), bias
+    return (names, np.array(lower), np.array(upper), np.array(X), np.array(raw),
+            np.array(w), bias, band)
+
+
+# batches that drawn ones may miss, each a batch_cases tuple: every class
+# with every feature kept; no feature kept; a -0.0 corner beside a 0.0 value
+EDGE_BATCHES = (
+    (["a", "b"], np.array([-1.0, -1.0]), np.array([1.0, 1.0]),
+     np.array([[1.0, 1.0], [-1.0, -1.0], [0.0, 0.0]]),
+     np.array([[1e308, 0.1], [-0.0, 5e-324], [0.0, -3.0]]), np.array([1.0, 1.0]), 0.0,
+     (-0.5, 0.5)),
+    (["a", "b"], np.array([0.0, 0.0]), np.array([1.0, 1.0]), np.array([[0.5, 0.0], [1.0, 1.0]]),
+     np.array([[2.0, 1e-300], [0.0, 0.0]]), np.array([0.1, 0.1]), 1.0, (-0.5, 0.5)),
+    (["f1", "f2"], np.array([-0.0, -0.0]), np.array([1.0, 1.0]), np.array([[1.0, 0.0]]),
+     np.array([[1.0, 0.0]]), np.array([1.0, 0.5]), 0.0, (-0.5, 0.5)),
+)
+
+
+def explained(case):
+    """The case's model, space and batch, and its verification reports."""
+    names, lower, upper, X, _, w, bias, (t_minus, t_plus) = case
+    space = FeatureSpace(names, lower, upper)
+    rm = RejectModel(LinearModel(w, bias), t_minus, t_plus, 0.24)
+    batch = explain_batch(rm, space, X)
+    return rm, space, batch, verify_batch(rm, space, batch)
+
+
+def assert_reference_jsonl(text, names, rm, rows, raw, batch):
+    """``text`` holds the ``json.dumps`` line of each row's record; a failure
+    names the records that differ rather than diffing megabytes."""
+    lines = text.split("\n")
+    assert lines.pop() == "" and len(lines) == len(batch)
+    differ = [k for k, (line, row) in enumerate(zip(lines, rows.tolist()))
+              if line != json.dumps(reference_record(names, rm, row, raw[row],
+                                                     batch.explanation(k)))]
+    assert differ == []
 
 
 class TestFeatureFrequency:
@@ -733,34 +773,129 @@ class TestFeatureFrequency:
         assert freq["classes"]["1"]["patterns"] == 9
 
 
-class TestJsonlWriter:
-    # blocks of one witness up to whole records, so that the pieces split
-    # at every witness boundary
-    @given(writer_cases(), st.integers(min_value=1, max_value=8) | st.just(JsonlWriter.block_cells))
-    @settings(max_examples=200, deadline=None)
-    def test_bytes_equal_json_dumps(self, case, block_cells):
-        names, lower, upper, x, raw, w, bias = case
-        space = FeatureSpace(names, lower, upper)
-        rm = RejectModel(LinearModel(w, bias), -0.5, 0.5, 0.24)
-        batch = explain_batch(rm, space, x[None, :])
-        (report,) = verify_batch(rm, space, batch)
-        writer = JsonlWriter(space.names, batch)
-        writer.block_cells = block_cells
-        line = "".join(writer.pieces(0, 7, raw, report.witness_classes))
-        expl = batch.explanation(0)
-        assert line == json.dumps(reference_record(space.names, rm, 7, raw, expl)) + "\n"
+class TestJsonlPieces:
+    """The JSONL writer against ``json.dumps`` of each record."""
 
-    def test_negative_zero_corner_beside_positive_zero_value(self):
-        # the witness moves f1 to its -0.0 corner while f2 keeps its 0.0
-        space = FeatureSpace(["f1", "f2"], np.array([-0.0, -0.0]), np.array([1.0, 1.0]))
-        rm = RejectModel(LinearModel(np.array([1.0, 0.5]), 0.0), 0.0, 0.0, 0.24)
-        x = np.array([0.5, 0.0])
-        batch = explain_batch(rm, space, x[None, :])
-        (report,) = verify_batch(rm, space, batch)
-        line = "".join(JsonlWriter(space.names, batch).pieces(0, 0, x, report.witness_classes))
-        assert '"point": [-0.0, 0.0]' in line
-        expl = batch.explanation(0)
-        assert line == json.dumps(reference_record(space.names, rm, 0, x, expl)) + "\n"
+    @example(case=EDGE_BATCHES[0], block_cells=1, chunk_cells=1)
+    @example(case=EDGE_BATCHES[1], block_cells=1, chunk_cells=1)
+    @example(case=EDGE_BATCHES[2], block_cells=1, chunk_cells=1)
+    # chunks of one row up to the whole batch, and blocks of one witness up
+    # to whole records, so that pieces split at every row and witness
+    # boundary and blocks also span rows
+    @given(case=batch_cases(),
+           block_cells=st.integers(min_value=1, max_value=16) | st.just(cli.BLOCK_CELLS),
+           chunk_cells=st.sampled_from((1, explainer.VERIFY_CHUNK_CELLS)))
+    @settings(max_examples=200, deadline=None)
+    def test_bytes_equal_json_dumps(self, case, block_cells, chunk_cells):
+        rm, space, batch, reports = explained(case)
+        raw = np.zeros((2 * len(batch), len(space)))
+        rows = 2 * np.arange(len(batch)) + 1   # batch row k is input row 2k + 1
+        raw[rows] = case[4]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "BLOCK_CELLS", block_cells)
+            patch.setattr(explainer, "VERIFY_CHUNK_CELLS", chunk_cells)
+            text = "".join(cli._jsonl_pieces(space.names, batch, rows, raw, reports))
+        assert_reference_jsonl(text, space.names, rm, rows, raw, batch)
+
+    def test_edge_batches_hold_what_they_promise(self):
+        classes, sizes, signed_zeros = set(), set(), False
+        for case in EDGE_BATCHES:
+            _, _, batch, _ = explained(case)
+            classes |= set(batch.classes.tolist())
+            sizes |= set((~batch.removed).sum(axis=1).tolist())
+            for k in range(len(batch)):
+                for point in batch.explanation(k).certificates.values():
+                    zeros = np.signbit(point[point == 0.0])
+                    signed_zeros |= bool(zeros.any() and not zeros.all())
+        assert classes == {-1, 0, 1}
+        assert {0, 2} <= sizes   # each edge batch has two features
+        assert signed_zeros
+
+    def test_zero_rows_write_an_empty_file(self, demo_reject, demo_space, tmp_path):
+        batch = explain_batch(demo_reject, demo_space, np.zeros((0, 2)))
+        path = tmp_path / "expl.jsonl"
+        with path.open("w") as fh:
+            fh.writelines(cli._jsonl_pieces(demo_space.names, batch, np.zeros(0, dtype=int),
+                                            np.zeros((0, 2)), []))
+        assert path.read_text() == ""
+
+    @pytest.mark.parametrize("rows, n", [(200, 30), (3, 600)], ids=["tall", "wide"])
+    def test_no_piece_holds_more_than_block_cells_coordinates(self, rows, n):
+        # a wide record holds far more coordinates than one piece may; tall
+        # records fit many to a block
+        rng = np.random.default_rng(n)
+        rm = random_reject_model(rng, n)
+        space = FeatureSpace.unit([f"f{i}" for i in range(n)])
+        X = rng.uniform(0.0, 1.0, (rows, n))
+        batch = explain_batch(rm, space, X)
+        order = np.arange(rows)
+        pieces = list(cli._jsonl_pieces(space.names, batch, order, X,
+                                        verify_batch(rm, space, batch)))
+        assert max(piece.count('"point": [') for piece in pieces) * n <= cli.BLOCK_CELLS
+        assert_reference_jsonl("".join(pieces), space.names, rm, order, X, batch)
+        if rows == 3:
+            assert int((~batch.removed).sum(axis=1).max()) * n > 10 * cli.BLOCK_CELLS
+        else:
+            assert max(piece.count('{"index": ') for piece in pieces) > 1
+
+
+class TestJsonlBytes:
+    """explain's JSONL on iris, byte for byte a ``json.dumps`` writer over
+    ``batch.explanation(k)`` apart from the ``time_seconds`` values."""
+
+    @pytest.fixture(scope="class")
+    def reject_path(self, tmp_path_factory):
+        tmp, iris_csv = tmp_path_factory.mktemp("iris"), DATA_DIR / "iris.csv"
+        model_path, reject_path = tmp / "model.json", tmp / "reject.json"
+        assert main([
+            "train", "--input", str(iris_csv), "--label-column", "species",
+            "--positive-label", "virginica", "--model", str(model_path),
+        ]) == 0
+        assert main([
+            "calibrate", "--input", str(iris_csv), "--model", str(model_path),
+            "--output", str(reject_path),
+        ]) == 0
+        return reject_path
+
+    @pytest.mark.parametrize("order", ["ascending", "descending-weight", "lex"])
+    @pytest.mark.parametrize("case", ["scope-test", "skip-row-75"])
+    def test_bytes_equal_json_dumps_of_each_explanation(self, reject_path, tmp_path, iris_csv,
+                                                         order, case, capsys):
+        csv_path, flags = iris_csv, ["--scope", "test"]
+        if case == "skip-row-75":
+            lines = iris_csv.read_text().splitlines()
+            cells = lines[76].split(",")
+            cells[0] = "99.0"
+            lines[76] = ",".join(cells)
+            csv_path = tmp_path / "bad.csv"
+            csv_path.write_text("\n".join(lines) + "\n")
+            flags = ["--skip-out-of-domain"]
+        out_path = tmp_path / "expl.jsonl"
+        assert main(["explain", "--input", str(csv_path), "--model", str(reject_path),
+                     "--output", str(out_path), "--order", order, *flags]) == 0
+        capsys.readouterr()
+
+        bundle = load_bundle(reject_path)
+        rm, names = bundle.reject_model(), bundle.space.names
+        raw, _, _ = load_csv(csv_path, features=names)
+        if case == "scope-test":
+            rows = np.array(bundle.split.test_indices)
+        else:
+            rows = np.delete(np.arange(150), 75)
+        n = len(names)
+        feature_order = {
+            "ascending": range(n),
+            "descending-weight": np.argsort(-np.abs(bundle.model.weights), kind="stable"),
+            "lex": sorted(range(n), key=names.__getitem__),
+        }[order]
+        batch = explain_batch(rm, bundle.space, apply_scaling(raw, bundle.scaling)[rows],
+                              feature_order)
+        lines = out_path.read_text().splitlines(keepends=True)
+        assert len(lines) == len(rows) and set(batch.classes.tolist()) == {-1, 0, 1}
+        for k, (line, row) in enumerate(zip(lines, rows.tolist())):
+            record = reference_record(names, rm, row, raw[row], batch.explanation(k))
+            record["time_seconds"] = json.loads(line)["time_seconds"]
+            assert line == json.dumps(record) + "\n"
 
 
 class TestReport:
@@ -819,6 +954,33 @@ class TestReport:
         assert summary["max_queries_per_instance"] == int(batch.queries.max())
         assert summary["max_queries_per_instance"] <= summary["query_budget_per_instance"]
         assert sum(c["queries"] for c in summary["classes"].values()) == int(batch.queries.sum())
+
+    def test_run_block_times_each_stage_and_counts_out_of_box_rows(self, tmp_path, capsys):
+        model_path = tmp_path / "reject.json"
+        model_path.write_text(json.dumps(demo_reject_doc()))
+        instances = tmp_path / "inst.csv"
+        instances.write_text("f1,f2\n0.0526,0.3\n1.5,0.3\n0.5,0.5\n")
+        out_path = tmp_path / "expl.jsonl"
+        started = time.perf_counter()
+        assert main([
+            "explain", "--model", str(model_path), "--input", str(instances),
+            "--output", str(out_path), "--skip-out-of-domain",
+        ]) == 0
+        wall = time.perf_counter() - started
+        capsys.readouterr()
+        summary = json.loads((tmp_path / "expl.jsonl.summary.json").read_text())
+        run = summary["run"]
+        assert list(run) == ["stage_seconds", "out_of_box_rows"]
+        stages = run["stage_seconds"]
+        assert list(stages) == ["load", "box_check", "explain", "verify", "write"]
+        assert all(isinstance(s, float) and s >= 0.0 for s in stages.values())
+        assert sum(stages.values()) <= wall
+        # the elimination pass runs inside the explain stage
+        assert stages["explain"] >= summary["seconds"] > 0.0
+        assert run["out_of_box_rows"] == 1 and summary["skipped_rows"] == [1]
+        # the counters stay at the top level
+        assert {"features", "knife_edge_queries", "max_queries_per_instance",
+                "query_budget_per_instance"} <= set(summary)
 
     def test_without_output_writes_nothing_and_prints_the_same(self, tmp_path, iris_csv,
                                                                  capsys):
