@@ -773,8 +773,9 @@ class TestFeatureFrequency:
         assert freq["classes"]["1"]["patterns"] == 9
 
 
-class TestJsonlPieces:
-    """The JSONL writer against ``json.dumps`` of each record."""
+class TestJsonlWriter:
+    """The JSONL writer, ``cli._jsonl_pieces``, against ``json.dumps`` of each
+    record."""
 
     @example(case=EDGE_BATCHES[0], block_cells=1, chunk_cells=1)
     @example(case=EDGE_BATCHES[1], block_cells=1, chunk_cells=1)
@@ -796,6 +797,18 @@ class TestJsonlPieces:
             patch.setattr(explainer, "VERIFY_CHUNK_CELLS", chunk_cells)
             text = "".join(cli._jsonl_pieces(space.names, batch, rows, raw, reports))
         assert_reference_jsonl(text, space.names, rm, rows, raw, batch)
+
+    def test_negative_zero_corner_beside_positive_zero_value(self):
+        # the witness moves f1 to its -0.0 corner while f2 keeps its 0.0
+        space = FeatureSpace(["f1", "f2"], np.array([-0.0, -0.0]), np.array([1.0, 1.0]))
+        rm = RejectModel(LinearModel(np.array([1.0, 0.5]), 0.0), 0.0, 0.0, 0.24)
+        X = np.array([[0.5, 0.0]])
+        batch = explain_batch(rm, space, X)
+        rows = np.array([0])
+        text = "".join(cli._jsonl_pieces(space.names, batch, rows, X,
+                                         verify_batch(rm, space, batch)))
+        assert '"point": [-0.0, 0.0]' in text
+        assert_reference_jsonl(text, space.names, rm, rows, X, batch)
 
     def test_edge_batches_hold_what_they_promise(self):
         classes, sizes, signed_zeros = set(), set(), False
