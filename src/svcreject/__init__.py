@@ -30,12 +30,9 @@ from .rejector import (
     threshold_grid,
 )
 from .explainer import (
-    Explanation,
     ExplanationBatch,
     explain_batch,
-    minimal_explanation,
     verify_batch,
-    verify_explanation,
 )
 from .artifacts import ModelBundle, SplitManifest, load_bundle, save_bundle
 
@@ -65,12 +62,9 @@ __all__ = [
     "evaluate",
     "predict_with_reject",
     "threshold_grid",
-    "Explanation",
     "ExplanationBatch",
     "explain_batch",
-    "minimal_explanation",
     "verify_batch",
-    "verify_explanation",
     "ModelBundle",
     "SplitManifest",
     "load_bundle",

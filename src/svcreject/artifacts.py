@@ -120,6 +120,8 @@ def _optional(doc: dict, key: str, convert=float):
 
 def bundle_from_json(doc: dict) -> ModelBundle:
     space, scaling = _box_from_json(doc)
+    if not len(space):
+        raise ValueError("the features list is empty")
     model = LinearModel(np.array(doc["weights"], dtype=float), float(doc["bias"]))
     if len(model) != len(space):
         raise ValueError("model file is inconsistent: weight/feature count mismatch")

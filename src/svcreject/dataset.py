@@ -148,6 +148,8 @@ def load_csv(path, label_column: str | None = None, positive_label=None,
             cols = [k for k in range(len(header)) if k != label_idx]
         else:
             cols = [header.index(name) for name in features]
+        if not cols:
+            raise DatasetError(f"{path}: no feature columns to read")
         positive = str(positive_label).strip()
 
         parsed = _read_fast(fh, len(header), label_idx, cols, positive)
@@ -182,7 +184,7 @@ def _read_fast(fh, width: int, label_idx: int, cols, positive: str):
     A first row wider than the header is a width loadtxt accepts, and a label
     column that is also a feature would be shadowed by its converter.
     """
-    if not cols or label_idx in cols:
+    if label_idx in cols:
         return None
     # a constant for every column neither feature nor label: loadtxt still
     # checks each row's width

@@ -70,37 +70,15 @@ class BoxExtrema:
 
 
 @dataclass(frozen=True, eq=False)
-class Explanation:
-    """Kept feature-value pairs plus certificates that none can be dropped."""
-
-    instance: np.ndarray
-    klass: int
-    kept: tuple[tuple[int, float], ...]
-    removed: tuple[int, ...]
-    certificates: dict[int, np.ndarray]
-    time_seconds: float
-    queries: int
-    knife_edge_queries: int = 0
-
-    @property
-    def kept_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, _ in self.kept)
-
-    def __len__(self) -> int:
-        return len(self.kept)
-
-
-@dataclass(frozen=True, eq=False)
 class VerificationReport:
     """The violations found in one explanation, and the class of each of its
     certificate points (ascending feature order)."""
 
-    ok: bool
     violations: tuple[str, ...] = ()
     witness_classes: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
 
     def __bool__(self) -> bool:
-        return self.ok
+        return not self.violations
 
 
 def _check_order(order, n: int) -> list[int]:
@@ -127,8 +105,7 @@ class ExplanationBatch:
 
     Per row it keeps the class, the mask of removed features, the extremum
     side of each kept feature's witness (``at_max``), the query count and
-    the knife-edge count; ``explanation(k)`` turns row k into an
-    ``Explanation``.
+    the knife-edge count.
     """
 
     box: BoxExtrema
@@ -158,22 +135,6 @@ class ExplanationBatch:
         free = removed[rows] & (self.position < self.position[kept][:, None])
         free[np.arange(kept.size), kept] = True
         return rows, kept, free, self.at_max[start:stop][rows, kept]
-
-    def explanation(self, k: int) -> Explanation:
-        _, kept, free, at_max = self.witnesses(k, k + 1)
-        x = self.instances[k]
-        points = witness_points(free, at_max, x, self.box.max_corner, self.box.min_corner)
-        kept_list = kept.tolist()
-        return Explanation(
-            instance=x,
-            klass=int(self.classes[k]),
-            kept=tuple(zip(kept_list, x[kept].tolist())),
-            removed=tuple(np.flatnonzero(self.removed[k]).tolist()),
-            certificates=dict(zip(kept_list, points)),
-            time_seconds=self.seconds / len(self),
-            queries=int(self.queries[k]),
-            knife_edge_queries=int(self.knife_edges[k]),
-        )
 
 
 def _freed(rm: RejectModel, box: BoxExtrema, extreme, extremum, products, removed, i):
@@ -262,12 +223,6 @@ def explain_batch(rm: RejectModel, space: FeatureSpace, X, order=None) -> Explan
                             knife_edges + knives, time.perf_counter() - start)
 
 
-def minimal_explanation(rm: RejectModel, space: FeatureSpace, x: np.ndarray,
-                        order=None) -> Explanation:
-    """The explanation of one instance: a one-row ``explain_batch``."""
-    return explain_batch(rm, space, np.asarray(x, dtype=float)[None], order).explanation(0)
-
-
 def _entailment(rm: RejectModel, box: BoxExtrema, values, classes, kept):
     """Per row, whether its kept values entail its class; per kept feature
     (``np.nonzero(kept)`` order), whether they still do with it freed.
@@ -299,110 +254,51 @@ def _entailment(rm: RejectModel, box: BoxExtrema, values, classes, kept):
     return holds[:len(values)], holds[len(values):]
 
 
-def _verify(rm: RejectModel, space: FeatureSpace, box: BoxExtrema, instances, values,
-            classes, kept, rows, features, points) -> list[VerificationReport]:
-    """The one verification core, for a chunk of rows.
-
-    ``values`` holds each row's kept values in its ``kept`` positions, and
-    ``points[t]`` is the certificate of feature ``features[t]`` of row
-    ``rows[t]``, in row order.  Per row it checks that (a) the kept values
-    are the instance's, (b) they entail the class, (c) no kept feature can be
-    dropped alone, (d) every kept feature has a certificate and no other
-    feature has one, and (e) every certificate lies in the box, moves
-    no other kept feature and is classified differently.  Each certificate
-    is classified once, and its class is reported.
-    """
-    names = space.names
-    violations: list[list[str]] = [[] for _ in range(len(values))]
-    for k, i in zip(*np.nonzero(kept & (values != instances))):
-        violations[k].append(f"kept value of feature {names[i]!r} differs from the instance")
-    sufficient, droppable = _entailment(rm, box, values, classes, kept)
-    for k in np.flatnonzero(~sufficient).tolist():
-        violations[k].append("sufficiency: kept features do not entail the class")
-    for k, i in zip(*(axis[droppable] for axis in np.nonzero(kept))):
-        violations[k].append(f"minimality: feature {names[i]!r} is droppable")
-    certified = np.zeros(kept.shape, dtype=bool)
-    certified[rows, features] = True
-    for k, i in zip(*np.nonzero(certified != kept)):
-        violations[k].append(f"kept feature {names[i]!r} has no certificate" if kept[k, i]
-                             else f"certificate for feature {names[i]!r}, which is not kept")
-    others = kept[rows]
-    others[np.arange(rows.size), features] = False
-    moves = np.any(others & (points != values[rows]), axis=1)
-    witness_classes, _ = classify(rm, points)
-    for message, bad in (("lies outside the box", ~space.rows_inside(points)),
-                         ("moves another kept feature", moves),
-                         ("does not flip the class", witness_classes == classes[rows])):
-        for t in np.flatnonzero(bad).tolist():
-            violations[rows[t]].append(f"certificate for feature {names[features[t]]!r} {message}")
-    per_row = np.split(witness_classes, np.searchsorted(rows, np.arange(1, len(values))))
-    return [VerificationReport(not v, tuple(v), c) for v, c in zip(violations, per_row)]
-
-
 def verify_batch(rm: RejectModel, space: FeatureSpace, batch: ExplanationBatch) -> list[VerificationReport]:
     """Re-check every row of an elimination pass from scratch.
 
-    Sufficiency and minimality are decided from the rows, their classes and
-    their removed masks alone, from the box's extrema classified by
-    ``band_classes``; the witness points are the ones ``batch.witnesses``
-    lays out, built and classified in chunks of at most
-    ``VERIFY_CHUNK_CELLS`` coordinates.
-    Returns one report per row.
+    Per row it checks that (a) the kept values entail the class, (b) no kept
+    feature can be dropped alone, (c) every kept feature has a certificate
+    and no other feature has one, and (d) every certificate lies in the box,
+    moves no other kept feature and is classified differently.  Sufficiency
+    and minimality are decided from the rows, their classes and their
+    removed masks alone, from the box's extrema classified by
+    ``band_classes``.  The certificates are the witness points that
+    ``batch.witnesses`` lays out, built and classified once each, in chunks
+    of at most ``VERIFY_CHUNK_CELLS`` coordinates.
+    Returns one report per row, with the class of each of its certificates.
     """
-    n = len(space)
+    n, names = len(space), space.names
     box = BoxExtrema.of(rm.model.weights, rm.model.bias, space)
     step = max(1, VERIFY_CHUNK_CELLS // (n * n))
     reports: list[VerificationReport] = []
     for start in range(0, len(batch), step):
         stop = min(start + step, len(batch))
-        X = batch.instances[start:stop]
+        X, classes = batch.instances[start:stop], batch.classes[start:stop]
+        kept = ~batch.removed[start:stop]
         rows, features, free, at_max = batch.witnesses(start, stop)
         points = witness_points(free, at_max, X[rows], box.max_corner, box.min_corner)
-        reports += _verify(rm, space, box, X, X, batch.classes[start:stop],
-                           ~batch.removed[start:stop], rows, features, points)
+        violations: list[list[str]] = [[] for _ in range(len(X))]
+        sufficient, droppable = _entailment(rm, box, X, classes, kept)
+        for k in np.flatnonzero(~sufficient).tolist():
+            violations[k].append("sufficiency: kept features do not entail the class")
+        for k, i in zip(*(axis[droppable] for axis in np.nonzero(kept))):
+            violations[k].append(f"minimality: feature {names[i]!r} is droppable")
+        certified = np.zeros(kept.shape, dtype=bool)
+        certified[rows, features] = True
+        for k, i in zip(*np.nonzero(certified != kept)):
+            violations[k].append(f"kept feature {names[i]!r} has no certificate" if kept[k, i]
+                                 else f"certificate for feature {names[i]!r}, which is not kept")
+        others = kept[rows]
+        others[np.arange(rows.size), features] = False
+        moves = np.any(others & (points != X[rows]), axis=1)
+        witness_classes, _ = classify(rm, points)
+        for message, bad in (("lies outside the box", ~space.rows_inside(points)),
+                             ("moves another kept feature", moves),
+                             ("does not flip the class", witness_classes == classes[rows])):
+            for t in np.flatnonzero(bad).tolist():
+                violations[rows[t]].append(
+                    f"certificate for feature {names[features[t]]!r} {message}")
+        per_row = np.split(witness_classes, np.searchsorted(rows, np.arange(1, len(X))))
+        reports += [VerificationReport(tuple(v), c) for v, c in zip(violations, per_row)]
     return reports
-
-
-def verify_explanation(rm: RejectModel, space: FeatureSpace, expl: Explanation) -> VerificationReport:
-    """One explanation, with the certificates it carries, through
-    ``verify_batch``'s checks, plus that kept and removed partition the
-    features.
-
-    Raises ValueError for a class other than -1, 0 or +1, a kept index
-    outside the features, a kept value outside its domain or a certificate
-    index outside the features.
-    """
-    if expl.klass not in (-1, 0, 1):
-        raise ValueError("class must be -1, 0 or +1")
-    n = len(space)
-    lower, upper = space.lower.tolist(), space.upper.tolist()
-    instance = np.asarray(expl.instance, dtype=float)
-    if instance.shape != (n,):
-        raise ValueError(f"instance has shape {instance.shape}, expected ({n},)")
-    kept = np.zeros(n, dtype=bool)
-    values = instance.copy()
-    for i, v in expl.kept:
-        if not 0 <= i < n:
-            raise ValueError(f"fixed index {i} out of range for {n} features")
-        if not lower[i] <= v <= upper[i]:
-            raise ValueError(
-                f"fixed value {v} for feature {space.names[i]!r} "
-                f"outside its domain [{lower[i]}, {upper[i]}]"
-            )
-        kept[i], values[i] = True, v
-    items = sorted(expl.certificates.items())
-    features = np.array([i for i, _ in items], dtype=int)
-    if np.any((features < 0) | (features >= n)):
-        raise ValueError(f"certificate index out of range for {n} features")
-    points = np.array([p for _, p in items], dtype=float).reshape(len(items), n)
-
-    kept_idx = set(expl.kept_indices)
-    violations = []
-    if kept_idx | set(expl.removed) != set(range(n)) or kept_idx & set(expl.removed):
-        violations.append("kept and removed do not partition the features")
-    box = BoxExtrema.of(rm.model.weights, rm.model.bias, space)
-    (report,) = _verify(rm, space, box, instance[None], values[None], np.array([expl.klass]),
-                        kept[None], np.zeros(features.size, dtype=int), features, points)
-    violations += report.violations
-    return VerificationReport(not violations, tuple(violations), report.witness_classes)
-

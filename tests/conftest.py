@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from svcreject import FeatureSpace, LinearModel, RejectModel
+from svcreject.explainer import witness_points
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -60,3 +61,12 @@ def random_reject_model(rng: np.random.Generator, n_features: int) -> RejectMode
     t_plus = float(rng.uniform(0.0, 1.0))
     t_minus = float(-rng.uniform(0.0, 1.0))
     return RejectModel(LinearModel(w, b), t_minus, t_plus, 0.24)
+
+
+def certificates(batch, k: int) -> dict[int, np.ndarray]:
+    """Row k's certificate point of each kept feature, laid out as
+    ``verify_batch`` and the JSONL writer lay them out."""
+    _, kept, free, at_max = batch.witnesses(k, k + 1)
+    points = witness_points(free, at_max, batch.instances[k], batch.box.max_corner,
+                            batch.box.min_corner)
+    return dict(zip(kept.tolist(), points))

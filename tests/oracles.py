@@ -507,7 +507,19 @@ def _entailed(formula, box, low, high, exact_low, exact_high):
     return holds
 
 
-def verify_explanation_closed_form(rm, space, expl) -> VerificationReport:
+@dataclass(frozen=True, eq=False)
+class ExplainedRow:
+    """One explained row as the closed-form reference reads it: the instance,
+    its class, the mask of kept features and the certificate point of each
+    feature that has one."""
+
+    instance: np.ndarray
+    klass: int
+    kept: np.ndarray
+    certificates: dict[int, np.ndarray]
+
+
+def verify_explanation_closed_form(rm, space, row: ExplainedRow) -> VerificationReport:
     """Per-row closed-form verification, the reference for the library's
     verification core.
 
@@ -520,15 +532,12 @@ def verify_explanation_closed_form(rm, space, expl) -> VerificationReport:
     unmoved).
     """
     violations: list[str] = []
-    n = len(space)
-    kept_idx = set(expl.kept_indices)
-    if kept_idx | set(expl.removed) != set(range(n)) or kept_idx & set(expl.removed):
-        violations.append("kept and removed do not partition the features")
-    pinned, point = PartialAssignment(dict(expl.kept)).pinned(space)
+    kept = np.flatnonzero(row.kept)
+    pinned, point = PartialAssignment(
+        {i: float(row.instance[i]) for i in kept.tolist()}).pinned(space)
 
     box = BoxExtrema.of(rm.model.weights, rm.model.bias, space)
-    formula = prediction_formula(rm, expl.klass)
-    kept = np.array(expl.kept_indices, dtype=int)
+    formula = prediction_formula(rm, row.klass)
     products = box.weights * point
     low_terms = np.where(pinned, products, box.min_term)
     high_terms = np.where(pinned, products, box.max_term)
@@ -551,12 +560,12 @@ def verify_explanation_closed_form(rm, space, expl) -> VerificationReport:
     for i in kept[entailed[1:]].tolist():
         violations.append(f"minimality: feature {space.names[i]!r} is droppable")
 
-    if expl.certificates:
-        items = sorted(expl.certificates.items())
-        flipped = classify(rm, np.array([p for _, p in items]))[0] != expl.klass
+    if row.certificates:
+        items = sorted(row.certificates.items())
+        flipped = classify(rm, np.array([p for _, p in items]))[0] != row.klass
         for (i, _), ok in zip(items, flipped.tolist()):
             if not ok:
                 violations.append(
                     f"certificate for feature {space.names[i]!r} does not flip the class"
                 )
-    return VerificationReport(not violations, tuple(violations))
+    return VerificationReport(tuple(violations))

@@ -21,6 +21,7 @@ from conftest import (
     BAND_B,
     BAND_X,
     DEMO_X,
+    certificates,
     random_reject_model,
 )
 
@@ -39,26 +40,25 @@ def test_criterion_1_two_feature_worked_example(demo_reject, demo_space):
     with criterion(1, "two-feature model: prediction +1, explanation exactly {f1}, "
                       "flip witness present, under 1 ms"):
         assert sr.predict_with_reject(demo_reject, DEMO_X) == 1
-        expl = sr.minimal_explanation(demo_reject, demo_space, DEMO_X)
-        assert expl.klass == 1
-        assert expl.kept_indices == (0,)
-        assert expl.removed == (1,)
-        witness = expl.certificates[0]
-        assert witness is not None
+        batch = sr.explain_batch(demo_reject, demo_space, DEMO_X[None])
+        assert batch.classes.tolist() == [1]
+        assert np.flatnonzero(~batch.removed[0]).tolist() == [0]
+        assert np.flatnonzero(batch.removed[0]).tolist() == [1]
+        (witness,) = certificates(batch, 0).values()
         assert sr.predict_with_reject(demo_reject, witness) == -1
         assert witness[0] == 1.0
-        assert expl.time_seconds < 1e-3
+        assert batch.seconds < 1e-3
 
 
 def test_criterion_2_six_feature_reject_band_case(band_reject, band_space):
     with criterion(2, "six-feature banded model: instance rejected, removed set "
                       "exactly {f3}, f4 kept"):
         assert sr.predict_with_reject(band_reject, BAND_X) == 0
-        expl = sr.minimal_explanation(band_reject, band_space, BAND_X)
-        assert expl.klass == 0
-        assert expl.removed == (2,)
-        assert expl.kept_indices == (0, 1, 3, 4, 5)
-        assert 3 in expl.kept_indices
+        batch = sr.explain_batch(band_reject, band_space, BAND_X[None])
+        assert batch.classes.tolist() == [0]
+        assert np.flatnonzero(batch.removed[0]).tolist() == [2]
+        assert np.flatnonzero(~batch.removed[0]).tolist() == [0, 1, 3, 4, 5]
+        assert not batch.removed[0, 3]
 
 
 def test_criterion_3_iris_pipeline(iris_csv):
@@ -178,16 +178,16 @@ def test_criterion_5_explanation_soundness_suite(iris_csv):
             n = len(space)
             w, b = rm.model.weights, rm.model.bias
             for x in instances:
-                expl = sr.minimal_explanation(rm, space, x)
-                report = sr.verify_explanation(rm, space, expl)
+                batch = sr.explain_batch(rm, space, x[None])
+                (report,) = sr.verify_batch(rm, space, batch)
                 assert report, report.violations
 
                 samples = rng.uniform(space.lower, space.upper, (completions, n))
-                for i, v in expl.kept:
-                    samples[:, i] = v
+                kept = ~batch.removed[0]
+                samples[:, kept] = x[kept]
                 d = samples @ w + b
                 classes = np.where(d > rm.t_plus, 1, np.where(d < rm.t_minus, -1, 0))
-                assert np.all(classes == expl.klass)
+                assert np.all(classes == batch.classes[0])
                 total += 1
         assert total >= 300
 
@@ -226,8 +226,8 @@ def test_criterion_7_sixty_feature_performance():
         times = []
         for _ in range(200):
             x = rng.uniform(0.0, 1.0, n)
-            expl = sr.minimal_explanation(rm, space, x)
-            assert expl.queries <= 2 * n
-            times.append(expl.time_seconds)
+            batch = sr.explain_batch(rm, space, x[None])   # one instance per pass
+            assert batch.queries[0] <= 2 * n
+            times.append(batch.seconds)
         mean = sum(times) / len(times)
         assert mean < 0.010, f"mean explanation time {mean * 1e3:.3f} ms"

@@ -17,6 +17,7 @@ from svcreject.dataset import apply_scaling, load_csv
 from svcreject.explainer import explain_batch, verify_batch
 from svcreject.rejector import evaluate, predict_with_reject
 
+import oracles
 from conftest import (BAND_B, BAND_T_MINUS, BAND_T_PLUS, BAND_W, BAND_X, DATA_DIR,
                       random_reject_model)
 
@@ -415,6 +416,16 @@ class TestExplain:
                 in capsys.readouterr().err)
         assert not out_path.exists()
 
+    def test_model_file_without_features_exits_2(self, tmp_path, capsys):
+        doc = {**demo_reject_doc(), "weights": [], "features": [], "scaling": []}
+        model_path = tmp_path / "reject.json"
+        model_path.write_text(json.dumps(doc))
+        instances = tmp_path / "inst.csv"
+        instances.write_text("x\n1\n")
+        assert main(["explain", "--model", str(model_path), "--input", str(instances)]) == 2
+        assert (f"error: model file {model_path}: the features list is empty\n"
+                == capsys.readouterr().err)
+
     def test_plain_model_without_band_exits_2(self, tmp_path, capsys):
         doc = demo_reject_doc()
         for key in ("t_minus", "t_plus", "w_r"):
@@ -542,7 +553,7 @@ class TestExplain:
 
         monkeypatch.setattr(
             cli.explainer, "verify_batch",
-            lambda rm, space, batch: [explainer.VerificationReport(False, ("forced",))] * len(batch),
+            lambda rm, space, batch: [explainer.VerificationReport(("forced",))] * len(batch),
         )
         model_path = tmp_path / "reject.json"
         model_path.write_text(json.dumps(demo_reject_doc()))
@@ -564,7 +575,7 @@ class TestExplain:
 
         def second_row_fails(*args, **kwargs):
             reports = verify(*args, **kwargs)
-            reports[1] = explainer.VerificationReport(False, ("forced",))
+            reports[1] = explainer.VerificationReport(("forced",))
             return reports
 
         monkeypatch.setattr(cli.explainer, "verify_batch", second_row_fails)
@@ -586,7 +597,7 @@ class TestExplain:
 
         monkeypatch.setattr(
             cli.explainer, "verify_batch",
-            lambda rm, space, batch: [explainer.VerificationReport(False, ("forced",))] * len(batch),
+            lambda rm, space, batch: [explainer.VerificationReport(("forced",))] * len(batch),
         )
         model_path = tmp_path / "reject.json"
         model_path.write_text(json.dumps(demo_reject_doc()))
@@ -665,25 +676,30 @@ class TestExplain:
 SPECIAL = (-0.0, 0.0, 5e-324, 1e-300, 0.1, 1.0, 2.0, -3.0, 123456789.0, 1e308, -1e308)
 
 
-def reference_record(names, rm, row, raw_row, expl) -> dict:
-    """The record as a dict, for ``json.dumps``: what the writer must print."""
+def reference_record(rm, space, row, raw_row, x, order, seconds) -> dict:
+    """The record of instance x as a dict, for ``json.dumps``: what the
+    writer must print, with the explanation and its certificates recomputed
+    by the query-per-step reference."""
+    names = space.names
+    klass, kept, removed, certificates, _ = oracles.minimal_explanation_by_queries(
+        rm, space, x, order)
     return {
         "index": int(row),
-        "class": int(expl.klass),
+        "class": int(klass),
         "kept": [
-            {"feature": names[i], "value": v, "raw_value": float(raw_row[i])}
-            for i, v in expl.kept
+            {"feature": names[i], "value": float(x[i]), "raw_value": float(raw_row[i])}
+            for i in kept
         ],
-        "removed": [names[i] for i in expl.removed],
+        "removed": [names[i] for i in removed],
         "witnesses": [
             {
                 "feature": names[i],
                 "point": [float(v) for v in witness],
                 "class": int(predict_with_reject(rm, witness)),
             }
-            for i, witness in sorted(expl.certificates.items())
+            for i, witness in sorted(certificates.items())
         ],
-        "time_seconds": expl.time_seconds,
+        "time_seconds": seconds,
     }
 
 
@@ -733,14 +749,15 @@ def explained(case):
     return rm, space, batch, verify_batch(rm, space, batch)
 
 
-def assert_reference_jsonl(text, names, rm, rows, raw, batch):
+def assert_reference_jsonl(text, rm, space, rows, raw, batch):
     """``text`` holds the ``json.dumps`` line of each row's record; a failure
     names the records that differ rather than diffing megabytes."""
     lines = text.split("\n")
     assert lines.pop() == "" and len(lines) == len(batch)
+    seconds = batch.seconds / len(batch)
     differ = [k for k, (line, row) in enumerate(zip(lines, rows.tolist()))
-              if line != json.dumps(reference_record(names, rm, row, raw[row],
-                                                     batch.explanation(k)))]
+              if line != json.dumps(reference_record(rm, space, row, raw[row],
+                                                     batch.instances[k], None, seconds))]
     assert differ == []
 
 
@@ -796,7 +813,7 @@ class TestJsonlWriter:
             patch.setattr(cli, "BLOCK_CELLS", block_cells)
             patch.setattr(explainer, "VERIFY_CHUNK_CELLS", chunk_cells)
             text = "".join(cli._jsonl_pieces(space.names, batch, rows, raw, reports))
-        assert_reference_jsonl(text, space.names, rm, rows, raw, batch)
+        assert_reference_jsonl(text, rm, space, rows, raw, batch)
 
     def test_negative_zero_corner_beside_positive_zero_value(self):
         # the witness moves f1 to its -0.0 corner while f2 keeps its 0.0
@@ -808,16 +825,17 @@ class TestJsonlWriter:
         text = "".join(cli._jsonl_pieces(space.names, batch, rows, X,
                                          verify_batch(rm, space, batch)))
         assert '"point": [-0.0, 0.0]' in text
-        assert_reference_jsonl(text, space.names, rm, rows, X, batch)
+        assert_reference_jsonl(text, rm, space, rows, X, batch)
 
     def test_edge_batches_hold_what_they_promise(self):
         classes, sizes, signed_zeros = set(), set(), False
         for case in EDGE_BATCHES:
-            _, _, batch, _ = explained(case)
+            rm, space, batch, _ = explained(case)
             classes |= set(batch.classes.tolist())
             sizes |= set((~batch.removed).sum(axis=1).tolist())
-            for k in range(len(batch)):
-                for point in batch.explanation(k).certificates.values():
+            for x in batch.instances:
+                _, _, _, points, _ = oracles.minimal_explanation_by_queries(rm, space, x)
+                for point in points.values():
                     zeros = np.signbit(point[point == 0.0])
                     signed_zeros |= bool(zeros.any() and not zeros.all())
         assert classes == {-1, 0, 1}
@@ -845,7 +863,7 @@ class TestJsonlWriter:
         pieces = list(cli._jsonl_pieces(space.names, batch, order, X,
                                         verify_batch(rm, space, batch)))
         assert max(piece.count('"point": [') for piece in pieces) * n <= cli.BLOCK_CELLS
-        assert_reference_jsonl("".join(pieces), space.names, rm, order, X, batch)
+        assert_reference_jsonl("".join(pieces), rm, space, order, X, batch)
         if rows == 3:
             assert int((~batch.removed).sum(axis=1).max()) * n > 10 * cli.BLOCK_CELLS
         else:
@@ -854,7 +872,8 @@ class TestJsonlWriter:
 
 class TestJsonlBytes:
     """explain's JSONL on iris, byte for byte a ``json.dumps`` writer over
-    ``batch.explanation(k)`` apart from the ``time_seconds`` values."""
+    the query-per-step reference's explanations apart from the
+    ``time_seconds`` values."""
 
     @pytest.fixture(scope="class")
     def reject_path(self, tmp_path_factory):
@@ -901,13 +920,13 @@ class TestJsonlBytes:
             "descending-weight": np.argsort(-np.abs(bundle.model.weights), kind="stable"),
             "lex": sorted(range(n), key=names.__getitem__),
         }[order]
-        batch = explain_batch(rm, bundle.space, apply_scaling(raw, bundle.scaling)[rows],
-                              feature_order)
+        X = apply_scaling(raw, bundle.scaling)[rows]
         lines = out_path.read_text().splitlines(keepends=True)
-        assert len(lines) == len(rows) and set(batch.classes.tolist()) == {-1, 0, 1}
-        for k, (line, row) in enumerate(zip(lines, rows.tolist())):
-            record = reference_record(names, rm, row, raw[row], batch.explanation(k))
-            record["time_seconds"] = json.loads(line)["time_seconds"]
+        assert len(lines) == len(rows)
+        assert set(explain_batch(rm, bundle.space, X).classes.tolist()) == {-1, 0, 1}
+        for x, line, row in zip(X, lines, rows.tolist()):
+            record = reference_record(rm, bundle.space, row, raw[row], x, feature_order,
+                                      json.loads(line)["time_seconds"])
             assert line == json.dumps(record) + "\n"
 
 

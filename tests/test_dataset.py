@@ -103,6 +103,11 @@ class TestLoadCsv:
         with pytest.raises(DatasetError, match="one class"):
             load_csv(p, "y", "setosa")
 
+    def test_label_column_alone_rejected(self, tmp_path):
+        p = write_csv(tmp_path / "t.csv", "y\npos\nneg\n")
+        with pytest.raises(DatasetError, match=r"t\.csv: no feature columns to read$"):
+            load_csv(p, "y", "pos")
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_csv(tmp_path / "nope.csv", "y", "x")

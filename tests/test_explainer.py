@@ -7,12 +7,7 @@ from hypothesis import given, settings, strategies as st
 from svcreject.dataset import DatasetError, FeatureSpace
 from svcreject.dataset import LabeledDataset
 from svcreject import explainer
-from svcreject.explainer import (
-    explain_batch,
-    minimal_explanation,
-    verify_batch,
-    verify_explanation,
-)
+from svcreject.explainer import ExplanationBatch, explain_batch, verify_batch
 from svcreject.rejector import calibrate, classify, predict_with_reject
 from svcreject.trainer import LinearModel, decision_values
 from svcreject import RejectModel
@@ -26,6 +21,7 @@ from conftest import (
     BAND_W,
     BAND_X,
     DEMO_X,
+    certificates,
     random_reject_model,
 )
 
@@ -103,20 +99,33 @@ class TestEntailment:
             assert not satisfiable(atom, pa, space)
 
 
+def explain_one(rm, space, x, order=None):
+    """A one-row batch: the explanation of instance x."""
+    return explain_batch(rm, space, np.asarray(x, dtype=float)[None], order)
+
+
+def kept_of(batch, k=0) -> tuple[int, ...]:
+    return tuple(np.flatnonzero(~batch.removed[k]).tolist())
+
+
+def removed_of(batch, k=0) -> tuple[int, ...]:
+    return tuple(np.flatnonzero(batch.removed[k]).tolist())
+
+
 class TestMinimalExplanation:
     def test_demo_instance_keeps_only_f1(self, demo_reject, demo_space):
-        expl = minimal_explanation(demo_reject, demo_space, DEMO_X)
-        assert expl.klass == 1
-        assert expl.kept == ((0, 0.0526),)
-        assert expl.removed == (1,)
-        witness = expl.certificates[0]
+        batch = explain_one(demo_reject, demo_space, DEMO_X)
+        assert batch.classes.tolist() == [1]
+        assert kept_of(batch) == (0,)
+        assert removed_of(batch) == (1,)
+        (witness,) = certificates(batch, 0).values()
         assert predict_with_reject(demo_reject, witness) == -1
 
     def test_band_instance_drops_exactly_f3(self, band_reject, band_space):
-        expl = minimal_explanation(band_reject, band_space, BAND_X)
-        assert expl.klass == 0
-        assert expl.removed == (2,)
-        assert expl.kept_indices == (0, 1, 3, 4, 5)
+        batch = explain_one(band_reject, band_space, BAND_X)
+        assert batch.classes.tolist() == [0]
+        assert removed_of(batch) == (2,)
+        assert kept_of(batch) == (0, 1, 3, 4, 5)
 
     def test_band_instance_agrees_with_vertex_driven_elimination(self, band_reject, band_space):
         # re-derive the kept set with entailment decided by corner enumeration
@@ -130,13 +139,13 @@ class TestMinimalExplanation:
         kept = oracles.minimal_explanation_via_vertices(
             oracle, BAND_W, BAND_B, atoms, BAND_X, lower, upper, range(6)
         )
-        expl = minimal_explanation(band_reject, band_space, BAND_X)
-        assert expl.kept_indices == kept == (0, 1, 3, 4, 5)
+        batch = explain_one(band_reject, band_space, BAND_X)
+        assert kept_of(batch) == kept == (0, 1, 3, 4, 5)
 
     def test_query_budget_is_two_per_feature(self, band_reject, band_space):
-        expl = minimal_explanation(band_reject, band_space, BAND_X)
-        assert expl.queries <= 2 * len(band_space)
-        assert expl.knife_edge_queries == 0
+        batch = explain_one(band_reject, band_space, BAND_X)
+        assert batch.queries[0] <= 2 * len(band_space)
+        assert batch.knife_edges[0] == 0
 
     @pytest.mark.parametrize("w, b, klass, kept, queries, knife_edges", [
         # +1: freeing f1 puts the minimum of d exactly on t_plus
@@ -151,19 +160,19 @@ class TestMinimalExplanation:
                                                        knife_edges):
         rm = RejectModel(LinearModel(np.array([w]), b), 0.0, 0.0, 0.24)
         space = FeatureSpace.unit(["f1"])
-        expl = minimal_explanation(rm, space, np.array([0.5]))
-        assert expl.klass == klass
-        assert expl.kept_indices == kept
-        assert expl.queries == queries
-        assert expl.knife_edge_queries == knife_edges
+        batch = explain_one(rm, space, np.array([0.5]))
+        assert batch.classes.tolist() == [klass]
+        assert kept_of(batch) == kept
+        assert batch.queries.tolist() == [queries]
+        assert batch.knife_edges.tolist() == [knife_edges]
 
     def test_out_of_domain_instance_rejected(self, demo_reject, demo_space):
         with pytest.raises(DatasetError):
-            minimal_explanation(demo_reject, demo_space, np.array([1.2, 0.3]))
+            explain_one(demo_reject, demo_space, np.array([1.2, 0.3]))
 
     def test_bad_order_rejected(self, demo_reject, demo_space):
         with pytest.raises(ValueError, match="permutation"):
-            minimal_explanation(demo_reject, demo_space, DEMO_X, order=[0, 0])
+            explain_one(demo_reject, demo_space, DEMO_X, order=[0, 0])
 
     @given(st.integers(min_value=0, max_value=2**31 - 1), st.integers(min_value=2, max_value=9))
     @settings(max_examples=100, deadline=None)
@@ -176,8 +185,7 @@ class TestMinimalExplanation:
         rm = RejectModel(LinearModel(w, rm.model.bias), rm.t_minus, rm.t_plus, rm.w_r)
         space = FeatureSpace.unit([f"f{i}" for i in range(n)])
         x = rng.uniform(0.0, 1.0, n)
-        expl = minimal_explanation(rm, space, x)
-        assert zeroed in expl.removed
+        assert zeroed in removed_of(explain_one(rm, space, x))
 
     @given(st.integers(min_value=0, max_value=2**31 - 1), st.integers(min_value=1, max_value=8))
     @settings(max_examples=100, deadline=None)
@@ -187,8 +195,7 @@ class TestMinimalExplanation:
         space = FeatureSpace.unit([f"f{i}" for i in range(n)])
         x = rng.uniform(0.0, 1.0, n)
         order = rng.permutation(n)
-        expl = minimal_explanation(rm, space, x, order=order)
-        report = verify_explanation(rm, space, expl)
+        (report,) = verify_batch(rm, space, explain_one(rm, space, x, order=order))
         assert report, report.violations
 
     @given(st.integers(min_value=0, max_value=2**31 - 1))
@@ -199,13 +206,13 @@ class TestMinimalExplanation:
         rm = random_reject_model(rng, n)
         space = FeatureSpace.unit([f"f{i}" for i in range(n)])
         x = rng.uniform(0.0, 1.0, n)
-        expl = minimal_explanation(rm, space, x)
+        batch = explain_one(rm, space, x)
+        kept = list(kept_of(batch))
         samples = rng.uniform(0.0, 1.0, (200, n))
-        for i, v in expl.kept:
-            samples[:, i] = v
+        samples[:, kept] = x[kept]
         d = samples @ rm.model.weights + rm.model.bias
         classes = np.where(d > rm.t_plus, 1, np.where(d < rm.t_minus, -1, 0))
-        assert np.all(classes == expl.klass)
+        assert np.all(classes == batch.classes[0])
 
 
 ORDERS = ("ascending", "descending-weight", "lex")
@@ -255,24 +262,22 @@ class TestBatchedPass:
         rm, space, X, order = case
         batch = explain_batch(rm, space, X, order)
         assert len(batch) == X.shape[0]
+        reports = verify_batch(rm, space, batch)
         for k, x in enumerate(X):
-            expl = batch.explanation(k)
-            klass, kept, removed, certificates, queries = (
+            klass, kept, removed, expected, queries = (
                 oracles.minimal_explanation_by_queries(rm, space, x, order))
-            assert expl.klass == klass
-            assert expl.kept_indices == kept
-            assert expl.removed == removed
-            assert expl.kept == tuple((i, float(x[i])) for i in kept)
-            assert sorted(expl.certificates) == sorted(certificates)
-            for i, point in certificates.items():
+            assert batch.classes[k] == klass
+            assert kept_of(batch, k) == kept
+            assert removed_of(batch, k) == removed
+            got = certificates(batch, k)
+            assert sorted(got) == sorted(expected)
+            for i, point in expected.items():
                 # bit for bit, so that a -0.0 corner stays -0.0
-                assert expl.certificates[i].tobytes() == point.tobytes()
-            points = np.array([expl.certificates[i] for i in kept]).reshape(-1, len(space))
-            assert classify(rm, points)[0].tolist() == [
-                predict_with_reject(rm, certificates[i]) for i in kept]
-            assert expl.queries == queries <= 2 * len(space)
-            report = verify_explanation(rm, space, expl)
-            assert report, report.violations
+                assert got[i].tobytes() == point.tobytes()
+            assert reports[k].witness_classes.tolist() == [
+                predict_with_reject(rm, expected[i]) for i in kept]
+            assert batch.queries[k] == queries <= 2 * len(space)
+            assert reports[k], reports[k].violations
 
     @given(batch_cases())
     @settings(max_examples=100, deadline=None)
@@ -281,11 +286,10 @@ class TestBatchedPass:
         w, b = rm.model.weights, rm.model.bias
         batch = explain_batch(rm, space, X, order)
         for k, x in enumerate(X):
-            expl = batch.explanation(k)
-            if expl.knife_edge_queries:
+            if batch.knife_edges[k]:
                 continue  # float corner enumeration cannot settle a knife edge
             atoms = [(a.relation, a.threshold)
-                     for a in negate(prediction_formula(rm, expl.klass))]
+                     for a in negate(prediction_formula(rm, int(batch.classes[k])))]
 
             def oracle(rel, thr, fixed):
                 atom = LinearAtom(w, b, rel, thr)
@@ -294,7 +298,7 @@ class TestBatchedPass:
 
             kept = oracles.minimal_explanation_via_vertices(
                 oracle, w, b, atoms, x, space.lower, space.upper, order)
-            assert expl.kept_indices == kept
+            assert kept_of(batch, k) == kept
 
     @given(st.integers(min_value=0, max_value=2**31 - 1), st.integers(min_value=2, max_value=20))
     @settings(max_examples=60, deadline=None)
@@ -312,11 +316,9 @@ class TestBatchedPass:
         assert (rm.t_plus, rm.t_minus) == (d.max(), d.min())
         space = FeatureSpace.unit([f"f{i}" for i in range(n)])
         for x in (X[np.argmax(d)], X[np.argmin(d)]):
-            report = verify_explanation(rm, space, minimal_explanation(rm, space, x))
+            (report,) = verify_batch(rm, space, explain_one(rm, space, x))
             assert report, report.violations
-        batch = explain_batch(rm, space, X)
-        for k in range(len(batch)):
-            report = verify_explanation(rm, space, batch.explanation(k))
+        for report in verify_batch(rm, space, explain_batch(rm, space, X)):
             assert report, report.violations
 
     def test_rows_outside_the_box_rejected(self, demo_reject, demo_space):
@@ -327,133 +329,111 @@ class TestBatchedPass:
         assert len(explain_batch(demo_reject, demo_space, np.zeros((0, 2)))) == 0
 
 
-class TestVerifyExplanation:
-    def test_accepts_generated_explanations(self, band_reject, band_space):
-        expl = minimal_explanation(band_reject, band_space, BAND_X)
-        assert verify_explanation(band_reject, band_space, expl)
+def patch_witnesses(monkeypatch, change):
+    """Hand ``verify_batch`` the witness layout ``change`` makes of the real
+    one, (rows, features, free masks, sides)."""
+    witnesses = ExplanationBatch.witnesses
+    monkeypatch.setattr(ExplanationBatch, "witnesses",
+                        lambda self, start, stop: change(*witnesses(self, start, stop)))
 
-    def test_detects_missing_kept_feature(self, band_reject, band_space):
-        expl = minimal_explanation(band_reject, band_space, BAND_X)
-        dropped = expl.kept[0][0]
-        mutated = dataclasses.replace(
-            expl,
-            kept=expl.kept[1:],
-            removed=tuple(sorted(expl.removed + (dropped,))),
-            certificates={i: w for i, w in expl.certificates.items() if i != dropped},
-        )
-        report = verify_explanation(band_reject, band_space, mutated)
+
+class TestVerifyExplanation:
+    """The checks of ``verify_batch`` on one-row batches, each with one part
+    of the explanation broken."""
+
+    @pytest.fixture
+    def batch(self, band_reject, band_space):
+        batch = explain_one(band_reject, band_space, BAND_X)
+        assert kept_of(batch) == (0, 1, 3, 4, 5)
+        return batch
+
+    def test_accepts_generated_explanations(self, band_reject, band_space, batch):
+        assert all(verify_batch(band_reject, band_space, batch))
+
+    def test_detects_missing_kept_feature(self, band_reject, band_space, batch):
+        removed = batch.removed.copy()
+        removed[0, 0] = True
+        (report,) = verify_batch(band_reject, band_space,
+                                 dataclasses.replace(batch, removed=removed))
         assert not report
         assert any("sufficiency" in v for v in report.violations)
 
-    def test_detects_redundant_feature(self, band_reject, band_space):
-        expl = minimal_explanation(band_reject, band_space, BAND_X)
-        extra = expl.removed[0]
-        mutated = dataclasses.replace(
-            expl,
-            kept=tuple(sorted(expl.kept + ((extra, float(BAND_X[extra])),))),
-            removed=tuple(i for i in expl.removed if i != extra),
-        )
-        report = verify_explanation(band_reject, band_space, mutated)
+    def test_detects_redundant_feature(self, band_reject, band_space, batch):
+        removed = batch.removed.copy()
+        removed[0, 2] = False
+        (report,) = verify_batch(band_reject, band_space,
+                                 dataclasses.replace(batch, removed=removed))
         assert not report
         assert any("minimality" in v for v in report.violations)
 
-    def test_detects_useless_certificate(self, band_reject, band_space):
-        expl = minimal_explanation(band_reject, band_space, BAND_X)
-        bad = dict(expl.certificates)
-        i = next(iter(bad))
-        bad[i] = BAND_X.copy()  # the instance itself never flips the class
-        mutated = dataclasses.replace(expl, certificates=bad)
-        report = verify_explanation(band_reject, band_space, mutated)
-        assert not report
-        assert any("certificate" in v for v in report.violations)
-
+    def test_detects_useless_certificate(self, band_reject, band_space, batch):
+        # f1's witness moved to the other extremum stays in the reject band
+        at_max = batch.at_max.copy()
+        at_max[0, 0] = not at_max[0, 0]
+        (report,) = verify_batch(band_reject, band_space,
+                                 dataclasses.replace(batch, at_max=at_max))
+        assert report.violations == ("certificate for feature 'f1' does not flip the class",)
 
     # the certificate contract: one certificate per kept feature and none for
-    # a removed one, each inside the box, each leaving the other kept values
-    # alone, and kept values that are the instance's
+    # a removed one, each inside the box and each leaving the other kept
+    # values alone
 
-    def test_detects_missing_certificates(self, band_reject, band_space):
-        expl = minimal_explanation(band_reject, band_space, BAND_X)
-        report = verify_explanation(band_reject, band_space,
-                                    dataclasses.replace(expl, certificates={}))
+    def test_detects_missing_certificates(self, band_reject, band_space, batch, monkeypatch):
+        patch_witnesses(monkeypatch, lambda *layout: tuple(part[:0] for part in layout))
+        (report,) = verify_batch(band_reject, band_space, batch)
         assert not report
         assert report.violations == tuple(
             f"kept feature {band_space.names[i]!r} has no certificate"
-            for i in expl.kept_indices)
+            for i in kept_of(batch))
 
-    def test_detects_one_certificate_of_five(self, band_reject, band_space):
-        expl = minimal_explanation(band_reject, band_space, BAND_X)
-        first = expl.kept_indices[0]
-        mutated = dataclasses.replace(expl, certificates={first: expl.certificates[first]})
-        report = verify_explanation(band_reject, band_space, mutated)
+    def test_detects_one_certificate_of_five(self, band_reject, band_space, batch, monkeypatch):
+        patch_witnesses(monkeypatch, lambda *layout: tuple(part[:1] for part in layout))
+        (report,) = verify_batch(band_reject, band_space, batch)
         assert not report
         assert len(report.violations) == 4
         assert all(v.endswith("has no certificate") for v in report.violations)
 
-    def test_detects_certificate_for_removed_feature(self, band_reject, band_space):
-        expl = minimal_explanation(band_reject, band_space, BAND_X)
-        assert expl.removed == (2,)
-        extra = dict(expl.certificates)
-        extra[2] = expl.certificates[0]
-        report = verify_explanation(band_reject, band_space,
-                                    dataclasses.replace(expl, certificates=extra))
+    def test_detects_certificate_for_removed_feature(self, band_reject, band_space, batch,
+                                                     monkeypatch):
+        assert removed_of(batch) == (2,)
+
+        def with_f3(rows, features, free, at_max):
+            # f3 gets a copy of f1's witness
+            return (np.append(rows, 0), np.append(features, 2), np.vstack([free, free[:1]]),
+                    np.append(at_max, at_max[0]))
+
+        patch_witnesses(monkeypatch, with_f3)
+        (report,) = verify_batch(band_reject, band_space, batch)
         assert not report
         assert "certificate for feature 'f3', which is not kept" in report.violations
 
-    def test_detects_certificates_outside_box_moving_kept_features(self, band_reject, band_space):
-        expl = minimal_explanation(band_reject, band_space, BAND_X)
+    def test_detects_certificates_outside_box_moving_kept_features(self, band_reject, band_space,
+                                                                   batch, monkeypatch):
         far = 50.0 * np.sign(BAND_W)
-        assert predict_with_reject(band_reject, far) != expl.klass
-        mutated = dataclasses.replace(
-            expl, certificates={i: far.copy() for i in expl.certificates})
-        report = verify_explanation(band_reject, band_space, mutated)
+        assert predict_with_reject(band_reject, far) != batch.classes[0]
+        monkeypatch.setattr(explainer, "witness_points",
+                            lambda free, *_: np.tile(far, (len(free), 1)))
+        (report,) = verify_batch(band_reject, band_space, batch)
         assert not report
-        for i in expl.kept_indices:
+        for i in kept_of(batch):
             name = band_space.names[i]
             assert f"certificate for feature {name!r} lies outside the box" in report.violations
             assert f"certificate for feature {name!r} moves another kept feature" in report.violations
 
-    def test_detects_kept_value_other_than_the_instance(self, band_reject, band_space):
-        expl = minimal_explanation(band_reject, band_space, BAND_X)
-        kept = ((0, 0.26),) + expl.kept[1:]
-        mutated = dataclasses.replace(expl, kept=kept)
-        report = verify_explanation(band_reject, band_space, mutated)
-        assert not report
-        assert "kept value of feature 'f1' differs from the instance" in report.violations
 
-    def test_bad_kept_index_and_domain_raise(self, band_reject, band_space):
-        expl = minimal_explanation(band_reject, band_space, BAND_X)
-        with pytest.raises(ValueError, match="fixed index 9 out of range for 6 features"):
-            verify_explanation(band_reject, band_space,
-                               dataclasses.replace(expl, kept=expl.kept + ((9, 0.5),)))
-        with pytest.raises(ValueError, match="outside its domain"):
-            verify_explanation(band_reject, band_space,
-                               dataclasses.replace(expl, kept=((0, 1.5),) + expl.kept[1:]))
-        with pytest.raises(ValueError, match="class must be"):
-            verify_explanation(band_reject, band_space, dataclasses.replace(expl, klass=2))
-        with pytest.raises(ValueError, match="certificate index out of range"):
-            verify_explanation(band_reject, band_space, dataclasses.replace(
-                expl, certificates={**expl.certificates, 9: BAND_X.copy()}))
-
-
-def _mutations(expl):
-    """The explanation and its broken variants: a kept feature dropped, a
-    removed feature kept, a certificate replaced by the instance."""
-    out = [expl]
-    if expl.kept:
-        dropped = expl.kept[0][0]
-        out.append(dataclasses.replace(
-            expl, kept=expl.kept[1:], removed=tuple(sorted(expl.removed + (dropped,))),
-            certificates={i: p for i, p in expl.certificates.items() if i != dropped}))
-        bad = dict(expl.certificates)
-        bad[dropped] = expl.instance.copy()
-        out.append(dataclasses.replace(expl, certificates=bad))
-    if expl.removed:
-        extra = expl.removed[0]
-        out.append(dataclasses.replace(
-            expl, kept=tuple(sorted(expl.kept + ((extra, float(expl.instance[extra])),))),
-            removed=expl.removed[1:]))
-    return out
+def _mutations(batch):
+    """The batch and its broken variants, each broken in every row where it
+    can be: the first kept feature dropped, its witness moved to the other
+    extremum, and the first removed feature kept."""
+    rows = np.arange(len(batch))
+    first_kept, first_removed = np.argmax(~batch.removed, axis=1), np.argmax(batch.removed, axis=1)
+    has_kept, has_removed = (~batch.removed).any(axis=1), batch.removed.any(axis=1)
+    dropped, kept, at_max = batch.removed.copy(), batch.removed.copy(), batch.at_max.copy()
+    dropped[rows[has_kept], first_kept[has_kept]] = True
+    at_max[rows[has_kept], first_kept[has_kept]] ^= True
+    kept[rows[has_removed], first_removed[has_removed]] = False
+    return [batch, dataclasses.replace(batch, removed=dropped),
+            dataclasses.replace(batch, at_max=at_max), dataclasses.replace(batch, removed=kept)]
 
 
 def _verdicts(report):
@@ -467,13 +447,13 @@ class TestVerifyBatch:
     @settings(max_examples=150, deadline=None)
     def test_core_agrees_with_closed_form_reference(self, case):
         rm, space, X, order = case
-        batch = explain_batch(rm, space, X, order)
-        for k in range(len(batch)):
-            for expl in _mutations(batch.explanation(k)):
-                report = verify_explanation(rm, space, expl)
-                reference = oracles.verify_explanation_closed_form(rm, space, expl)
+        for batch in _mutations(explain_batch(rm, space, X, order)):
+            for k, report in enumerate(verify_batch(rm, space, batch)):
+                row = oracles.ExplainedRow(X[k], int(batch.classes[k]), ~batch.removed[k],
+                                           certificates(batch, k))
+                reference = oracles.verify_explanation_closed_form(rm, space, row)
                 assert _verdicts(report) == _verdicts(reference)
-                items = sorted(expl.certificates.items())
+                items = sorted(row.certificates.items())
                 assert report.witness_classes.tolist() == [
                     predict_with_reject(rm, p) for _, p in items]
 
@@ -485,7 +465,7 @@ class TestVerifyBatch:
         reports = verify_batch(rm, space, batch)
         assert len(reports) == len(batch)
         for k, report in enumerate(reports):
-            one = verify_explanation(rm, space, batch.explanation(k))
+            (one,) = verify_batch(rm, space, explain_batch(rm, space, X[k:k + 1], order))
             assert report and one, (report.violations, one.violations)
             assert report.witness_classes.tolist() == one.witness_classes.tolist()
 
@@ -520,6 +500,6 @@ class TestVerifyBatch:
         assert len(sizes) == 14 and max(sizes) <= 3 * n
         assert sum(sizes) == int((~batch.removed).sum())
         for a, b in zip(whole, chunked):
-            assert (a.ok, a.violations) == (b.ok, b.violations)
+            assert a.violations == b.violations
             assert a.witness_classes.tolist() == b.witness_classes.tolist()
 

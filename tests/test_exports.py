@@ -43,6 +43,15 @@ def test_single_query_layer_is_gone():
             assert not hasattr(module, name), f"{module.__name__}.{name}"
 
 
+def test_one_row_layer_is_gone():
+    # a one-row explanation is a one-row ExplanationBatch, and verify_batch
+    # is the one verifier
+    for module in (svcreject, explainer):
+        for name in ("Explanation", "minimal_explanation", "verify_explanation"):
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
+    assert not hasattr(explainer.ExplanationBatch, "explanation")
+
+
 def test_formula_layer_is_gone():
     # classes are decided at the box extrema by rejector.band_classes; the
     # atom encoding lives on only as a test reference (oracles.py)
