@@ -163,8 +163,10 @@ def cmd_calibrate(args) -> int:
     scaled = dataset.apply_scaling(raw, bundle.scaling)
 
     cal_idx = _scope_indices("all" if bundle.split is None else "train", scaled.shape[0], bundle)
-    _rows_in_box(bundle, scaled, cal_idx)
-    scope_idx, _ = _rows_in_box(bundle, scaled, _scope_indices(args.scope, scaled.shape[0], bundle))
+    _rows_in_box(bundle, scaled[cal_idx], cal_idx)
+    scope_idx = _scope_indices(args.scope, scaled.shape[0], bundle)
+    inside, _ = _rows_in_box(bundle, scaled[scope_idx], scope_idx)
+    scope_idx = scope_idx[inside]
     cal_ds = dataset.LabeledDataset(scaled[cal_idx], labels[cal_idx])
 
     rm, risk = rejector.calibrate(bundle.model, cal_ds, args.wr, args.grid_steps)
@@ -215,14 +217,15 @@ def _metrics_table(doc: dict) -> str:
 
 
 def _rows_in_box(bundle: artifacts.ModelBundle, scaled, rows, skip=False, hint=""):
-    """The selected ``rows`` of ``scaled`` that lie in the model's feature
-    box (``FeatureSpace.rows_inside``), and the row numbers outside it.
+    """Which of the input rows ``rows``, with scaled values ``scaled`` (one
+    row each), lie in the model's feature box (``FeatureSpace.rows_inside``):
+    the mask, and the row numbers outside it.
 
     A row outside is an input error whose message names at most
     ``MAX_NAMED_ROWS`` rows, counts the rest and ends with ``hint``; with
     ``skip`` it is skipped with a warning instead.
     """
-    inside = bundle.space.rows_inside(scaled[rows])
+    inside = bundle.space.rows_inside(scaled)
     outside = rows[~inside].tolist()
     if outside and not skip:
         named = ", ".join(str(row) for row in outside[:MAX_NAMED_ROWS])
@@ -232,7 +235,7 @@ def _rows_in_box(bundle: artifacts.ModelBundle, scaled, rows, skip=False, hint="
     for row in outside:
         print(f"warning: row {row} is outside the model's feature domains; skipped",
               file=sys.stderr)
-    return rows[inside], outside
+    return inside, outside
 
 
 # witness coordinates that one string of the JSONL holds at most, and
@@ -246,20 +249,20 @@ def _jsonl_pieces(names, batch, rows, raw, reports):
     ``writelines``.  Batch row k is input row ``rows[k]``, with raw values
     ``raw[rows[k]]``; its witnesses' classes come from ``reports[k]``.
 
-    Every witness coordinate is the instance's own value or a box corner.
-    The rows go in chunks of at most ``BLOCK_CELLS`` values and, as in
-    ``verify_batch``, ``VERIFY_CHUNK_CELLS`` witness coordinates.  A chunk
-    formats its values once, into a pool of strings after the box corners
-    and the witnesses' openers and closers, and each witness becomes a row
-    of codes into that pool, picked by ``witness_points`` from its free mask
-    (by mask, not by value, because 0.0 and -0.0 print differently).
+    The rows' values are formatted in chunks of at most ``BLOCK_CELLS``.
+    Every witness coordinate is the instance's own value or a box corner,
+    so a row keeps one list of coordinate texts per extremum side and walks
+    the features once in elimination order: a removed feature moves to its
+    corner in both lists, and a kept feature's witness is its side's list
+    joined with its own coordinate at the corner.  That is the freeing rule
+    of ``ExplanationBatch.witnesses``, with each coordinate copied once per
+    witness (by mask, not by value, because 0.0 and -0.0 print differently).
 
-    A record holds |kept|·n coordinates, megabytes on a wide row, so the
-    codes are gathered in blocks of at most ``BLOCK_CELLS`` coordinates,
-    and each string yielded holds the witnesses of at most one block (about
-    80 KB of text) beside the rows' other fields.  Whole-record temporaries
-    would each be mapped and unmapped by the allocator, and the page faults
-    cost as much as the formatting.
+    A record holds |kept|·n coordinates, megabytes on a wide row, so each
+    string yielded holds at most ``BLOCK_CELLS`` witness coordinates beside
+    the rows' other fields, and a point wider than that is joined in blocks
+    of ``BLOCK_CELLS``, one to a string.  A row's witness texts are held
+    until the row is written.
     """
     if not len(batch):
         return
@@ -268,66 +271,56 @@ def _jsonl_pieces(names, batch, rows, raw, reports):
     ends = [", "] * (n - 1) + [""]   # the text after each coordinate of a point
 
     def cells(plain):
-        return [text + end for text, end in zip(plain, ends * (len(plain) // n))]
+        return [text + end for text, end in zip(plain, ends)]
 
-    # codes: the maximum corner at 0, the minimum corner at n, each feature's
-    # witness opener at 2n and again after a separator at 3n, the closer of
-    # class c at 4n + 1 + c, and the chunk's values from 4n + 3 on
-    fixed = [*cells([repr(v) for v in batch.box.max_corner.tolist()]),
-             *cells([repr(v) for v in batch.box.min_corner.tolist()]),
-             *(f'{{"feature": {q}, "point": [' for q in quoted),
-             *(f', {{"feature": {q}, "point": [' for q in quoted),
-             *(f'], "class": {c}}}' for c in (-1, 0, 1))]
-    columns = np.arange(n)
-    width = n + 2
-    per_block = max(1, BLOCK_CELLS // n)
+    # each feature's corner on the minimum side, then on the maximum side
+    corners = tuple(cells([repr(v) for v in corner.tolist()])
+                    for corner in (batch.box.min_corner, batch.box.max_corner))
+    openers = [f'{{"feature": {q}, "point": [' for q in quoted]
+    closers = {c: f'], "class": {c}}}' for c in (-1, 0, 1)}
+    # a point's blocks, of at most ``width`` coordinates each
+    blocks = [slice(a, a + BLOCK_CELLS) for a in range(0, n, BLOCK_CELLS)]
+    width = min(n, BLOCK_CELLS)
+    elimination = np.argsort(batch.position).tolist()
     trailer = f'], "time_seconds": {batch.seconds / len(batch)!r}}}\n'
-    step = max(1, min(BLOCK_CELLS // n, explainer.VERIFY_CHUNK_CELLS // (n * n)))
+    text, held = [], 0
+    step = max(1, BLOCK_CELLS // max(1, n))
     for start in range(0, len(batch), step):
         stop = min(start + step, len(batch))
-        local, kept, free, at_max = batch.witnesses(start, stop)
         plain = [repr(v) for v in batch.instances[start:stop].ravel().tolist()]
-        pool = np.array(fixed + cells(plain), dtype=object)
-        chunk_rows = rows[start:stop]
-        kept_list, raw_list = kept.tolist(), raw[chunk_rows[local], kept].tolist()
-        gone_rows, gone = np.nonzero(batch.removed[start:stop])
-        gone_names = [quoted[i] for i in gone.tolist()]
-        counted = np.arange(stop - start + 1)
-        kept_at = np.searchsorted(local, counted).tolist()
-        gone_at = np.searchsorted(gone_rows, counted).tolist()
-
-        first = np.ones(local.size, dtype=bool)
-        first[1:] = local[1:] != local[:-1]
-        openers = np.where(first, 2 * n, 3 * n) + kept
-        closers = 4 * n + 1 + np.concatenate([reports[k].witness_classes
-                                              for k in range(start, stop)])
-        values = 4 * n + 3 + local * n
-        text, strings, block_start, block_stop = [], [], 0, 0
-        for r, (row, klass) in enumerate(zip(chunk_rows.tolist(),
-                                             batch.classes[start:stop].tolist())):
-            t, row_stop = kept_at[r], kept_at[r + 1]
-            kept_part = ", ".join([
-                f'{{"feature": {quoted[i]}, "value": {plain[r * n + i]}, "raw_value": {v!r}}}'
-                for i, v in zip(kept_list[t:row_stop], raw_list[t:row_stop])])
-            removed_part = ", ".join(gone_names[gone_at[r]:gone_at[r + 1]])
+        chunk = zip(rows[start:stop].tolist(), batch.classes[start:stop].tolist(),
+                    raw[rows[start:stop]].tolist(), batch.removed[start:stop].tolist(),
+                    batch.at_max[start:stop].tolist(), reports[start:stop])
+        for r, (row, klass, raw_row, removed, at_max, report) in enumerate(chunk):
+            own = cells(plain[r * n:(r + 1) * n])
+            sides = (own[:], own[:])
+            points = {}
+            for i in elimination:
+                if removed[i]:
+                    sides[0][i], sides[1][i] = corners[0][i], corners[1][i]
+                    continue
+                side = sides[at_max[i]]
+                side[i] = corners[at_max[i]][i]
+                points[i] = (["".join(side)] if len(blocks) == 1
+                             else ["".join(side[block]) for block in blocks])
+                side[i] = own[i]
+            kept = sorted(points)
+            kept_part = ", ".join([f'{{"feature": {quoted[i]}, "value": {plain[r * n + i]}, '
+                                   f'"raw_value": {raw_row[i]!r}}}' for i in kept])
+            removed_part = ", ".join([quoted[i] for i in range(n) if removed[i]])
             text.append(f'{{"index": {row}, "class": {klass}, "kept": [{kept_part}], '
                         f'"removed": [{removed_part}], "witnesses": [')
-            while t < row_stop:
-                if t >= block_stop:
-                    yield "".join(text)
-                    text = []
-                    block_start, block_stop = t, min(t + per_block, local.size)
-                    block = slice(block_start, block_stop)
-                    points = explainer.witness_points(free[block], at_max[block],
-                                                      values[block, None] + columns,
-                                                      columns, columns + n)
-                    codes = np.column_stack((openers[block], points, closers[block]))
-                    strings = pool[codes].ravel().tolist()
-                end = min(row_stop, block_stop)
-                text += strings[(t - block_start) * width:(end - block_start) * width]
-                t = end
+            for t, (i, c) in enumerate(zip(kept, report.witness_classes.tolist())):
+                opener = (", " if t else "") + openers[i]
+                for block in points[i]:
+                    if held + width > BLOCK_CELLS:
+                        yield "".join(text)
+                        text, held = [], 0
+                    text += (opener, block)
+                    opener, held = "", held + width
+                text.append(closers[c])
             text.append(trailer)
-        yield "".join(text)
+    yield "".join(text)
 
 
 def _per_class_stats(batch) -> dict:
@@ -367,21 +360,23 @@ def cmd_explain(args) -> int:
     """One elimination pass over every in-domain row of the scope, verified
     before anything is written; with ``--output``, the JSONL and its summary.
 
-    A row outside the model's feature domains is an input error, unless
-    ``--skip-out-of-domain`` asks to skip it with a warning.  A row that
-    fails verification is a bug trap.
+    Every row of the CSV is parsed, and so validated; only the scope's rows
+    are scaled.  A row outside the model's feature domains is an input
+    error, unless ``--skip-out-of-domain`` asks to skip it with a warning.
+    A row that fails verification is a bug trap.
     """
     started = time.perf_counter()
     bundle = artifacts.load_bundle(args.model)
     rm = bundle.reject_model()
     raw, _, _ = dataset.load_csv(args.input, features=bundle.space.names)
-    scaled = dataset.apply_scaling(raw, bundle.scaling)
+    scope = _scope_indices(args.scope, raw.shape[0], bundle)
+    scaled = dataset.apply_scaling(raw[scope], bundle.scaling)
     loaded = time.perf_counter()
-    rows, skipped = _rows_in_box(
-        bundle, scaled, _scope_indices(args.scope, scaled.shape[0], bundle),
-        args.skip_out_of_domain, "; pass --skip-out-of-domain to skip them")
+    inside, skipped = _rows_in_box(bundle, scaled, scope, args.skip_out_of_domain,
+                                   "; pass --skip-out-of-domain to skip them")
+    rows = scope[inside]
     boxed = time.perf_counter()
-    batch = explainer.explain_batch(rm, bundle.space, scaled[rows],
+    batch = explainer.explain_batch(rm, bundle.space, scaled[inside],
                                     _feature_order(args.order, bundle))
     explained = time.perf_counter()
     reports = explainer.verify_batch(rm, bundle.space, batch)

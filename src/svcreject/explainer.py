@@ -90,11 +90,7 @@ def _check_order(order, n: int) -> list[int]:
 
 def witness_points(free, at_max, x, max_corner, min_corner) -> np.ndarray:
     """Certificate points, one row per kept feature: ``x`` with the ``free``
-    coordinates moved to the corner of the row's extremum side.
-
-    Works on any element type: the JSONL writer picks integer codes of
-    preformatted strings the same way the explainer picks floats.
-    """
+    coordinates moved to the corner of the row's extremum side."""
     corner = np.where(np.asarray(at_max)[:, None], max_corner, min_corner)
     return np.where(free, corner, x)
 
@@ -270,7 +266,7 @@ def verify_batch(rm: RejectModel, space: FeatureSpace, batch: ExplanationBatch) 
     """
     n, names = len(space), space.names
     box = BoxExtrema.of(rm.model.weights, rm.model.bias, space)
-    step = max(1, VERIFY_CHUNK_CELLS // (n * n))
+    step = max(1, VERIFY_CHUNK_CELLS // max(1, n * n))
     reports: list[VerificationReport] = []
     for start in range(0, len(batch), step):
         stop = min(start + step, len(batch))

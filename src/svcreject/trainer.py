@@ -192,9 +192,10 @@ def train_soft_margin(train: LabeledDataset, config: TrainerConfig = TrainerConf
 
 
 def decision_values(model: LinearModel, X: np.ndarray) -> np.ndarray:
-    """d(x) for every row of X."""
+    """d(x) for every row of X: one value per row, the bias alone when there
+    are no features.  An empty X that is not a matrix has no rows."""
     X = np.asarray(X, dtype=float)
-    if X.size == 0:
+    if X.size == 0 and X.ndim != 2:
         return np.zeros(0)
     if X.ndim != 2 or X.shape[1] != len(model):
         raise ValueError(f"matrix has shape {X.shape}, expected (*, {len(model)})")

@@ -328,6 +328,17 @@ class TestBatchedPass:
     def test_empty_batch(self, demo_reject, demo_space):
         assert len(explain_batch(demo_reject, demo_space, np.zeros((0, 2)))) == 0
 
+    @pytest.mark.parametrize("bias, klass", [(0.5, 1), (0.0, 0), (-0.5, -1)])
+    def test_zero_features_classify_each_row_by_the_bias(self, bias, klass):
+        rm = RejectModel(LinearModel(np.zeros(0), bias), -0.25, 0.25, 0.24)
+        space = FeatureSpace.unit([])
+        batch = explain_batch(rm, space, np.zeros((2, 0)))
+        assert batch.classes.tolist() == [klass, klass]
+        assert batch.removed.shape == (2, 0)
+        reports = verify_batch(rm, space, batch)
+        assert len(reports) == 2
+        assert all(report and report.witness_classes.size == 0 for report in reports)
+
 
 def patch_witnesses(monkeypatch, change):
     """Hand ``verify_batch`` the witness layout ``change`` makes of the real

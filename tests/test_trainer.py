@@ -149,15 +149,24 @@ class TestWorkingSets:
     """The working-set trainer against the reference loop, which makes one
     full-matrix pair update at a time (``oracles.reference_train_soft_margin``).
     The two make different updates, so they are compared at a tight tolerance,
-    where their objectives agree to within 1e-9 relative."""
+    where the stopping rule bounds how far their objectives may differ."""
 
     TIGHT = dict(tolerance=1e-10, max_passes=100_000)
+
+    @staticmethod
+    def assert_objectives_agree(report, ref, ds, config):
+        # both stop with every KKT violation at most the tolerance, with the
+        # intercept between the two sides' extreme scores.  Then each row adds
+        # at most C * tolerance to the duality gap, and each objective lies
+        # within m * C * tolerance above the optimum.
+        assert ref.converged and report.converged
+        bound = len(ds.y) * config.C * config.tolerance
+        assert abs(report.primal_objective - ref.primal_objective) <= bound
 
     def assert_reference_objective(self, ds, config):
         _, ref = oracles.reference_train_soft_margin(ds, config)
         _, report = train_soft_margin(ds, config)
-        assert ref.converged and report.converged
-        assert report.primal_objective == pytest.approx(ref.primal_objective, rel=1e-9)
+        self.assert_objectives_agree(report, ref, ds, config)
 
     def test_iris_converges_to_reference_objective(self):
         ds = iris_training_rows()
@@ -191,9 +200,12 @@ class TestWorkingSets:
            st.integers(min_value=1, max_value=4),
            st.sampled_from((0.5, 1.0, 10.0)))
     @settings(max_examples=60, deadline=None)
-    # two fixed problems, run at both sizes on every test run
+    # fixed problems, run at both sizes on every test run
     @example(seed=1753155266, m=37, n=2, C=0.5)
     @example(seed=804016632, m=18, n=3, C=10.0)
+    # the two intercepts differ by 5e-11, which moves three slacks at C = 10:
+    # the objectives differ by 1.1e-9 relative, within the stopping rule's bound
+    @example(seed=101791658, m=3, n=3, C=10.0)
     def test_objective_matches_reference_loop(self, size, seed, m, n, C):
         # at the default size every problem here is one working set; at 4
         # rows the outer steps pick subsets
@@ -208,8 +220,7 @@ class TestWorkingSets:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(trainer, "WORKING_SET", size)
             _, report = train_soft_margin(ds, config)
-        assert report.converged
-        assert report.primal_objective == pytest.approx(ref.primal_objective, rel=1e-9)
+        self.assert_objectives_agree(report, ref, ds, config)
 
 
 class TestDecisionFunction:
@@ -227,6 +238,13 @@ class TestDecisionFunction:
     def test_dimension_mismatch_rejected(self, demo_model):
         with pytest.raises(ValueError, match="shape"):
             decision_value(demo_model, np.array([1.0, 2.0, 3.0]))
+
+    def test_zero_features_give_the_bias_per_row(self, demo_model):
+        model = LinearModel(np.zeros(0), 0.5)
+        assert decision_values(model, np.zeros((3, 0))).tolist() == [0.5, 0.5, 0.5]
+        assert decision_values(model, np.zeros((0, 0))).shape == (0,)
+        with pytest.raises(ValueError, match="shape"):
+            decision_values(demo_model, np.zeros((3, 0)))
 
     def test_vectorized_matches_scalar(self, demo_model):
         rng = np.random.default_rng(1)
