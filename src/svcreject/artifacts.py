@@ -118,6 +118,14 @@ def _optional(doc: dict, key: str, convert=float):
     return None if value is None else convert(value)
 
 
+def _integer(value, name: str) -> int:
+    """A JSON integer; ``int()`` would truncate 5.9, parse "11000" and take
+    true for 1."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    return value
+
+
 def bundle_from_json(doc: dict) -> ModelBundle:
     space, scaling = _box_from_json(doc)
     if not len(space):
@@ -129,10 +137,12 @@ def bundle_from_json(doc: dict) -> ModelBundle:
     if "split" in doc:
         s = doc["split"]
         split = SplitManifest(
-            seed=int(s["seed"]),
+            seed=_integer(s["seed"], "split.seed"),
             train_fraction=float(s["train_fraction"]),
-            train_indices=tuple(int(i) for i in s["train_indices"]),
-            test_indices=tuple(int(i) for i in s["test_indices"]),
+            train_indices=tuple(_integer(i, "split.train_indices entry")
+                                for i in s["train_indices"]),
+            test_indices=tuple(_integer(i, "split.test_indices entry")
+                               for i in s["test_indices"]),
         )
     training = None
     if "training" in doc:
@@ -141,7 +151,7 @@ def bundle_from_json(doc: dict) -> ModelBundle:
             raise ValueError(f"training.converged must be true or false, not {t['converged']!r}")
         training = TrainReport(
             primal_objective=float(t["primal_objective"]),
-            passes_used=int(t["passes_used"]),
+            passes_used=_integer(t["passes_used"], "training.passes_used"),
             converged=t["converged"],
             dual_gap=float(t["dual_gap"]),
         )
@@ -152,7 +162,8 @@ def bundle_from_json(doc: dict) -> ModelBundle:
             error_ratio=float(r["error_ratio"]),
             rejection_ratio=float(r["rejection_ratio"]),
             risk=float(r["risk"]),
-            grid_index=_optional(r, "grid_index", int),
+            grid_index=_optional(r, "grid_index",
+                                 lambda v: _integer(v, "risk_report.grid_index")),
         )
     return ModelBundle(
         space=space,

@@ -254,8 +254,8 @@ def _jsonl_pieces(names, batch, rows, raw, reports):
     so a row keeps one list of coordinate texts per extremum side and walks
     the features once in elimination order: a removed feature moves to its
     corner in both lists, and a kept feature's witness is its side's list
-    joined with its own coordinate at the corner.  That is the freeing rule
-    of ``ExplanationBatch.witnesses``, with each coordinate copied once per
+    joined with its own coordinate at the corner.  That is
+    ``ExplanationBatch``'s freeing rule, with each coordinate copied once per
     witness (by mask, not by value, because 0.0 and -0.0 print differently).
 
     A record holds |kept|·n coordinates, megabytes on a wide row, so each
@@ -408,7 +408,8 @@ def cmd_explain(args) -> int:
             "query_budget_per_instance": 2 * n,
             "classes": {str(k): v for k, v in stats.items()},
             "frequency": frequency,
-            "run": {"stage_seconds": stage_seconds, "out_of_box_rows": len(skipped)},
+            "run": {"stage_seconds": stage_seconds, "out_of_box_rows": len(skipped),
+                    "verify_knife_edges": sum(report.knife_edges for report in reports)},
         }
         summary_path = Path(str(args.output) + ".summary.json")
         summary_path.write_text(json.dumps(summary, indent=2) + "\n")

@@ -14,7 +14,8 @@ extremum by a constant, so each step costs O(1) per row and one pass
 explains a whole batch of rows in O(n) per row (Marques-Silva et al.,
 "Explaining Naive Bayes and Other Linear Classifiers with Polynomial Time
 and Delay", NeurIPS 2020).  ``verify_batch`` re-checks a whole pass from
-scratch, also O(n) per row plus the witnesses.
+scratch, also in O(n) per row: a witness's decision value is the row's
+value plus a prefix sum of swings in elimination order.
 """
 
 from __future__ import annotations
@@ -27,10 +28,6 @@ import numpy as np
 
 from .dataset import DatasetError, FeatureSpace
 from .rejector import RejectModel, band_classes, classify, error_bound, exact_value
-
-# coordinates of witness points that verify_batch builds and classifies at
-# once; a row's witnesses hold at most n * n, so a chunk is at least one row
-VERIFY_CHUNK_CELLS = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,11 +68,13 @@ class BoxExtrema:
 
 @dataclass(frozen=True, eq=False)
 class VerificationReport:
-    """The violations found in one explanation, and the class of each of its
-    certificate points (ascending feature order)."""
+    """The violations found in one explanation, the class of each of its
+    certificate points (ascending feature order), and how many of its
+    verification comparisons were knife edges decided exactly."""
 
     violations: tuple[str, ...] = ()
     witness_classes: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
+    knife_edges: int = 0
 
     def __bool__(self) -> bool:
         return not self.violations
@@ -88,20 +87,18 @@ def _check_order(order, n: int) -> list[int]:
     return order
 
 
-def witness_points(free, at_max, x, max_corner, min_corner) -> np.ndarray:
-    """Certificate points, one row per kept feature: ``x`` with the ``free``
-    coordinates moved to the corner of the row's extremum side."""
-    corner = np.where(np.asarray(at_max)[:, None], max_corner, min_corner)
-    return np.where(free, corner, x)
-
-
 @dataclass(frozen=True, eq=False)
 class ExplanationBatch:
     """One elimination pass over the rows of ``instances``.
 
     Per row it keeps the class, the mask of removed features, the extremum
     side of each kept feature's witness (``at_max``), the query count and
-    the knife-edge count.
+    the knife-edge count.  ``position[i]`` is feature i's step in the
+    elimination order.
+
+    The witness of kept feature i frees i and every feature removed before
+    i in the elimination order: its point is the instance with those
+    coordinates moved to the corner of its side.
     """
 
     box: BoxExtrema
@@ -116,21 +113,6 @@ class ExplanationBatch:
 
     def __len__(self) -> int:
         return int(self.instances.shape[0])
-
-    def witnesses(self, start: int, stop: int):
-        """The witnesses of rows start..stop-1, one per kept feature in row
-        order and ascending feature order: the row (counted from start), the
-        feature, the free mask and whether the witness sits on the maximum
-        side.
-
-        The witness of kept feature i frees i and every feature removed
-        before i in the elimination order.
-        """
-        removed = self.removed[start:stop]
-        rows, kept = np.nonzero(~removed)
-        free = removed[rows] & (self.position < self.position[kept][:, None])
-        free[np.arange(kept.size), kept] = True
-        return rows, kept, free, self.at_max[start:stop][rows, kept]
 
 
 def _freed(rm: RejectModel, box: BoxExtrema, extreme, extremum, products, removed, i):
@@ -219,82 +201,134 @@ def explain_batch(rm: RejectModel, space: FeatureSpace, X, order=None) -> Explan
                             knife_edges + knives, time.perf_counter() - start)
 
 
-def _entailment(rm: RejectModel, box: BoxExtrema, values, classes, kept):
-    """Per row, whether its kept values entail its class; per kept feature
-    (``np.nonzero(kept)`` order), whether they still do with it freed.
+def _kept_cell(kept, ends, e: int) -> tuple[int, int]:
+    """The row and feature of element e of a flat array over the kept cells
+    of ``kept`` in row-major order; ``ends`` are the running kept counts."""
+    k = int(np.searchsorted(ends, e, side="right"))
+    features = np.flatnonzero(kept[k])
+    return k, int(features[e - ends[k] + features.size])
 
-    Entailment holds when both extrema get the row's class.  The extrema
-    are computed from scratch: the kept products plus the free features'
-    extreme terms, moved by one feature's swing for the second answer.
+
+def _per_row(counts, ends) -> np.ndarray:
+    """Per row, the sum of ``counts``, a flat array over the kept cells in
+    row-major order; ``ends`` are the running kept counts."""
+    cells = np.flatnonzero(counts)
+    return np.bincount(np.searchsorted(ends, cells, side="right"), counts[cells],
+                       minlength=len(ends)).astype(int)
+
+
+def _entailment(rm: RejectModel, box: BoxExtrema, products, classes, kept, ends):
+    """Per row, whether its kept values entail its class; per kept cell
+    (row-major order), whether they still do with that feature freed; and
+    per row, how many of these comparisons were knife edges.
+
+    ``products`` are the rows' rounded products w_i * x_i.  Entailment holds
+    when both extrema get the row's class.  The extrema are computed from
+    scratch: the kept products plus the free features' extreme terms, moved
+    by one feature's swing for the second answer.
     """
-    products = values * box.weights
-    rows, features = np.nonzero(kept)
-    # element e < len(values) is row e; the rest free one kept feature each
-    row = np.concatenate((np.arange(len(values)), rows))
-    feature = np.concatenate((np.full(len(values), -1), features))
-    holds = np.ones(row.size, dtype=bool)
+    rows, sizes = len(products), kept.sum(axis=1)
+    # element e < rows is row e; the rest free one kept cell each
+    classes = classes.astype(np.int8)
+    expected = np.concatenate((classes, np.repeat(classes, sizes)))
+    holds = np.ones(expected.size, dtype=bool)
+    knives = np.zeros(expected.size, dtype=np.uint8)
     for extreme in (box.min_term, box.max_term):
-        terms = np.where(kept, products, extreme)
-        base = terms.sum(axis=1) + box.bias
-        swing = extreme[features] - products[rows, features]
-        estimate = np.concatenate((base, base[rows] + swing))
-
-        def exact(e, terms=terms, extreme=extreme):
-            point = terms[row[e]].copy()
-            if feature[e] >= 0:
-                point[feature[e]] = extreme[feature[e]]
+        def exact(e, extreme=extreme):
+            k, i = (e, -1) if e < rows else _kept_cell(kept, ends, e - rows)
+            point = np.where(kept[k], products[k], extreme)
+            if i >= 0:
+                point[i] = extreme[i]
             return exact_value(point.tolist(), box.bias)
 
-        got, _, _ = band_classes(estimate, rm.t_minus, rm.t_plus, box.bound, exact)
-        holds &= got == classes[row]
-    return holds[:len(values)], holds[len(values):]
+        base = np.where(kept, products, extreme).sum(axis=1) + box.bias
+        got, near_plus, near_minus = band_classes(
+            np.concatenate((base, np.repeat(base, sizes) + (extreme - products)[kept])),
+            rm.t_minus, rm.t_plus, box.bound, exact)
+        holds &= got == expected
+        knives += near_plus
+        knives += near_minus
+    return holds[:rows], holds[rows:], knives[:rows] + _per_row(knives[rows:], ends)
+
+
+def _witness_estimates(box: BoxExtrema, products, values, removed, at_max, position):
+    """Each kept cell's witness value (row-major order), without building the
+    point: the row's value, plus the swings extreme[j] - w_j * x_j of the
+    features removed before it, summed in elimination order as the pass sums
+    them, plus its own swing.  The swings are recomputed from the box and the
+    rows' products, not taken from the pass."""
+    kept = ~removed
+    elimination = np.argsort(position)
+    estimate = np.empty(int(kept.sum()))
+    side = at_max[kept]
+    for at, extreme in ((False, box.min_term), (True, box.max_term)):
+        swing = products[:, elimination]
+        np.subtract(extreme[elimination], swing, out=swing)
+        # column p: the row's value plus the swings removed at steps before p
+        prefix = np.zeros((len(products), len(position) + 1))
+        prefix[:, 0] = values
+        np.copyto(prefix[:, 1:], swing, where=removed[:, elimination])
+        np.cumsum(prefix, axis=1, out=prefix)
+        swing += prefix[:, :-1]
+        estimate[side == at] = swing[:, position][kept & (at_max == at)]
+    return estimate
 
 
 def verify_batch(rm: RejectModel, space: FeatureSpace, batch: ExplanationBatch) -> list[VerificationReport]:
-    """Re-check every row of an elimination pass from scratch.
+    """Re-check every row of an elimination pass from scratch, in O(n) time
+    and memory per row.
 
-    Per row it checks that (a) the kept values entail the class, (b) no kept
-    feature can be dropped alone, (c) every kept feature has a certificate
-    and no other feature has one, and (d) every certificate lies in the box,
-    moves no other kept feature and is classified differently.  Sufficiency
-    and minimality are decided from the rows, their classes and their
-    removed masks alone, from the box's extrema classified by
-    ``band_classes``.  The certificates are the witness points that
-    ``batch.witnesses`` lays out, built and classified once each, in chunks
-    of at most ``VERIFY_CHUNK_CELLS`` coordinates.
-    Returns one report per row, with the class of each of its certificates.
+    Per row it checks that the instance lies in the box, that the kept values
+    entail the class (sufficiency), that no kept feature can be dropped alone
+    (minimality), and that each kept feature's certificate is classified
+    differently.  The certificate contract holds by construction: the witness
+    of ``ExplanationBatch``'s freeing rule, one per kept feature, moves no
+    other kept feature and lies in the box with the instance.  No witness
+    point is built: ``_witness_estimates`` is a dot product plus at most n
+    additions of rounded differences, as ``error_bound`` counts them, so one
+    ``band_classes`` call at the box's bound decides every estimate exactly,
+    re-deciding one near a threshold from that one witness's terms.
+    ``batch.position`` must be a permutation.
+
+    Returns one report per row: its violations, its certificates' classes and
+    its knife-edge count.
     """
     n, names = len(space), space.names
+    position = np.asarray(batch.position)
+    if position.dtype.kind not in "iu" or sorted(position.tolist()) != list(range(n)):
+        raise ValueError("position must be a permutation of the feature indices")
     box = BoxExtrema.of(rm.model.weights, rm.model.bias, space)
-    step = max(1, VERIFY_CHUNK_CELLS // max(1, n * n))
-    reports: list[VerificationReport] = []
-    for start in range(0, len(batch), step):
-        stop = min(start + step, len(batch))
-        X, classes = batch.instances[start:stop], batch.classes[start:stop]
-        kept = ~batch.removed[start:stop]
-        rows, features, free, at_max = batch.witnesses(start, stop)
-        points = witness_points(free, at_max, X[rows], box.max_corner, box.min_corner)
-        violations: list[list[str]] = [[] for _ in range(len(X))]
-        sufficient, droppable = _entailment(rm, box, X, classes, kept)
-        for k in np.flatnonzero(~sufficient).tolist():
-            violations[k].append("sufficiency: kept features do not entail the class")
-        for k, i in zip(*(axis[droppable] for axis in np.nonzero(kept))):
-            violations[k].append(f"minimality: feature {names[i]!r} is droppable")
-        certified = np.zeros(kept.shape, dtype=bool)
-        certified[rows, features] = True
-        for k, i in zip(*np.nonzero(certified != kept)):
-            violations[k].append(f"kept feature {names[i]!r} has no certificate" if kept[k, i]
-                                 else f"certificate for feature {names[i]!r}, which is not kept")
-        others = kept[rows]
-        others[np.arange(rows.size), features] = False
-        moves = np.any(others & (points != X[rows]), axis=1)
-        witness_classes, _ = classify(rm, points)
-        for message, bad in (("lies outside the box", ~space.rows_inside(points)),
-                             ("moves another kept feature", moves),
-                             ("does not flip the class", witness_classes == classes[rows])):
-            for t in np.flatnonzero(bad).tolist():
-                violations[rows[t]].append(
-                    f"certificate for feature {names[features[t]]!r} {message}")
-        per_row = np.split(witness_classes, np.searchsorted(rows, np.arange(1, len(X))))
-        reports += [VerificationReport(tuple(v), c) for v, c in zip(violations, per_row)]
-    return reports
+    X, classes, removed, at_max = batch.instances, batch.classes, batch.removed, batch.at_max
+    kept = ~removed
+    products = X * box.weights
+    sizes = kept.sum(axis=1)
+    ends = np.cumsum(sizes)
+
+    def exact(e):
+        k, i = _kept_cell(kept, ends, e)
+        freed = removed[k] & (position < position[i])
+        freed[i] = True
+        extreme = box.max_term if at_max[k, i] else box.min_term
+        return exact_value(np.where(freed, extreme, products[k]).tolist(), box.bias)
+
+    sufficient, droppable, knife_edges = _entailment(rm, box, products, classes, kept, ends)
+    estimate = _witness_estimates(box, products, X @ box.weights + box.bias, removed, at_max,
+                                  position)
+    witness_classes, near_plus, near_minus = band_classes(
+        estimate, rm.t_minus, rm.t_plus, box.bound, exact)
+    knife_edges += _per_row(near_plus.astype(np.uint8) + near_minus, ends)
+
+    violations: list[list[str]] = [[] for _ in range(len(X))]
+    for k in np.flatnonzero(~space.rows_inside(X)).tolist():
+        violations[k].append("instance lies outside the box")
+    for k in np.flatnonzero(~sufficient).tolist():
+        violations[k].append("sufficiency: kept features do not entail the class")
+    for e in np.flatnonzero(droppable).tolist():
+        k, i = _kept_cell(kept, ends, e)
+        violations[k].append(f"minimality: feature {names[i]!r} is droppable")
+    for e in np.flatnonzero(witness_classes == np.repeat(classes, sizes)).tolist():
+        k, i = _kept_cell(kept, ends, e)
+        violations[k].append(f"certificate for feature {names[i]!r} does not flip the class")
+    return [VerificationReport(tuple(v), witness_classes[start:end], knives)
+            for v, start, end, knives in zip(violations, (ends - sizes).tolist(), ends.tolist(),
+                                             knife_edges.tolist())]

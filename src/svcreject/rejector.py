@@ -87,9 +87,10 @@ def error_bound(scale, n_features: int):
     ``scale`` bounds |bias| + sum |w_i * z_i| over the points concerned
     (scalar or per value).  A dot product plus bias, in any summation order
     and with or without fused multiply-adds, errs by at most
-    gamma_{n+2} * scale; an elimination pass adds at most n additions and
-    roundings of differences worth 2u * scale, and the exact value itself is
-    rounded once.  Altogether that stays below 2 * gamma_{n+3} * scale
+    gamma_{n+2} * scale; an elimination pass's running extrema, and
+    ``verify_batch``'s witness estimates (the row's value plus a prefix sum
+    of swings), add at most n additions and roundings of differences worth
+    2u * scale, and the exact value itself is rounded once.  Altogether that stays below 2 * gamma_{n+3} * scale
     (Higham, Accuracy and Stability of Numerical Algorithms, 3.1 and 4.2),
     plus one subnormal per rounded product for underflow.
     """

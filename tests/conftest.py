@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from svcreject import FeatureSpace, LinearModel, RejectModel
-from svcreject.explainer import witness_points
+
+from oracles import witness_layout, witness_points
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -64,9 +65,9 @@ def random_reject_model(rng: np.random.Generator, n_features: int) -> RejectMode
 
 
 def certificates(batch, k: int) -> dict[int, np.ndarray]:
-    """Row k's certificate point of each kept feature, laid out as
-    ``verify_batch`` and the JSONL writer lay them out."""
-    _, kept, free, at_max = batch.witnesses(k, k + 1)
+    """Row k's certificate point of each kept feature, laid out in full by
+    the witness-matrix referee."""
+    _, kept, free, at_max = witness_layout(batch, k, k + 1)
     points = witness_points(free, at_max, batch.instances[k], batch.box.max_corner,
                             batch.box.min_corner)
     return dict(zip(kept.tolist(), points))

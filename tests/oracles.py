@@ -569,3 +569,31 @@ def verify_explanation_closed_form(rm, space, row: ExplainedRow) -> Verification
                     f"certificate for feature {space.names[i]!r} does not flip the class"
                 )
     return VerificationReport(tuple(violations))
+
+
+# --- the witness-matrix layer -------------------------------------------------
+# Every certificate point laid out in full, |kept|·n coordinates a row: the
+# referee for the verifier's prefix-sum estimates and for the JSONL writer.
+
+
+def witness_layout(batch, start: int, stop: int):
+    """The witnesses of rows start..stop-1 of ``batch``, one per kept feature
+    in row order and ascending feature order: the row (counted from start),
+    the feature, the free mask and whether the witness sits on the maximum
+    side.
+
+    The witness of kept feature i frees i and every feature removed before
+    i in the elimination order.
+    """
+    removed = batch.removed[start:stop]
+    rows, kept = np.nonzero(~removed)
+    free = removed[rows] & (batch.position < batch.position[kept][:, None])
+    free[np.arange(kept.size), kept] = True
+    return rows, kept, free, batch.at_max[start:stop][rows, kept]
+
+
+def witness_points(free, at_max, x, max_corner, min_corner) -> np.ndarray:
+    """Certificate points, one row per kept feature: ``x`` with the ``free``
+    coordinates moved to the corner of the row's extremum side."""
+    corner = np.where(np.asarray(at_max)[:, None], max_corner, min_corner)
+    return np.where(free, corner, x)

@@ -473,6 +473,41 @@ class TestExplain:
         assert f"model file {model_path}" in err
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("split", "seed", "11000"),
+        ("split", "train_indices", [0, 1.0]),
+        ("split", "test_indices", [5.9]),
+        ("training", "passes_used", True),
+        ("risk_report", "grid_index", 3.0),
+    ], ids=["seed", "train_indices", "test_indices", "passes_used", "grid_index"])
+    def test_non_integer_field_exits_2(self, tmp_path, section, key, value, capsys):
+        # each would otherwise load through int(): 5.9 as row 5, "11000"
+        # parsed, true as 1
+        doc = {**demo_reject_doc(),
+               "split": {"seed": 0, "train_fraction": 0.5, "train_indices": [0, 1],
+                         "test_indices": [2]},
+               "training": {"primal_objective": 1.0, "passes_used": 1, "converged": True,
+                            "dual_gap": 0.0},
+               "risk_report": {"error_ratio": 0.0, "rejection_ratio": 0.0, "risk": 0.24,
+                               "grid_index": 3}}
+        model_path = tmp_path / "reject.json"
+        instances = tmp_path / "inst.csv"
+        instances.write_text("f1,f2\n0.5,0.5\n0.25,0.5\n0.0,0.5\n")
+        out_path = tmp_path / "e.jsonl"
+        argv = ["explain", "--model", str(model_path), "--input", str(instances),
+                "--output", str(out_path), "--scope", "test"]
+        model_path.write_text(json.dumps(doc))
+        assert main(argv) == 0
+        out_path.unlink()
+        doc[section] = {**doc[section], key: value}
+        model_path.write_text(json.dumps(doc))
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"model file {model_path}: {section}.{key}" in err
+        bad = value[-1] if isinstance(value, list) else value
+        assert f"must be an integer, not {bad!r}" in err
+        assert not out_path.exists()
+
     def test_deterministic_apart_from_timing(self, tmp_path, iris_csv, capsys):
         model_path = tmp_path / "model.json"
         reject_path = tmp_path / "reject.json"
@@ -610,10 +645,7 @@ class TestExplain:
         assert "row 0" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["inst.csv", "reject.json"]
 
-    def test_each_witness_point_is_classified_once(self, tmp_path, iris_csv, monkeypatch,
-                                                   capsys):
-        from svcreject import explainer
-
+    def test_no_witness_point_is_classified(self, tmp_path, iris_csv, monkeypatch, capsys):
         model_path, reject_path = tmp_path / "model.json", tmp_path / "reject.json"
         assert main([
             "train", "--input", str(iris_csv), "--label-column", "species",
@@ -630,8 +662,8 @@ class TestExplain:
             classified.append(len(X))
             return classify(rm, X)
 
-        # the first call classifies the explained rows themselves; every
-        # witness point goes through a later one
+        # the explained rows themselves are classified once; the verifier
+        # decides their witnesses from prefix sums, without building points
         monkeypatch.setattr(explainer, "classify", counting)
         out_path = tmp_path / "expl.jsonl"
         assert main([
@@ -641,8 +673,8 @@ class TestExplain:
         capsys.readouterr()
         records = [json.loads(line) for line in out_path.read_text().splitlines()]
         assert len(records) == 150
-        assert classified[0] == 150
-        assert sum(classified[1:]) == sum(len(r["witnesses"]) for r in records) > 150
+        assert sum(len(r["witnesses"]) for r in records) > 150
+        assert classified == [150]
 
     def test_band_edge_from_one_grid_step_explains(self, tmp_path, capsys):
         # --grid-steps 1 puts the band's ends on the extreme training decision
@@ -1004,6 +1036,26 @@ class TestReport:
         assert summary["max_queries_per_instance"] == int(batch.queries.max())
         assert summary["max_queries_per_instance"] <= summary["query_budget_per_instance"]
         assert sum(c["queries"] for c in summary["classes"].values()) == int(batch.queries.sum())
+        reports = verify_batch(bundle.reject_model(), bundle.space, batch)
+        assert summary["run"]["verify_knife_edges"] == sum(r.knife_edges for r in reports)
+
+        # an integer model over a quarter grid: decision values and extrema
+        # land on the band's ends, where the verifier decides exactly
+        doc = {**demo_reject_doc(), "weights": [1.0, -1.0], "bias": 0.0,
+               "t_minus": -0.5, "t_plus": 0.5}
+        model_path.write_text(json.dumps(doc))
+        X = np.array([[0.5, 0.0], [0.75, 0.25], [0.0, 0.5], [0.25, 0.25]])
+        instances.write_text("f1,f2\n" + "".join(f"{a},{b}\n" for a, b in X))
+        assert main([
+            "explain", "--model", str(model_path), "--input", str(instances),
+            "--output", str(out_path),
+        ]) == 0
+        capsys.readouterr()
+        summary = json.loads((tmp_path / "expl.jsonl.summary.json").read_text())
+        bundle = load_bundle(model_path)
+        reports = verify_batch(bundle.reject_model(), bundle.space,
+                               explain_batch(bundle.reject_model(), bundle.space, X))
+        assert summary["run"]["verify_knife_edges"] == sum(r.knife_edges for r in reports) > 0
 
     def test_run_block_times_each_stage_and_counts_out_of_box_rows(self, tmp_path, capsys):
         model_path = tmp_path / "reject.json"
@@ -1020,7 +1072,7 @@ class TestReport:
         capsys.readouterr()
         summary = json.loads((tmp_path / "expl.jsonl.summary.json").read_text())
         run = summary["run"]
-        assert list(run) == ["stage_seconds", "out_of_box_rows"]
+        assert list(run) == ["stage_seconds", "out_of_box_rows", "verify_knife_edges"]
         stages = run["stage_seconds"]
         assert list(stages) == ["load", "box_check", "explain", "verify", "write"]
         assert all(isinstance(s, float) and s >= 0.0 for s in stages.values())

@@ -1,4 +1,6 @@
 import dataclasses
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,9 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from svcreject.dataset import DatasetError, FeatureSpace
 from svcreject.dataset import LabeledDataset
-from svcreject import explainer
-from svcreject.explainer import ExplanationBatch, explain_batch, verify_batch
-from svcreject.rejector import calibrate, classify, predict_with_reject
+from svcreject.explainer import explain_batch, verify_batch
+from svcreject.rejector import calibrate, predict_with_reject
 from svcreject.trainer import LinearModel, decision_values
 from svcreject import RejectModel
 
@@ -340,14 +341,6 @@ class TestBatchedPass:
         assert all(report and report.witness_classes.size == 0 for report in reports)
 
 
-def patch_witnesses(monkeypatch, change):
-    """Hand ``verify_batch`` the witness layout ``change`` makes of the real
-    one, (rows, features, free masks, sides)."""
-    witnesses = ExplanationBatch.witnesses
-    monkeypatch.setattr(ExplanationBatch, "witnesses",
-                        lambda self, start, stop: change(*witnesses(self, start, stop)))
-
-
 class TestVerifyExplanation:
     """The checks of ``verify_batch`` on one-row batches, each with one part
     of the explanation broken."""
@@ -385,51 +378,26 @@ class TestVerifyExplanation:
                                  dataclasses.replace(batch, at_max=at_max))
         assert report.violations == ("certificate for feature 'f1' does not flip the class",)
 
-    # the certificate contract: one certificate per kept feature and none for
-    # a removed one, each inside the box and each leaving the other kept
-    # values alone
+    # every kept feature has one certificate by construction, and the freeing
+    # rule moves no other kept feature; what remains to check is that the
+    # instance, and so every certificate, lies in the box and that the
+    # elimination order is one
 
-    def test_detects_missing_certificates(self, band_reject, band_space, batch, monkeypatch):
-        patch_witnesses(monkeypatch, lambda *layout: tuple(part[:0] for part in layout))
-        (report,) = verify_batch(band_reject, band_space, batch)
+    def test_detects_instance_outside_the_box(self, band_reject, band_space, batch):
+        instances = batch.instances.copy()
+        instances[0, 0] = 1.5
+        (report,) = verify_batch(band_reject, band_space,
+                                 dataclasses.replace(batch, instances=instances))
         assert not report
-        assert report.violations == tuple(
-            f"kept feature {band_space.names[i]!r} has no certificate"
-            for i in kept_of(batch))
+        assert report.violations[0] == "instance lies outside the box"
 
-    def test_detects_one_certificate_of_five(self, band_reject, band_space, batch, monkeypatch):
-        patch_witnesses(monkeypatch, lambda *layout: tuple(part[:1] for part in layout))
-        (report,) = verify_batch(band_reject, band_space, batch)
-        assert not report
-        assert len(report.violations) == 4
-        assert all(v.endswith("has no certificate") for v in report.violations)
-
-    def test_detects_certificate_for_removed_feature(self, band_reject, band_space, batch,
-                                                     monkeypatch):
-        assert removed_of(batch) == (2,)
-
-        def with_f3(rows, features, free, at_max):
-            # f3 gets a copy of f1's witness
-            return (np.append(rows, 0), np.append(features, 2), np.vstack([free, free[:1]]),
-                    np.append(at_max, at_max[0]))
-
-        patch_witnesses(monkeypatch, with_f3)
-        (report,) = verify_batch(band_reject, band_space, batch)
-        assert not report
-        assert "certificate for feature 'f3', which is not kept" in report.violations
-
-    def test_detects_certificates_outside_box_moving_kept_features(self, band_reject, band_space,
-                                                                   batch, monkeypatch):
-        far = 50.0 * np.sign(BAND_W)
-        assert predict_with_reject(band_reject, far) != batch.classes[0]
-        monkeypatch.setattr(explainer, "witness_points",
-                            lambda free, *_: np.tile(far, (len(free), 1)))
-        (report,) = verify_batch(band_reject, band_space, batch)
-        assert not report
-        for i in kept_of(batch):
-            name = band_space.names[i]
-            assert f"certificate for feature {name!r} lies outside the box" in report.violations
-            assert f"certificate for feature {name!r} moves another kept feature" in report.violations
+    @pytest.mark.parametrize("position", [[0, 0, 1, 2, 3, 4], [0, 1, 2, 3, 4], [1, 2, 3, 4, 5, 6],
+                                          [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]],
+                             ids=["repeated", "short", "shifted", "float"])
+    def test_non_permutation_position_raises(self, band_reject, band_space, batch, position):
+        with pytest.raises(ValueError, match="permutation"):
+            verify_batch(band_reject, band_space,
+                         dataclasses.replace(batch, position=np.array(position)))
 
 
 def _mutations(batch):
@@ -492,25 +460,88 @@ class TestVerifyBatch:
         assert any("sufficiency" in v for v in reports[1].violations)
         assert "minimality: feature 'f3' is droppable" in reports[2].violations
 
-    def test_witnesses_classified_in_bounded_chunks(self, monkeypatch):
-        rng = np.random.default_rng(5)
-        n = 8
-        rm = random_reject_model(rng, n)
+    def test_verify_allocates_far_less_than_one_witness_matrix(self):
+        # a random model over 2,000 features: one row's witness points would
+        # take |kept| * n * 8 bytes, 32 MB when every feature is kept
+        n, rng = 2000, np.random.default_rng(0)
+        X = rng.random((5, n))
+        w = rng.normal(size=n) / np.sqrt(n)
+        d = X @ w
+        t_minus, t_plus = np.quantile(d - d.mean(), [0.3, 0.7])
+        rm = RejectModel(LinearModel(w, -float(d.mean())), min(float(t_minus), 0.0),
+                         max(float(t_plus), 0.0), 0.24)
         space = FeatureSpace.unit([f"f{i}" for i in range(n)])
-        batch = explain_batch(rm, space, rng.uniform(0.0, 1.0, (40, n)))
-        whole = verify_batch(rm, space, batch)
-        sizes = []
+        batch = explain_batch(rm, space, X)
+        kept = int((~batch.removed).sum(axis=1).max())
+        assert kept > n // 2
+        tracemalloc.start()
+        try:
+            reports = verify_batch(rm, space, batch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(reports), [r.violations for r in reports]
+        assert peak < kept * n * 8 // 10
 
-        def recording(rm, points):
-            sizes.append(len(points))
-            return classify(rm, points)
 
-        monkeypatch.setattr(explainer, "VERIFY_CHUNK_CELLS", 3 * n * n)
-        monkeypatch.setattr(explainer, "classify", recording)
-        chunked = verify_batch(rm, space, batch)
-        assert len(sizes) == 14 and max(sizes) <= 3 * n
-        assert sum(sizes) == int((~batch.removed).sum())
-        for a, b in zip(whole, chunked):
-            assert a.violations == b.violations
-            assert a.witness_classes.tolist() == b.witness_classes.tolist()
+@st.composite
+def tie_cases(draw):
+    """Integer weights in -3..3, instances on a quarter grid of the unit box,
+    an integer bias and integer thresholds.  Every decision value and box
+    extremum is exact in float and many land exactly on a threshold, where
+    only the kernel's exact fallback decides."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    m = draw(st.integers(min_value=1, max_value=5))
+    w = draw(st.lists(st.integers(min_value=-3, max_value=3), min_size=n, max_size=n))
+    X = draw(st.lists(st.lists(st.integers(min_value=0, max_value=4), min_size=n, max_size=n),
+                      min_size=m, max_size=m))
+    bias = draw(st.integers(min_value=-3, max_value=3))
+    t_minus = -draw(st.integers(min_value=0, max_value=2))
+    t_plus = draw(st.integers(min_value=0, max_value=2))
+    order = draw(st.permutations(range(n)))
+    rm = RejectModel(LinearModel(np.array(w, dtype=float), float(bias)), float(t_minus),
+                     float(t_plus), 0.24)
+    space = FeatureSpace.unit([f"f{i}" for i in range(n)])
+    return rm, space, np.array(X, dtype=float) / 4.0, list(order)
 
+
+def tied_comparisons(rm, space, x, kept, points) -> int:
+    """How many of the verifier's threshold comparisons of one row tie: the
+    exact extrema with the kept values pinned, the same with each kept
+    feature freed, and the witness points' values, each compared with both
+    thresholds.  On a quarter grid with integer weights every value is a
+    multiple of 1/4, so a comparison is a knife edge exactly when it ties."""
+    w, b = rm.model.weights, rm.model.bias
+    values = list(oracles.linear_extrema(
+        w, b, PartialAssignment({i: float(x[i]) for i in kept}), space))
+    for i in kept:
+        values += oracles.linear_extrema(
+            w, b, PartialAssignment({j: float(x[j]) for j in kept if j != i}), space)
+    values += [math.fsum([*(w * point).tolist(), b]) for point in points]
+    return sum((v == rm.t_plus) + (v == rm.t_minus) for v in values)
+
+
+class TestTieHeavy:
+    def test_knife_edges_verify_through_the_exact_fallback(self):
+        knife_edges = {"explain": 0, "verify": 0}
+
+        @given(tie_cases())
+        @settings(max_examples=150, deadline=None)
+        def check(case):
+            rm, space, X, order = case
+            batch = explain_batch(rm, space, X, order)
+            reports = verify_batch(rm, space, batch)
+            for k, report in enumerate(reports):
+                assert report, report.violations
+                klass, kept, _, _, _ = oracles.minimal_explanation_by_queries(
+                    rm, space, X[k], order)
+                assert (int(batch.classes[k]), kept_of(batch, k)) == (klass, kept)
+                points = [point for _, point in sorted(certificates(batch, k).items())]
+                assert report.witness_classes.tolist() == [
+                    predict_with_reject(rm, point) for point in points]
+                assert report.knife_edges == tied_comparisons(rm, space, X[k], kept, points)
+            knife_edges["explain"] += int(batch.knife_edges.sum())
+            knife_edges["verify"] += sum(report.knife_edges for report in reports)
+
+        check()
+        assert knife_edges["explain"] > 0 and knife_edges["verify"] > 0, knife_edges

@@ -17,7 +17,8 @@ SOURCES = {path.stem: ast.parse(path.read_text())
 def _loaded(tree) -> tuple[set[str], set[str]]:
     """The bare names and the attribute names a module reads."""
     nodes = list(ast.walk(tree))
-    return ({node.id for node in nodes if isinstance(node, ast.Name)},
+    return ({node.id for node in nodes
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)},
             {node.attr for node in nodes if isinstance(node, ast.Attribute)})
 
 
@@ -50,6 +51,16 @@ def test_one_row_layer_is_gone():
         for name in ("Explanation", "minimal_explanation", "verify_explanation"):
             assert not hasattr(module, name), f"{module.__name__}.{name}"
     assert not hasattr(explainer.ExplanationBatch, "explanation")
+
+
+def test_witness_matrix_layer_is_gone():
+    # verify_batch estimates each witness's value from prefix sums of swings
+    # and builds no witness point; the full layout lives on only as a test
+    # referee (oracles.py)
+    for module in (svcreject, explainer):
+        for name in ("witness_points", "VERIFY_CHUNK_CELLS"):
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
+    assert not hasattr(explainer.ExplanationBatch, "witnesses")
 
 
 def test_formula_layer_is_gone():
@@ -106,8 +117,8 @@ def test_readme_flag_table_matches_the_parser():
 
 
 def test_every_module_level_definition_has_a_reader():
-    # a function, class, method or property that no module of the package
-    # refers to and that __all__ does not export is dead code
+    # a constant, function, class, method or property that no module of the
+    # package reads and that __all__ does not export is dead code
     used = set(svcreject.__all__)
     for tree in SOURCES.values():
         used.update(*_loaded(tree))
@@ -116,6 +127,10 @@ def test_every_module_level_definition_has_a_reader():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defined.append((f"{module}.{node.name}", node.name))
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            defined += [(f"{module}.{target.id}", target.id) for target in targets
+                        if isinstance(target, ast.Name) and not target.id.startswith("__")]
             if isinstance(node, ast.ClassDef):
                 defined += [(f"{module}.{node.name}.{member.name}", member.name)
                             for member in node.body if isinstance(member, ast.FunctionDef)
