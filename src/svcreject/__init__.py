@@ -4,9 +4,7 @@ from .dataset import (
     DatasetError,
     FeatureSpace,
     LabeledDataset,
-    ScalingParams,
     apply_scaling,
-    fit_scaling,
     load_csv,
     scale_dataset,
 )
@@ -19,15 +17,11 @@ from .trainer import (
     train_soft_margin,
 )
 from .rejector import (
-    DegenerateGridError,
     EvalMetrics,
     RejectModel,
     RiskReport,
     calibrate,
-    empirical_risk,
     evaluate,
-    predict_with_reject,
-    threshold_grid,
 )
 from .explainer import (
     ExplanationBatch,
@@ -42,9 +36,7 @@ __all__ = [
     "DatasetError",
     "FeatureSpace",
     "LabeledDataset",
-    "ScalingParams",
     "apply_scaling",
-    "fit_scaling",
     "load_csv",
     "scale_dataset",
     "LinearModel",
@@ -53,15 +45,11 @@ __all__ = [
     "TrainReport",
     "decision_values",
     "train_soft_margin",
-    "DegenerateGridError",
     "EvalMetrics",
     "RejectModel",
     "RiskReport",
     "calibrate",
-    "empirical_risk",
     "evaluate",
-    "predict_with_reject",
-    "threshold_grid",
     "ExplanationBatch",
     "explain_batch",
     "verify_batch",

@@ -10,7 +10,7 @@ round-trip decimal representation, so save/load is bit-exact.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -76,16 +76,12 @@ def _box_to_json(space: FeatureSpace, params: ScalingParams) -> dict:
 
 def _box_from_json(doc: dict) -> tuple[FeatureSpace, ScalingParams]:
     """The feature space and scaling read back from ``_box_to_json``'s lists."""
-    features = doc["features"]
-    space = FeatureSpace(
-        tuple(f["name"] for f in features),
-        np.array([f["lower"] for f in features], dtype=float),
-        np.array([f["upper"] for f in features], dtype=float),
-    )
-    params = ScalingParams(
-        np.array([s["min"] for s in doc["scaling"]], dtype=float),
-        np.array([s["max"] for s in doc["scaling"]], dtype=float),
-    )
+    features, scaling = doc["features"], doc["scaling"]
+    space = FeatureSpace(tuple(f["name"] for f in features),
+                         _numbers([f["lower"] for f in features], "features.lower"),
+                         _numbers([f["upper"] for f in features], "features.upper"))
+    params = ScalingParams(_numbers([s["min"] for s in scaling], "scaling.min"),
+                           _numbers([s["max"] for s in scaling], "scaling.max"))
     return space, params
 
 
@@ -112,71 +108,56 @@ def bundle_to_json(bundle: ModelBundle) -> dict:
     return doc
 
 
-def _optional(doc: dict, key: str, convert=float):
-    """A number the file may leave out; null or absent reads as None."""
-    value = doc.get(key)
-    return None if value is None else convert(value)
+# per scalar annotation, the JSON values a model-file field takes and how an
+# error names them; int(), float() and bool() would truncate 5.9, parse
+# "0.5" and take "false" for true
+_SCALARS = {"int": ((int,), "an integer"), "float": ((int, float), "a number"),
+            "bool": ((bool,), "true or false")}
 
 
-def _integer(value, name: str) -> int:
-    """A JSON integer; ``int()`` would truncate 5.9, parse "11000" and take
-    true for 1."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer, not {value!r}")
-    return value
+def _typed(value, kind: str, name: str):
+    """``value`` read as the model-file field ``name`` annotated ``kind``: a
+    scalar above, ``T | None`` (null reads as None) or ``tuple[T, ...]``."""
+    if kind.endswith(" | None"):
+        return None if value is None else _typed(value, kind.removesuffix(" | None"), name)
+    if kind.startswith("tuple["):
+        return tuple(_typed(v, kind[len("tuple["):-len(", ...]")], f"{name} entry") for v in value)
+    types, wanted = _SCALARS[kind]
+    if isinstance(value, bool) != (kind == "bool") or not isinstance(value, types):
+        raise ValueError(f"{name} must be {wanted}, not {value!r}")
+    return float(value) if kind == "float" else value
+
+
+def _numbers(values, name: str) -> np.ndarray:
+    return np.array(_typed(values, "tuple[float, ...]", name), dtype=float)
+
+
+def _record(cls, doc: dict, name: str):
+    """The dataclass ``cls`` read from the model file's record ``doc``
+    (``name`` in the file), each field typed by its annotation; a field
+    with a default may be left out."""
+    return cls(**{f.name: _typed(doc[f.name], f.type, f"{name}.{f.name}")
+                  for f in fields(cls) if f.name in doc or f.default is MISSING})
 
 
 def bundle_from_json(doc: dict) -> ModelBundle:
     space, scaling = _box_from_json(doc)
     if not len(space):
         raise ValueError("the features list is empty")
-    model = LinearModel(np.array(doc["weights"], dtype=float), float(doc["bias"]))
+    model = LinearModel(_numbers(doc["weights"], "weights"), _typed(doc["bias"], "float", "bias"))
     if len(model) != len(space):
         raise ValueError("model file is inconsistent: weight/feature count mismatch")
-    split = None
-    if "split" in doc:
-        s = doc["split"]
-        split = SplitManifest(
-            seed=_integer(s["seed"], "split.seed"),
-            train_fraction=float(s["train_fraction"]),
-            train_indices=tuple(_integer(i, "split.train_indices entry")
-                                for i in s["train_indices"]),
-            test_indices=tuple(_integer(i, "split.test_indices entry")
-                               for i in s["test_indices"]),
-        )
-    training = None
-    if "training" in doc:
-        t = doc["training"]
-        if not isinstance(t["converged"], bool):   # bool("false") is True
-            raise ValueError(f"training.converged must be true or false, not {t['converged']!r}")
-        training = TrainReport(
-            primal_objective=float(t["primal_objective"]),
-            passes_used=_integer(t["passes_used"], "training.passes_used"),
-            converged=t["converged"],
-            dual_gap=float(t["dual_gap"]),
-        )
-    report = None
-    if "risk_report" in doc:
-        r = doc["risk_report"]
-        report = RiskReport(
-            error_ratio=float(r["error_ratio"]),
-            rejection_ratio=float(r["rejection_ratio"]),
-            risk=float(r["risk"]),
-            grid_index=_optional(r, "grid_index",
-                                 lambda v: _integer(v, "risk_report.grid_index")),
-        )
+    records = {key: _record(cls, doc[key], key) if key in doc else None
+               for key, cls in (("split", SplitManifest), ("training", TrainReport),
+                                ("risk_report", RiskReport))}
     return ModelBundle(
         space=space,
         scaling=scaling,
         model=model,
         label_column=doc.get("label_column"),
         positive_label=doc.get("positive_label"),
-        split=split,
-        training=training,
-        t_minus=_optional(doc, "t_minus"),
-        t_plus=_optional(doc, "t_plus"),
-        w_r=_optional(doc, "w_r"),
-        risk_report=report,
+        **records,
+        **{key: _typed(doc.get(key), "float | None", key) for key in ("t_minus", "t_plus", "w_r")},
     )
 
 
@@ -194,5 +175,5 @@ def load_bundle(path) -> ModelBundle:
         raise ValueError(f"model file {path} is missing field {exc}") from None
     except TypeError as exc:
         raise ValueError(f"model file {path} has a field of the wrong type: {exc}") from None
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:   # a JSON integer beyond float range
         raise ValueError(f"model file {path}: {exc}") from None

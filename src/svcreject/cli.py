@@ -165,8 +165,7 @@ def cmd_calibrate(args) -> int:
     cal_idx = _scope_indices("all" if bundle.split is None else "train", scaled.shape[0], bundle)
     _rows_in_box(bundle, scaled[cal_idx], cal_idx)
     scope_idx = _scope_indices(args.scope, scaled.shape[0], bundle)
-    inside, _ = _rows_in_box(bundle, scaled[scope_idx], scope_idx)
-    scope_idx = scope_idx[inside]
+    _rows_in_box(bundle, scaled[scope_idx], scope_idx)
     cal_ds = dataset.LabeledDataset(scaled[cal_idx], labels[cal_idx])
 
     rm, risk = rejector.calibrate(bundle.model, cal_ds, args.wr, args.grid_steps)

@@ -14,8 +14,8 @@ extremum by a constant, so each step costs O(1) per row and one pass
 explains a whole batch of rows in O(n) per row (Marques-Silva et al.,
 "Explaining Naive Bayes and Other Linear Classifiers with Polynomial Time
 and Delay", NeurIPS 2020).  ``verify_batch`` re-checks a whole pass from
-scratch, also in O(n) per row: a witness's decision value is the row's
-value plus a prefix sum of swings in elimination order.
+scratch, also in O(n) per row: every value it checks is the row's value
+plus a prefix sum of swings in elimination order.
 """
 
 from __future__ import annotations
@@ -80,11 +80,13 @@ class VerificationReport:
         return not self.violations
 
 
-def _check_order(order, n: int) -> list[int]:
-    order = list(range(n)) if order is None else [int(i) for i in order]
-    if sorted(order) != list(range(n)):
-        raise ValueError("order must be a permutation of the feature indices")
-    return order
+def _permutation(order, n: int, name: str) -> list[int]:
+    """``order`` as a list, checked to be a permutation of the n feature
+    indices; ``int()`` would take 0.9 for 0 and true for 1."""
+    order = np.asarray(order)
+    if order.size and order.dtype.kind not in "iu" or sorted(order.tolist()) != list(range(n)):
+        raise ValueError(f"{name} must be a permutation of the feature indices")
+    return order.tolist()
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,6 +117,16 @@ class ExplanationBatch:
         return int(self.instances.shape[0])
 
 
+def _exact_freed(box: BoxExtrema, extreme, products, freed, i=None) -> float:
+    """The exact decision value of a row whose rounded products are
+    ``products``, with the features of mask ``freed``, and feature i if
+    given, moved to their terms in ``extreme``."""
+    point = np.where(freed, extreme, products)
+    if i is not None:
+        point[i] = extreme[i]
+    return exact_value(point.tolist(), box.bias)
+
+
 def _freed(rm: RejectModel, box: BoxExtrema, extreme, extremum, products, removed, i):
     """Each row's extremum with feature i freed as well, its class and the
     knife-edge masks of its ``t_plus`` and ``t_minus`` comparisons.
@@ -123,13 +135,8 @@ def _freed(rm: RejectModel, box: BoxExtrema, extreme, extremum, products, remove
     moves ``extremum`` by extreme[i] - w_i * x_i.
     """
     moved = extremum + (extreme[i] - products[:, i])
-
-    def exact(k):
-        point = np.where(removed[k], extreme, products[k])
-        point[i] = extreme[i]
-        return exact_value(point.tolist(), box.bias)
-
-    return (moved, *band_classes(moved, rm.t_minus, rm.t_plus, box.bound, exact))
+    return (moved, *band_classes(moved, rm.t_minus, rm.t_plus, box.bound,
+                                 lambda k: _exact_freed(box, extreme, products[k], removed[k], i)))
 
 
 def _eliminate(rm: RejectModel, box: BoxExtrema, classes, products, values, order):
@@ -188,7 +195,7 @@ def explain_batch(rm: RejectModel, space: FeatureSpace, X, order=None) -> Explan
         raise DatasetError(f"instances have shape {X.shape}, expected (*, {n})")
     if not space.rows_inside(X).all():
         raise DatasetError("instance lies outside the declared feature domains")
-    order = _check_order(order, n)
+    order = _permutation(np.arange(n) if order is None else order, n, "order")
 
     start = time.perf_counter()
     box = BoxExtrema.of(rm.model.weights, rm.model.bias, space)
@@ -217,63 +224,6 @@ def _per_row(counts, ends) -> np.ndarray:
                        minlength=len(ends)).astype(int)
 
 
-def _entailment(rm: RejectModel, box: BoxExtrema, products, classes, kept, ends):
-    """Per row, whether its kept values entail its class; per kept cell
-    (row-major order), whether they still do with that feature freed; and
-    per row, how many of these comparisons were knife edges.
-
-    ``products`` are the rows' rounded products w_i * x_i.  Entailment holds
-    when both extrema get the row's class.  The extrema are computed from
-    scratch: the kept products plus the free features' extreme terms, moved
-    by one feature's swing for the second answer.
-    """
-    rows, sizes = len(products), kept.sum(axis=1)
-    # element e < rows is row e; the rest free one kept cell each
-    classes = classes.astype(np.int8)
-    expected = np.concatenate((classes, np.repeat(classes, sizes)))
-    holds = np.ones(expected.size, dtype=bool)
-    knives = np.zeros(expected.size, dtype=np.uint8)
-    for extreme in (box.min_term, box.max_term):
-        def exact(e, extreme=extreme):
-            k, i = (e, -1) if e < rows else _kept_cell(kept, ends, e - rows)
-            point = np.where(kept[k], products[k], extreme)
-            if i >= 0:
-                point[i] = extreme[i]
-            return exact_value(point.tolist(), box.bias)
-
-        base = np.where(kept, products, extreme).sum(axis=1) + box.bias
-        got, near_plus, near_minus = band_classes(
-            np.concatenate((base, np.repeat(base, sizes) + (extreme - products)[kept])),
-            rm.t_minus, rm.t_plus, box.bound, exact)
-        holds &= got == expected
-        knives += near_plus
-        knives += near_minus
-    return holds[:rows], holds[rows:], knives[:rows] + _per_row(knives[rows:], ends)
-
-
-def _witness_estimates(box: BoxExtrema, products, values, removed, at_max, position):
-    """Each kept cell's witness value (row-major order), without building the
-    point: the row's value, plus the swings extreme[j] - w_j * x_j of the
-    features removed before it, summed in elimination order as the pass sums
-    them, plus its own swing.  The swings are recomputed from the box and the
-    rows' products, not taken from the pass."""
-    kept = ~removed
-    elimination = np.argsort(position)
-    estimate = np.empty(int(kept.sum()))
-    side = at_max[kept]
-    for at, extreme in ((False, box.min_term), (True, box.max_term)):
-        swing = products[:, elimination]
-        np.subtract(extreme[elimination], swing, out=swing)
-        # column p: the row's value plus the swings removed at steps before p
-        prefix = np.zeros((len(products), len(position) + 1))
-        prefix[:, 0] = values
-        np.copyto(prefix[:, 1:], swing, where=removed[:, elimination])
-        np.cumsum(prefix, axis=1, out=prefix)
-        swing += prefix[:, :-1]
-        estimate[side == at] = swing[:, position][kept & (at_max == at)]
-    return estimate
-
-
 def verify_batch(rm: RejectModel, space: FeatureSpace, batch: ExplanationBatch) -> list[VerificationReport]:
     """Re-check every row of an elimination pass from scratch, in O(n) time
     and memory per row.
@@ -283,50 +233,102 @@ def verify_batch(rm: RejectModel, space: FeatureSpace, batch: ExplanationBatch) 
     (minimality), and that each kept feature's certificate is classified
     differently.  The certificate contract holds by construction: the witness
     of ``ExplanationBatch``'s freeing rule, one per kept feature, moves no
-    other kept feature and lies in the box with the instance.  No witness
-    point is built: ``_witness_estimates`` is a dot product plus at most n
-    additions of rounded differences, as ``error_bound`` counts them, so one
-    ``band_classes`` call at the box's bound decides every estimate exactly,
-    re-deciding one near a threshold from that one witness's terms.
-    ``batch.position`` must be a permutation.
+    other kept feature and lies in the box with the instance.
+
+    Every checked value is the row's value d(x) plus the swings
+    extreme[j] - w_j * x_j, on one extremum side, of the features F it
+    frees: the removed features eliminated before step p, and kept feature
+    i if any.  Sufficiency takes p = n and no i, minimality p = n and each
+    kept i, both on both sides; kept feature i's certificate takes
+    p = ``position[i]`` on its witness's side.  One prefix table of swings
+    in elimination order per side gives them all, with no witness point
+    built.  Each is a dot product plus at most n additions of rounded
+    differences, as ``error_bound`` counts them, so ``band_classes`` at the
+    box's bound decides it exactly, re-deciding one near a threshold from
+    F's terms.  ``batch.position`` must be a permutation.
 
     Returns one report per row: its violations, its certificates' classes and
     its knife-edge count.
     """
     n, names = len(space), space.names
     position = np.asarray(batch.position)
-    if position.dtype.kind not in "iu" or sorted(position.tolist()) != list(range(n)):
-        raise ValueError("position must be a permutation of the feature indices")
+    _permutation(position, n, "position")
     box = BoxExtrema.of(rm.model.weights, rm.model.bias, space)
     X, classes, removed, at_max = batch.instances, batch.classes, batch.removed, batch.at_max
-    kept = ~removed
-    products = X * box.weights
+    rows, kept = len(X), ~removed
+    values = X @ box.weights + box.bias
+    elimination = np.argsort(position)
     sizes = kept.sum(axis=1)
     ends = np.cumsum(sizes)
+    side = at_max[kept]
 
-    def exact(e):
+    def exact(extreme, k, i, step):
+        freed = removed[k] & (position < step)
+        return _exact_freed(box, extreme, X[k] * box.weights, freed, i)
+
+    # element e < rows of ``expected`` (and of ``checked``) is row e with its
+    # removed features freed; the rest free one kept cell (row-major order)
+    # each as well
+    classes = classes.astype(np.int8)
+    expected = np.concatenate((classes, np.repeat(classes, sizes)))
+    holds = np.ones(expected.size, dtype=bool)
+    knives = np.zeros(expected.size, dtype=np.uint8)
+    estimate = np.empty(side.size)
+
+    def checked_values(at, extreme):
+        """One extremum side's checked values; stores its kept cells'
+        certificate estimates in ``estimate``.  Each table is freed once
+        read, so that at most three live at a time."""
+        swing = X * box.weights
+        np.subtract(extreme, swing, out=swing)
+        # column p: the row's value plus the swings removed at steps before p
+        prefix = np.zeros((rows, n + 1))
+        prefix[:, 0] = values
+        np.copyto(prefix[:, 1:], swing[:, elimination], where=removed[:, elimination])
+        np.cumsum(prefix, axis=1, out=prefix)
+        total = prefix[:, n].copy()
+        witness = prefix[:, position]
+        del prefix
+        witness += swing
+        estimate[side == at] = witness[kept & (at_max == at)]
+        del witness
+        checked = np.empty(expected.size)
+        checked[:rows] = total
+        checked[rows:] = swing[kept]
+        del swing
+        checked[rows:] += np.repeat(total, sizes)
+        return checked
+
+    for at, extreme in ((False, box.min_term), (True, box.max_term)):
+        def exact_checked(e, extreme=extreme):
+            k, i = (e, None) if e < rows else _kept_cell(kept, ends, e - rows)
+            return exact(extreme, k, i, n)
+
+        got, near_plus, near_minus = band_classes(checked_values(at, extreme), rm.t_minus,
+                                                  rm.t_plus, box.bound, exact_checked)
+        holds &= got == expected
+        knives += near_plus
+        knives += near_minus
+
+    def exact_estimate(e):
         k, i = _kept_cell(kept, ends, e)
-        freed = removed[k] & (position < position[i])
-        freed[i] = True
-        extreme = box.max_term if at_max[k, i] else box.min_term
-        return exact_value(np.where(freed, extreme, products[k]).tolist(), box.bias)
+        return exact(box.max_term if at_max[k, i] else box.min_term, k, i, position[i])
 
-    sufficient, droppable, knife_edges = _entailment(rm, box, products, classes, kept, ends)
-    estimate = _witness_estimates(box, products, X @ box.weights + box.bias, removed, at_max,
-                                  position)
     witness_classes, near_plus, near_minus = band_classes(
-        estimate, rm.t_minus, rm.t_plus, box.bound, exact)
-    knife_edges += _per_row(near_plus.astype(np.uint8) + near_minus, ends)
+        estimate, rm.t_minus, rm.t_plus, box.bound, exact_estimate)
+    knives[rows:] += near_plus
+    knives[rows:] += near_minus
+    knife_edges = knives[:rows] + _per_row(knives[rows:], ends)
 
-    violations: list[list[str]] = [[] for _ in range(len(X))]
+    violations: list[list[str]] = [[] for _ in range(rows)]
     for k in np.flatnonzero(~space.rows_inside(X)).tolist():
         violations[k].append("instance lies outside the box")
-    for k in np.flatnonzero(~sufficient).tolist():
+    for k in np.flatnonzero(~holds[:rows]).tolist():
         violations[k].append("sufficiency: kept features do not entail the class")
-    for e in np.flatnonzero(droppable).tolist():
+    for e in np.flatnonzero(holds[rows:]).tolist():
         k, i = _kept_cell(kept, ends, e)
         violations[k].append(f"minimality: feature {names[i]!r} is droppable")
-    for e in np.flatnonzero(witness_classes == np.repeat(classes, sizes)).tolist():
+    for e in np.flatnonzero(witness_classes == expected[rows:]).tolist():
         k, i = _kept_cell(kept, ends, e)
         violations[k].append(f"certificate for feature {names[i]!r} does not flip the class")
     return [VerificationReport(tuple(v), witness_classes[start:end], knives)

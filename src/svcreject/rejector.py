@@ -31,10 +31,6 @@ UNIT_ROUNDOFF = 2.0 ** -53
 SMALLEST_SUBNORMAL = 2.0 ** -1074
 
 
-class DegenerateGridError(ValueError):
-    """Decision values do not straddle zero, so no threshold grid exists."""
-
-
 @dataclass(frozen=True, eq=False)
 class RejectModel:
     """A linear model plus the calibrated reject band and rejection cost."""
@@ -87,9 +83,9 @@ def error_bound(scale, n_features: int):
     ``scale`` bounds |bias| + sum |w_i * z_i| over the points concerned
     (scalar or per value).  A dot product plus bias, in any summation order
     and with or without fused multiply-adds, errs by at most
-    gamma_{n+2} * scale; an elimination pass's running extrema, and
-    ``verify_batch``'s witness estimates (the row's value plus a prefix sum
-    of swings), add at most n additions and roundings of differences worth
+    gamma_{n+2} * scale; an elimination pass's running extrema, and every
+    value ``verify_batch`` checks (the row's value plus a prefix sum of
+    swings), add at most n additions and roundings of differences worth
     2u * scale, and the exact value itself is rounded once.  Altogether that stays below 2 * gamma_{n+3} * scale
     (Higham, Accuracy and Stability of Numerical Algorithms, 3.1 and 4.2),
     plus one subnormal per rounded product for underflow.
@@ -138,13 +134,13 @@ def threshold_grid(values, steps: int = DEFAULT_GRID_STEPS) -> list[tuple[float,
     extreme decision values, i = 1..steps, ascending."""
     values = np.asarray(values, dtype=float)
     if values.size == 0:
-        raise DegenerateGridError("no decision values to build a grid from")
+        raise ValueError("no decision values to build a grid from")
     if steps < 1:
         raise ValueError("grid steps must be a positive integer")
     upper = float(values.max())
     lower = float(values.min())
     if not (upper > 0.0 > lower):
-        raise DegenerateGridError(
+        raise ValueError(
             f"decision values must straddle zero to calibrate a reject band "
             f"(min {lower}, max {upper})"
         )
@@ -195,14 +191,6 @@ def calibrate(model: LinearModel, train: LabeledDataset, w_r: float,
             best_pair = (t_plus, t_minus)
     rm = RejectModel(model, t_minus=best_pair[1], t_plus=best_pair[0], w_r=w_r)
     return rm, best
-
-
-def predict_with_reject(rm: RejectModel, x) -> int:
-    """+1 above the band, -1 below, 0 inside (boundaries reject)."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (len(rm.model),):
-        raise ValueError(f"instance has shape {x.shape}, expected ({len(rm.model)},)")
-    return int(classify(rm, x[None, :])[0][0])
 
 
 def classify(rm: RejectModel, X) -> tuple[np.ndarray, np.ndarray]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from svcreject.explainer import BoxExtrema, VerificationReport
-from svcreject.rejector import classify, exact_value, predict_with_reject
+from svcreject.rejector import classify, exact_value
 from svcreject.trainer import (
     BOUND_SNAP,
     ETA_FLOOR,
@@ -303,7 +303,7 @@ def minimal_explanation_by_queries(rm, space, x, order=None):
     if not space.rows_inside(x[None, :]).all():
         raise ValueError("instance lies outside the declared feature domains")
     n = len(space)
-    klass = predict_with_reject(rm, x)
+    klass = classify_one(rm, x)
     neg_atoms = negate(prediction_formula(rm, klass))
     queries = 0
     fixed = {i: float(x[i]) for i in range(n)}
@@ -391,6 +391,11 @@ def decision_value(model, x) -> float:
     if x.shape != (len(model),):
         raise ValueError(f"instance has shape {x.shape}, expected ({len(model)},)")
     return float(np.dot(model.weights, x) + model.bias)
+
+
+def classify_one(rm, x) -> int:
+    """The class of instance x with the reject band: ``classify`` of a one-row batch."""
+    return int(classify(rm, np.asarray(x, dtype=float)[None])[0][0])
 
 
 def predict(model, x) -> int:

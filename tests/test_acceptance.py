@@ -39,13 +39,13 @@ def criterion(number, title):
 def test_criterion_1_two_feature_worked_example(demo_reject, demo_space):
     with criterion(1, "two-feature model: prediction +1, explanation exactly {f1}, "
                       "flip witness present, under 1 ms"):
-        assert sr.predict_with_reject(demo_reject, DEMO_X) == 1
+        assert oracles.classify_one(demo_reject, DEMO_X) == 1
         batch = sr.explain_batch(demo_reject, demo_space, DEMO_X[None])
         assert batch.classes.tolist() == [1]
         assert np.flatnonzero(~batch.removed[0]).tolist() == [0]
         assert np.flatnonzero(batch.removed[0]).tolist() == [1]
         (witness,) = certificates(batch, 0).values()
-        assert sr.predict_with_reject(demo_reject, witness) == -1
+        assert oracles.classify_one(demo_reject, witness) == -1
         assert witness[0] == 1.0
         assert batch.seconds < 1e-3
 
@@ -53,7 +53,7 @@ def test_criterion_1_two_feature_worked_example(demo_reject, demo_space):
 def test_criterion_2_six_feature_reject_band_case(band_reject, band_space):
     with criterion(2, "six-feature banded model: instance rejected, removed set "
                       "exactly {f3}, f4 kept"):
-        assert sr.predict_with_reject(band_reject, BAND_X) == 0
+        assert oracles.classify_one(band_reject, BAND_X) == 0
         batch = sr.explain_batch(band_reject, band_space, BAND_X[None])
         assert batch.classes.tolist() == [0]
         assert np.flatnonzero(batch.removed[0]).tolist() == [2]

@@ -16,7 +16,7 @@ from svcreject.artifacts import load_bundle
 from svcreject.cli import _frequency, _metrics_json, _metrics_table, build_parser, main
 from svcreject.dataset import apply_scaling, load_csv
 from svcreject.explainer import explain_batch, verify_batch
-from svcreject.rejector import evaluate, predict_with_reject
+from svcreject.rejector import evaluate
 
 import oracles
 from conftest import (BAND_B, BAND_T_MINUS, BAND_T_PLUS, BAND_W, BAND_X, DATA_DIR,
@@ -37,6 +37,18 @@ def demo_reject_doc():
         "t_plus": 0.0,
         "w_r": 0.24,
     }
+
+
+def recorded_reject_doc():
+    """``demo_reject_doc`` with a split manifest, a training record and a
+    risk report, so that every kind of model-file field is present."""
+    return {**demo_reject_doc(),
+            "split": {"seed": 0, "train_fraction": 0.5, "train_indices": [0, 1],
+                      "test_indices": [2]},
+            "training": {"primal_objective": 1.0, "passes_used": 1, "converged": True,
+                         "dual_gap": 0.0},
+            "risk_report": {"error_ratio": 0.0, "rejection_ratio": 0.0, "risk": 0.24,
+                            "grid_index": 3}}
 
 
 def band_reject_doc():
@@ -483,13 +495,7 @@ class TestExplain:
     def test_non_integer_field_exits_2(self, tmp_path, section, key, value, capsys):
         # each would otherwise load through int(): 5.9 as row 5, "11000"
         # parsed, true as 1
-        doc = {**demo_reject_doc(),
-               "split": {"seed": 0, "train_fraction": 0.5, "train_indices": [0, 1],
-                         "test_indices": [2]},
-               "training": {"primal_objective": 1.0, "passes_used": 1, "converged": True,
-                            "dual_gap": 0.0},
-               "risk_report": {"error_ratio": 0.0, "rejection_ratio": 0.0, "risk": 0.24,
-                               "grid_index": 3}}
+        doc = recorded_reject_doc()
         model_path = tmp_path / "reject.json"
         instances = tmp_path / "inst.csv"
         instances.write_text("f1,f2\n0.5,0.5\n0.25,0.5\n0.0,0.5\n")
@@ -507,6 +513,61 @@ class TestExplain:
         bad = value[-1] if isinstance(value, list) else value
         assert f"must be an integer, not {bad!r}" in err
         assert not out_path.exists()
+
+    @pytest.mark.parametrize("section, key, value", [
+        (None, "t_plus", "0.5"),
+        (None, "t_plus", True),
+        (None, "bias", "0.1"),
+        (None, "weights", ["-0.8", "2.0"]),
+        ("split", "train_fraction", "0.85"),
+    ], ids=["t_plus-string", "t_plus-bool", "bias", "weights", "train_fraction"])
+    def test_non_number_field_exits_2(self, tmp_path, section, key, value, capsys):
+        # each would otherwise load through float(): "0.5" parsed, true as 1.0
+        doc = recorded_reject_doc()
+        if section is None:
+            doc[key] = value
+        else:
+            doc[section] = {**doc[section], key: value}
+        model_path = tmp_path / "reject.json"
+        model_path.write_text(json.dumps(doc))
+        instances = tmp_path / "inst.csv"
+        instances.write_text("f1,f2\n0.5,0.5\n")
+        out_path = tmp_path / "e.jsonl"
+        assert main(["explain", "--model", str(model_path), "--input", str(instances),
+                     "--output", str(out_path)]) == 2
+        name = key if section is None else f"{section}.{key}"
+        if isinstance(value, list):
+            name, value = f"{name} entry", value[0]
+        assert (f"model file {model_path}: {name} must be a number, not {value!r}"
+                in capsys.readouterr().err)
+        assert not out_path.exists()
+
+    def test_integer_beyond_float_range_exits_2(self, tmp_path, capsys):
+        # float() raises OverflowError on it, which is no ValueError
+        model_path = tmp_path / "reject.json"
+        model_path.write_text(json.dumps({**demo_reject_doc(), "bias": 10 ** 400}))
+        instances = tmp_path / "inst.csv"
+        instances.write_text("f1,f2\n0.5,0.5\n")
+        assert main(["explain", "--model", str(model_path), "--input", str(instances)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: model file {model_path}: ") and "Traceback" not in err
+
+    def test_integer_in_number_field_loads_as_float(self, tmp_path, capsys):
+        doc = recorded_reject_doc()
+        doc.update(weights=[-1, 2], bias=0, t_minus=0, t_plus=0, w_r=1)
+        doc["split"]["train_fraction"] = 1
+        doc["training"].update(primal_objective=1, dual_gap=0)
+        doc["risk_report"].update(error_ratio=0, rejection_ratio=0, risk=1)
+        model_path = tmp_path / "reject.json"
+        model_path.write_text(json.dumps(doc))
+        bundle = load_bundle(model_path)
+        numbers = [bundle.model.bias, bundle.t_minus, bundle.t_plus, bundle.w_r,
+                   bundle.split.train_fraction, bundle.training.primal_objective,
+                   bundle.training.dual_gap, bundle.risk_report.risk, *bundle.model.weights]
+        assert all(isinstance(v, float) for v in numbers), numbers
+        instances = tmp_path / "inst.csv"
+        instances.write_text("f1,f2\n0.5,0.5\n")
+        assert main(["explain", "--model", str(model_path), "--input", str(instances)]) == 0
 
     def test_deterministic_apart_from_timing(self, tmp_path, iris_csv, capsys):
         model_path = tmp_path / "model.json"
@@ -728,7 +789,7 @@ def reference_record(rm, space, row, raw_row, x, order, seconds) -> dict:
             {
                 "feature": names[i],
                 "point": [float(v) for v in witness],
-                "class": int(predict_with_reject(rm, witness)),
+                "class": oracles.classify_one(rm, witness),
             }
             for i, witness in sorted(certificates.items())
         ],

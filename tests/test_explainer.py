@@ -9,12 +9,13 @@ from hypothesis import given, settings, strategies as st
 from svcreject.dataset import DatasetError, FeatureSpace
 from svcreject.dataset import LabeledDataset
 from svcreject.explainer import explain_batch, verify_batch
-from svcreject.rejector import calibrate, predict_with_reject
+from svcreject.rejector import calibrate
 from svcreject.trainer import LinearModel, decision_values
 from svcreject import RejectModel
 
 import oracles
-from oracles import LinearAtom, PartialAssignment, negate, prediction_formula, satisfiable
+from oracles import (LinearAtom, PartialAssignment, classify_one, negate, prediction_formula,
+                     satisfiable)
 from conftest import (
     BAND_B,
     BAND_T_MINUS,
@@ -80,7 +81,7 @@ class TestEntailment:
         result = satisfiable(atom, PartialAssignment({1: 0.3}), demo_space)
         assert result
         assert result.witness[0] == 1.0
-        assert predict_with_reject(demo_reject, result.witness) == -1
+        assert classify_one(demo_reject, result.witness) == -1
 
     def test_full_assignment_entails_own_class(self, demo_reject, demo_space):
         pa = PartialAssignment.of_instance(DEMO_X)
@@ -94,7 +95,7 @@ class TestEntailment:
         rm = random_reject_model(rng, n)
         space = FeatureSpace.unit([f"f{i}" for i in range(n)])
         x = rng.uniform(0.0, 1.0, n)
-        klass = predict_with_reject(rm, x)
+        klass = classify_one(rm, x)
         pa = PartialAssignment.of_instance(x)
         for atom in negate(prediction_formula(rm, klass)):
             assert not satisfiable(atom, pa, space)
@@ -120,7 +121,7 @@ class TestMinimalExplanation:
         assert kept_of(batch) == (0,)
         assert removed_of(batch) == (1,)
         (witness,) = certificates(batch, 0).values()
-        assert predict_with_reject(demo_reject, witness) == -1
+        assert classify_one(demo_reject, witness) == -1
 
     def test_band_instance_drops_exactly_f3(self, band_reject, band_space):
         batch = explain_one(band_reject, band_space, BAND_X)
@@ -172,8 +173,11 @@ class TestMinimalExplanation:
             explain_one(demo_reject, demo_space, np.array([1.2, 0.3]))
 
     def test_bad_order_rejected(self, demo_reject, demo_space):
-        with pytest.raises(ValueError, match="permutation"):
-            explain_one(demo_reject, demo_space, DEMO_X, order=[0, 0])
+        # int() would read [0.9, 1.2] as [0, 1] and [True, False] as [1, 0];
+        # explain_batch checks an order as verify_batch checks a position
+        for order in ([0, 0], [1, 1, 0], [0.9, 1.2], [True, False], [0], [0, 2]):
+            with pytest.raises(ValueError, match="order must be a permutation"):
+                explain_one(demo_reject, demo_space, DEMO_X, order=order)
 
     @given(st.integers(min_value=0, max_value=2**31 - 1), st.integers(min_value=2, max_value=9))
     @settings(max_examples=100, deadline=None)
@@ -276,7 +280,7 @@ class TestBatchedPass:
                 # bit for bit, so that a -0.0 corner stays -0.0
                 assert got[i].tobytes() == point.tobytes()
             assert reports[k].witness_classes.tolist() == [
-                predict_with_reject(rm, expected[i]) for i in kept]
+                classify_one(rm, expected[i]) for i in kept]
             assert batch.queries[k] == queries <= 2 * len(space)
             assert reports[k], reports[k].violations
 
@@ -434,7 +438,7 @@ class TestVerifyBatch:
                 assert _verdicts(report) == _verdicts(reference)
                 items = sorted(row.certificates.items())
                 assert report.witness_classes.tolist() == [
-                    predict_with_reject(rm, p) for _, p in items]
+                    classify_one(rm, p) for _, p in items]
 
     @given(batch_cases())
     @settings(max_examples=150, deadline=None)
@@ -538,7 +542,7 @@ class TestTieHeavy:
                 assert (int(batch.classes[k]), kept_of(batch, k)) == (klass, kept)
                 points = [point for _, point in sorted(certificates(batch, k).items())]
                 assert report.witness_classes.tolist() == [
-                    predict_with_reject(rm, point) for point in points]
+                    classify_one(rm, point) for point in points]
                 assert report.knife_edges == tied_comparisons(rm, space, X[k], kept, points)
             knife_edges["explain"] += int(batch.knife_edges.sum())
             knife_edges["verify"] += sum(report.knife_edges for report in reports)

@@ -83,6 +83,21 @@ def test_second_rule_copies_are_gone():
         assert not hasattr(dataset.FeatureSpace, name), f"FeatureSpace.{name}"
 
 
+def test_one_row_predictor_and_second_verifier_formula_are_gone():
+    # a one-row prediction is classify(rm, x[None]) (oracles.classify_one),
+    # a degenerate grid raises ValueError, and verify_batch decides every
+    # check from one prefix table per extremum side
+    for module in (svcreject, rejector):
+        for name in ("predict_with_reject", "DegenerateGridError"):
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
+    for name in ("_entailment", "_witness_estimates", "_check_order"):
+        assert not hasattr(explainer, name), f"explainer.{name}"
+    # module-level helpers that only their own modules and the tests use
+    for name in ("threshold_grid", "empirical_risk", "fit_scaling", "ScalingParams"):
+        assert name not in svcreject.__all__, name
+        assert not hasattr(svcreject, name), name
+
+
 def test_readme_library_use_runs():
     readme = (ROOT / "README.md").read_text()
     section = readme[readme.index("## Library use"):]

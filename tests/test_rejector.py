@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from svcreject.dataset import FeatureSpace, LabeledDataset
 from svcreject.explainer import BoxExtrema
 from svcreject.rejector import (
-    DegenerateGridError,
     RejectModel,
     band_classes,
     calibrate,
@@ -14,7 +13,6 @@ from svcreject.rejector import (
     evaluate,
     exact_value,
     classify,
-    predict_with_reject,
     threshold_grid,
 )
 from svcreject.trainer import LinearModel, TrainerConfig, train_soft_margin
@@ -31,7 +29,7 @@ class TestThresholdGrid:
         assert grid[-1] == (2.0, -1.0)
 
     def test_all_positive_values_rejected(self):
-        with pytest.raises(DegenerateGridError, match="straddle"):
+        with pytest.raises(ValueError, match="decision values must straddle zero"):
             threshold_grid([0.5, 2.0])
 
     def test_symmetric_extremes_give_symmetric_pairs(self):
@@ -45,7 +43,7 @@ class TestThresholdGrid:
         assert grid == [(0.25, -0.5), (0.5, -1.0), (0.75, -1.5), (1.0, -2.0)]
 
     def test_empty_values_rejected(self):
-        with pytest.raises(DegenerateGridError):
+        with pytest.raises(ValueError, match="no decision values to build a grid from"):
             threshold_grid([])
 
 
@@ -268,15 +266,15 @@ class TestPredictWithReject:
         d = oracles.decision_value(band_reject.model, BAND_X)
         assert d == pytest.approx(0.5830926140545138, abs=1e-12)
         assert BAND_T_MINUS <= d <= BAND_T_PLUS
-        assert predict_with_reject(band_reject, BAND_X) == 0
+        assert oracles.classify_one(band_reject, BAND_X) == 0
 
     def test_boundary_value_is_rejected(self):
         rm = RejectModel(LinearModel(np.array([1.0]), 0.0), -0.25, 0.25, 0.24)
-        assert predict_with_reject(rm, np.array([0.25])) == 0
-        assert predict_with_reject(rm, np.array([0.2500001])) == 1
+        assert oracles.classify_one(rm, np.array([0.25])) == 0
+        assert oracles.classify_one(rm, np.array([0.2500001])) == 1
 
     def test_zero_width_band_reduces_to_plain_prediction(self, demo_reject):
-        assert predict_with_reject(demo_reject, DEMO_X) == 1
+        assert oracles.classify_one(demo_reject, DEMO_X) == 1
 
     def test_partition_into_three_classes(self):
         rng = np.random.default_rng(7)
