@@ -111,8 +111,7 @@ def bundle_to_json(bundle: ModelBundle) -> dict:
 # per scalar annotation, the JSON values a model-file field takes and how an
 # error names them; int(), float() and bool() would truncate 5.9, parse
 # "0.5" and take "false" for true
-_SCALARS = {"int": ((int,), "an integer"), "float": ((int, float), "a number"),
-            "bool": ((bool,), "true or false")}
+_SCALARS = {"int": ((int,), "an integer"), "float": ((int, float), "a number"), "bool": ((bool,), "true or false")}
 
 
 def _typed(value, kind: str, name: str):
@@ -120,8 +119,11 @@ def _typed(value, kind: str, name: str):
     scalar above, ``T | None`` (null reads as None) or ``tuple[T, ...]``."""
     if kind.endswith(" | None"):
         return None if value is None else _typed(value, kind.removesuffix(" | None"), name)
-    if kind.startswith("tuple["):
-        return tuple(_typed(v, kind[len("tuple["):-len(", ...]")], f"{name} entry") for v in value)
+    if kind.startswith("tuple["):   # a valid JSON list, of exact types, passes one check of all its entries
+        item = kind[len("tuple["):-len(", ...]")]
+        if set(map(type, value)) <= set(_SCALARS[item][0]):
+            return tuple(map(float, value)) if item == "float" else tuple(value)
+        return tuple(_typed(v, item, f"{name} entry") for v in value)   # names the first bad entry
     types, wanted = _SCALARS[kind]
     if isinstance(value, bool) != (kind == "bool") or not isinstance(value, types):
         raise ValueError(f"{name} must be {wanted}, not {value!r}")
