@@ -10,6 +10,7 @@ round-trip decimal representation, so save/load is bit-exact.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
@@ -26,6 +27,18 @@ class SplitManifest:
     train_fraction: float
     train_indices: tuple[int, ...]
     test_indices: tuple[int, ...]
+
+    def __post_init__(self):
+        # a row listed twice would be explained twice, or calibrated on and tested on
+        seen: set[int] = set()
+        for name in ("train_indices", "test_indices"):
+            indices = getattr(self, name)
+            fresh = set(indices)
+            if len(fresh) < len(indices) or not seen.isdisjoint(fresh):
+                counts = Counter(indices)
+                index = next(i for i in indices if i in seen or counts[i] > 1)
+                raise ValueError(f"split.{name} lists index {index}, which the split already lists")
+            seen |= fresh
 
 
 @dataclass(frozen=True, eq=False)

@@ -208,22 +208,6 @@ def explain_batch(rm: RejectModel, space: FeatureSpace, X, order=None) -> Explan
                             knife_edges + knives, time.perf_counter() - start)
 
 
-def _kept_cell(kept, ends, e: int) -> tuple[int, int]:
-    """The row and feature of element e of a flat array over the kept cells
-    of ``kept`` in row-major order; ``ends`` are the running kept counts."""
-    k = int(np.searchsorted(ends, e, side="right"))
-    features = np.flatnonzero(kept[k])
-    return k, int(features[e - ends[k] + features.size])
-
-
-def _per_row(counts, ends) -> np.ndarray:
-    """Per row, the sum of ``counts``, a flat array over the kept cells in
-    row-major order; ``ends`` are the running kept counts."""
-    cells = np.flatnonzero(counts)
-    return np.bincount(np.searchsorted(ends, cells, side="right"), counts[cells],
-                       minlength=len(ends)).astype(int)
-
-
 def verify_batch(rm: RejectModel, space: FeatureSpace, batch: ExplanationBatch) -> list[VerificationReport]:
     """Re-check every row of an elimination pass from scratch, in O(n) time
     and memory per row.
@@ -238,11 +222,13 @@ def verify_batch(rm: RejectModel, space: FeatureSpace, batch: ExplanationBatch) 
     Every checked value is the row's value d(x) plus the swings
     extreme[j] - w_j * x_j, on one extremum side, of the features F it
     frees: the removed features eliminated before step p, and kept feature
-    i if any.  Sufficiency takes p = n and no i, minimality p = n and each
-    kept i, both on both sides; kept feature i's certificate takes
-    p = ``position[i]`` on its witness's side.  One prefix table of swings
-    in elimination order per side gives them all, with no witness point
-    built.  Each is a dot product plus at most n additions of rounded
+    i if any.  Per side, one (rows, n + 1) prefix table of swings in
+    elimination order gives them all, with no witness point built: column
+    ``position[i]`` plus i's swing is kept feature i's certificate on its
+    witness's side; then, in place, column n (p = n) checks sufficiency and
+    column i < n plus i's swing minimality for kept feature i.  Cells of
+    removed features are nan, class 0 with no knife edge, and masked off.
+    Each value is a dot product plus at most n additions of rounded
     differences, as ``error_bound`` counts them, so ``band_classes`` at the
     box's bound decides it exactly, re-deciding one near a threshold from
     F's terms.  ``batch.position`` must be a permutation.
@@ -258,79 +244,56 @@ def verify_batch(rm: RejectModel, space: FeatureSpace, batch: ExplanationBatch) 
     rows, kept = len(X), ~removed
     values = X @ box.weights + box.bias
     elimination = np.argsort(position)
-    sizes = kept.sum(axis=1)
-    ends = np.cumsum(sizes)
-    side = at_max[kept]
+    holds = np.ones((rows, n + 1), dtype=bool)
+    witness_classes = np.zeros((rows, n), dtype=np.int8)   # int8 while the float tables live
+    knife_edges = np.zeros(rows, dtype=int)
 
-    def exact(extreme, k, i, step):
-        freed = removed[k] & (position < step)
-        return _exact_freed(box, extreme, X[k] * box.weights, freed, i)
+    def decide(table, extreme, step):
+        """The classes of ``table``'s cells, adding each row's knife edges to
+        ``knife_edges``; cell (k, i) frees row k's features removed before
+        step ``step[i]``, and feature i if i < n, to their terms in ``extreme``."""
+        width = table.shape[1]
 
-    # element e < rows of ``expected`` (and of ``checked``) is row e with its
-    # removed features freed; the rest free one kept cell (row-major order)
-    # each as well
-    classes = classes.astype(np.int8)
-    expected = np.concatenate((classes, np.repeat(classes, sizes)))
-    holds = np.ones(expected.size, dtype=bool)
-    knives = np.zeros(expected.size, dtype=np.uint8)
-    estimate = np.empty(side.size)
+        def exact(e):
+            k, i = divmod(e, width)
+            freed = removed[k] & (position < step[i])
+            return _exact_freed(box, extreme, X[k] * box.weights, freed, i if i < n else None)
 
-    def checked_values(at, extreme):
-        """One extremum side's checked values; stores its kept cells'
-        certificate estimates in ``estimate``.  Each table is freed once
-        read, so that at most three live at a time."""
-        swing = X * box.weights
-        np.subtract(extreme, swing, out=swing)
+        got, near_plus, near_minus = band_classes(table.ravel(), rm.t_minus, rm.t_plus,
+                                                  box.bound, exact)
+        for near in (near_plus, near_minus):
+            knife_edges[:] += near.reshape(rows, width).sum(axis=1)
+        return got.reshape(rows, width)
+
+    for at, extreme in ((False, box.min_term), (True, box.max_term)):
+        swing = extreme - X * box.weights
         # column p: the row's value plus the swings removed at steps before p
         prefix = np.zeros((rows, n + 1))
         prefix[:, 0] = values
         np.copyto(prefix[:, 1:], swing[:, elimination], where=removed[:, elimination])
         np.cumsum(prefix, axis=1, out=prefix)
-        total = prefix[:, n].copy()
-        witness = prefix[:, position]
-        del prefix
-        witness += swing
-        estimate[side == at] = witness[kept & (at_max == at)]
-        del witness
-        checked = np.empty(expected.size)
-        checked[:rows] = total
-        checked[rows:] = swing[kept]
-        del swing
-        checked[rows:] += np.repeat(total, sizes)
-        return checked
+        side = kept & (at_max == at)
+        # the side's witnesses: column position[i] plus i's swing
+        estimate = prefix.take(position, axis=1)
+        estimate += swing
+        estimate[~side] = np.nan
+        # in place: column n checks sufficiency, column i < n plus i's swing minimality
+        np.add(swing, prefix[:, n:], out=prefix[:, :n])
+        del swing   # before either table is decided, so that at most four live at a time
+        prefix[:, :n][removed] = np.nan
+        np.copyto(witness_classes, decide(estimate, extreme, position), where=side)
+        del estimate
+        holds &= decide(prefix, extreme, np.full(n + 1, n)) == classes[:, None]
 
-    for at, extreme in ((False, box.min_term), (True, box.max_term)):
-        def exact_checked(e, extreme=extreme):
-            k, i = (e, None) if e < rows else _kept_cell(kept, ends, e - rows)
-            return exact(extreme, k, i, n)
-
-        got, near_plus, near_minus = band_classes(checked_values(at, extreme), rm.t_minus,
-                                                  rm.t_plus, box.bound, exact_checked)
-        holds &= got == expected
-        knives += near_plus
-        knives += near_minus
-
-    def exact_estimate(e):
-        k, i = _kept_cell(kept, ends, e)
-        return exact(box.max_term if at_max[k, i] else box.min_term, k, i, position[i])
-
-    witness_classes, near_plus, near_minus = band_classes(
-        estimate, rm.t_minus, rm.t_plus, box.bound, exact_estimate)
-    knives[rows:] += near_plus
-    knives[rows:] += near_minus
-    knife_edges = knives[:rows] + _per_row(knives[rows:], ends)
-
+    witness_classes = witness_classes.astype(int)
     violations: list[list[str]] = [[] for _ in range(rows)]
     for k in np.flatnonzero(~space.rows_inside(X)).tolist():
         violations[k].append("instance lies outside the box")
-    for k in np.flatnonzero(~holds[:rows]).tolist():
+    for k in np.flatnonzero(~holds[:, n]).tolist():
         violations[k].append("sufficiency: kept features do not entail the class")
-    for e in np.flatnonzero(holds[rows:]).tolist():
-        k, i = _kept_cell(kept, ends, e)
+    for k, i in np.argwhere(holds[:, :n] & kept).tolist():
         violations[k].append(f"minimality: feature {names[i]!r} is droppable")
-    for e in np.flatnonzero(witness_classes == expected[rows:]).tolist():
-        k, i = _kept_cell(kept, ends, e)
+    for k, i in np.argwhere((witness_classes == classes[:, None]) & kept).tolist():
         violations[k].append(f"certificate for feature {names[i]!r} does not flip the class")
-    return [VerificationReport(tuple(v), witness_classes[start:end], knives)
-            for v, start, end, knives in zip(violations, (ends - sizes).tolist(), ends.tolist(),
-                                             knife_edges.tolist())]
+    return [VerificationReport(tuple(v), witness_classes[k][kept[k]], knives)
+            for k, (v, knives) in enumerate(zip(violations, knife_edges.tolist()))]

@@ -514,6 +514,30 @@ class TestExplain:
         assert f"must be an integer, not {bad!r}" in err
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("command, split", [
+        ("explain", {"test_indices": [2, 2, 2]}),
+        ("calibrate", {"train_indices": [0, 1, 2]}),
+    ], ids=["repeated", "shared"])
+    def test_split_index_listed_twice_exits_2(self, tmp_path, command, split, capsys):
+        # row 2 would be explained three times, or calibrated on and then
+        # tested on
+        doc = {**recorded_reject_doc(), "label_column": "label", "positive_label": "pos"}
+        model_path = tmp_path / "reject.json"
+        instances = tmp_path / "inst.csv"
+        instances.write_text("f1,f2,label\n0.5,0.5,pos\n0.5,0.0,neg\n0.0,0.5,pos\n")
+        out_path = tmp_path / "out"
+        argv = [command, "--model", str(model_path), "--input", str(instances),
+                "--output", str(out_path), "--scope", "test"]
+        model_path.write_text(json.dumps(doc))
+        assert main(argv) == 0
+        out_path.unlink()
+        doc["split"] = {**doc["split"], **split}
+        model_path.write_text(json.dumps(doc))
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"model file {model_path}: split.test_indices lists index 2, " in err
+        assert not out_path.exists()
+
     @pytest.mark.parametrize("section, key, value", [
         (None, "t_plus", "0.5"),
         (None, "t_plus", True),

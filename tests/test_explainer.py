@@ -464,11 +464,13 @@ class TestVerifyBatch:
         assert any("sufficiency" in v for v in reports[1].violations)
         assert "minimality: feature 'f3' is droppable" in reports[2].violations
 
-    def test_verify_allocates_far_less_than_one_witness_matrix(self):
-        # a random model over 2,000 features: one row's witness points would
-        # take |kept| * n * 8 bytes, 32 MB when every feature is kept
-        n, rng = 2000, np.random.default_rng(0)
-        X = rng.random((5, n))
+    @staticmethod
+    def traced_verify(rows, n):
+        """A random model over n features explained on ``rows`` random rows:
+        the batch and verify_batch's traced peak in bytes, every report
+        checked to pass."""
+        rng = np.random.default_rng(0)
+        X = rng.random((rows, n))
         w = rng.normal(size=n) / np.sqrt(n)
         d = X @ w
         t_minus, t_plus = np.quantile(d - d.mean(), [0.3, 0.7])
@@ -476,8 +478,6 @@ class TestVerifyBatch:
                          max(float(t_plus), 0.0), 0.24)
         space = FeatureSpace.unit([f"f{i}" for i in range(n)])
         batch = explain_batch(rm, space, X)
-        kept = int((~batch.removed).sum(axis=1).max())
-        assert kept > n // 2
         tracemalloc.start()
         try:
             reports = verify_batch(rm, space, batch)
@@ -485,7 +485,23 @@ class TestVerifyBatch:
         finally:
             tracemalloc.stop()
         assert all(reports), [r.violations for r in reports]
+        return batch, peak
+
+    def test_verify_allocates_far_less_than_one_witness_matrix(self):
+        # over 2,000 features one row's witness points would take
+        # |kept| * n * 8 bytes, 32 MB when every feature is kept
+        n = 2000
+        batch, peak = self.traced_verify(5, n)
+        kept = int((~batch.removed).sum(axis=1).max())
+        assert kept > n // 2
         assert peak < kept * n * 8 // 10
+
+    def test_verify_of_a_tall_batch_holds_few_tables(self):
+        # many rows, few features: the peak is counted in (rows, n + 1)
+        # float tables, of which verify_batch frees each once read
+        rows, n = 5000, 30
+        _, peak = self.traced_verify(rows, n)
+        assert peak < 8 * rows * (n + 1) * 8
 
 
 @st.composite

@@ -86,11 +86,12 @@ def test_second_rule_copies_are_gone():
 def test_one_row_predictor_and_second_verifier_formula_are_gone():
     # a one-row prediction is classify(rm, x[None]) (oracles.classify_one),
     # a degenerate grid raises ValueError, and verify_batch decides every
-    # check from one prefix table per extremum side
+    # check from one (rows, n + 1) table per extremum side, with no flat
+    # index over the kept cells
     for module in (svcreject, rejector):
         for name in ("predict_with_reject", "DegenerateGridError"):
             assert not hasattr(module, name), f"{module.__name__}.{name}"
-    for name in ("_entailment", "_witness_estimates", "_check_order"):
+    for name in ("_entailment", "_witness_estimates", "_check_order", "_kept_cell", "_per_row"):
         assert not hasattr(explainer, name), f"explainer.{name}"
     # module-level helpers that only their own modules and the tests use
     for name in ("threshold_grid", "empirical_risk", "fit_scaling", "ScalingParams"):
@@ -168,3 +169,10 @@ def test_every_imported_name_is_used():
                 continue
             unused += [f"{module}: {name}" for name in imported if name not in names]
     assert unused == []
+
+
+def test_benchmark_selftest_passes():
+    # outputs the benchmark's checks would refuse fail here first
+    done = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=ROOT,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
