@@ -133,6 +133,8 @@ def _typed(value, kind: str, name: str):
     if kind.endswith(" | None"):
         return None if value is None else _typed(value, kind.removesuffix(" | None"), name)
     if kind.startswith("tuple["):   # a valid JSON list, of exact types, passes one check of all its entries
+        if not isinstance(value, (list, tuple)):   # a string or an object would iterate
+            raise ValueError(f"{name} must be a list, not {value!r}")
         item = kind[len("tuple["):-len(", ...]")]
         if set(map(type, value)) <= set(_SCALARS[item][0]):
             return tuple(map(float, value)) if item == "float" else tuple(value)
@@ -162,6 +164,8 @@ def bundle_from_json(doc: dict) -> ModelBundle:
     model = LinearModel(_numbers(doc["weights"], "weights"), _typed(doc["bias"], "float", "bias"))
     if len(model) != len(space):
         raise ValueError("model file is inconsistent: weight/feature count mismatch")
+    if len(scaling) != len(space):
+        raise ValueError("model file is inconsistent: scaling/feature count mismatch")
     records = {key: _record(cls, doc[key], key) if key in doc else None
                for key, cls in (("split", SplitManifest), ("training", TrainReport),
                                 ("risk_report", RiskReport))}

@@ -237,8 +237,8 @@ def _rows_in_box(bundle: artifacts.ModelBundle, scaled, rows, skip=False, hint="
     return inside, outside
 
 
-# witness coordinates that one string of the JSONL holds at most, and
-# instance values that the writer formats at once
+# witness coordinates that one string of the JSONL holds at most, unless
+# one point alone holds more
 BLOCK_CELLS = 4096
 
 
@@ -248,7 +248,6 @@ def _jsonl_pieces(names, batch, rows, raw, reports):
     ``writelines``.  Batch row k is input row ``rows[k]``, with raw values
     ``raw[rows[k]]``; its witnesses' classes come from ``reports[k]``.
 
-    The rows' values are formatted in chunks of at most ``BLOCK_CELLS``.
     Every witness coordinate is the instance's own value or a box corner,
     so a row keeps one list of coordinate texts per extremum side and walks
     the features once in elimination order: a removed feature moves to its
@@ -257,10 +256,9 @@ def _jsonl_pieces(names, batch, rows, raw, reports):
     ``ExplanationBatch``'s freeing rule, with each coordinate copied once per
     witness (by mask, not by value, because 0.0 and -0.0 print differently).
 
-    A record holds |kept|·n coordinates, megabytes on a wide row, so each
-    string yielded holds at most ``BLOCK_CELLS`` witness coordinates beside
-    the rows' other fields, and a point wider than that is joined in blocks
-    of ``BLOCK_CELLS``, one to a string.  A row's witness texts are held
+    A record holds |kept|·n coordinates, megabytes on a wide row, so a
+    string yielded holds at most ``BLOCK_CELLS`` witness coordinates, or one
+    point, beside the rows' other fields.  A row's witness texts are held
     until the row is written.
     """
     if not len(batch):
@@ -268,57 +266,43 @@ def _jsonl_pieces(names, batch, rows, raw, reports):
     n = len(names)
     quoted = [json.dumps(name) for name in names]
     ends = [", "] * (n - 1) + [""]   # the text after each coordinate of a point
-
-    def cells(plain):
-        return [text + end for text, end in zip(plain, ends)]
-
     # each feature's corner on the minimum side, then on the maximum side
-    corners = tuple(cells([repr(v) for v in corner.tolist()])
+    corners = tuple([repr(v) + end for v, end in zip(corner.tolist(), ends)]
                     for corner in (batch.box.min_corner, batch.box.max_corner))
     openers = [f'{{"feature": {q}, "point": [' for q in quoted]
     closers = {c: f'], "class": {c}}}' for c in (-1, 0, 1)}
-    # a point's blocks, of at most ``width`` coordinates each
-    blocks = [slice(a, a + BLOCK_CELLS) for a in range(0, n, BLOCK_CELLS)]
-    width = min(n, BLOCK_CELLS)
     elimination = np.argsort(batch.position).tolist()
     trailer = f'], "time_seconds": {batch.seconds / len(batch)!r}}}\n'
     text, held = [], 0
-    step = max(1, BLOCK_CELLS // max(1, n))
-    for start in range(0, len(batch), step):
-        stop = min(start + step, len(batch))
-        plain = [repr(v) for v in batch.instances[start:stop].ravel().tolist()]
-        chunk = zip(rows[start:stop].tolist(), batch.classes[start:stop].tolist(),
-                    raw[rows[start:stop]].tolist(), batch.removed[start:stop].tolist(),
-                    batch.at_max[start:stop].tolist(), reports[start:stop])
-        for r, (row, klass, raw_row, removed, at_max, report) in enumerate(chunk):
-            own = cells(plain[r * n:(r + 1) * n])
-            sides = (own[:], own[:])
-            points = {}
-            for i in elimination:
-                if removed[i]:
-                    sides[0][i], sides[1][i] = corners[0][i], corners[1][i]
-                    continue
-                side = sides[at_max[i]]
-                side[i] = corners[at_max[i]][i]
-                points[i] = (["".join(side)] if len(blocks) == 1
-                             else ["".join(side[block]) for block in blocks])
-                side[i] = own[i]
-            kept = sorted(points)
-            kept_part = ", ".join([f'{{"feature": {quoted[i]}, "value": {plain[r * n + i]}, '
-                                   f'"raw_value": {raw_row[i]!r}}}' for i in kept])
-            removed_part = ", ".join([quoted[i] for i in range(n) if removed[i]])
-            text.append(f'{{"index": {row}, "class": {klass}, "kept": [{kept_part}], '
-                        f'"removed": [{removed_part}], "witnesses": [')
-            for t, (i, c) in enumerate(zip(kept, report.witness_classes.tolist())):
-                opener = (", " if t else "") + openers[i]
-                for block in points[i]:
-                    if held + width > BLOCK_CELLS:
-                        yield "".join(text)
-                        text, held = [], 0
-                    text += (opener, block)
-                    opener, held = "", held + width
-                text.append(closers[c])
-            text.append(trailer)
+    for row, klass, x, removed, at_max, report in zip(
+            rows.tolist(), batch.classes.tolist(), batch.instances, batch.removed,
+            batch.at_max, reports):
+        removed, at_max, raw_row = removed.tolist(), at_max.tolist(), raw[row].tolist()
+        plain = [repr(v) for v in x.tolist()]
+        own = [v + end for v, end in zip(plain, ends)]
+        sides = (own[:], own[:])
+        points = {}
+        for i in elimination:
+            if removed[i]:
+                sides[0][i], sides[1][i] = corners[0][i], corners[1][i]
+                continue
+            side = sides[at_max[i]]
+            side[i] = corners[at_max[i]][i]
+            points[i] = "".join(side)
+            side[i] = own[i]
+        kept = sorted(points)
+        kept_part = ", ".join([f'{{"feature": {quoted[i]}, "value": {plain[i]}, '
+                               f'"raw_value": {raw_row[i]!r}}}' for i in kept])
+        removed_part = ", ".join([quoted[i] for i in range(n) if removed[i]])
+        text.append(f'{{"index": {row}, "class": {klass}, "kept": [{kept_part}], '
+                    f'"removed": [{removed_part}], "witnesses": [')
+        for t, (i, c) in enumerate(zip(kept, report.witness_classes.tolist())):
+            if held and held + n > BLOCK_CELLS:
+                yield "".join(text)
+                text, held = [], 0
+            text += ((", " if t else "") + openers[i], points[i], closers[c])
+            held += n
+        text.append(trailer)
     yield "".join(text)
 
 

@@ -129,68 +129,42 @@ def _decision_inputs(model: LinearModel, X):
     return d, bound, exact
 
 
-def threshold_grid(values, steps: int = DEFAULT_GRID_STEPS) -> list[tuple[float, float]]:
-    """Candidate (t_plus, t_minus) pairs: the i-th pair is i/steps of the
-    extreme decision values, i = 1..steps, ascending."""
-    values = np.asarray(values, dtype=float)
+def calibrate(model: LinearModel, train: LabeledDataset, w_r: float,
+              grid_steps: int = DEFAULT_GRID_STEPS) -> tuple[RejectModel, RiskReport]:
+    """Pick the band of minimal empirical risk from the threshold grid; ties
+    go to the narrowest band (smallest grid index).
+
+    Pair i of the grid, i = 1..steps, is i/steps of the extreme float
+    decision values.  Its classes come from ``band_classes``, so the risk
+    scores the rows as ``classify`` and ``evaluate`` predict them: the error
+    ratio among accepted rows (0 when every row is rejected, so the risk
+    degrades to exactly w_r) plus w_r times the rejection ratio.
+    """
+    values, bound, exact = _decision_inputs(model, train.X)
     if values.size == 0:
         raise ValueError("no decision values to build a grid from")
-    if steps < 1:
+    if grid_steps < 1:
         raise ValueError("grid steps must be a positive integer")
-    upper = float(values.max())
-    lower = float(values.min())
+    upper, lower = float(values.max()), float(values.min())
     if not (upper > 0.0 > lower):
         raise ValueError(
             f"decision values must straddle zero to calibrate a reject band "
             f"(min {lower}, max {upper})"
         )
-    frac = 1.0 / steps
-    return [(i * frac * upper, i * frac * lower) for i in range(1, steps + 1)]
-
-
-def empirical_risk(labels, classes, w_r: float) -> RiskReport:
-    """Risk = error ratio among accepted + w_r * rejection ratio, scored from
-    the predicted classes (0 rejects).
-
-    With everything rejected the error ratio is defined as 0, so the risk
-    degrades to exactly w_r.
-    """
-    labels = np.asarray(labels, dtype=float)
-    classes = np.asarray(classes)
-    if labels.shape != classes.shape:
-        raise ValueError("labels and classes must have equal lengths")
-    total = labels.size
-    if total == 0:
-        raise ValueError("empirical risk needs at least one point")
-    accepted = classes != 0
-    n_accepted = np.count_nonzero(accepted)
-    rejection_ratio = (total - n_accepted) / total
-    wrong = np.count_nonzero(accepted & (classes != labels))
-    error_ratio = wrong / n_accepted if n_accepted else 0.0
-    return RiskReport(error_ratio, rejection_ratio, error_ratio + w_r * rejection_ratio)
-
-
-def calibrate(model: LinearModel, train: LabeledDataset, w_r: float,
-              grid_steps: int = DEFAULT_GRID_STEPS) -> tuple[RejectModel, RiskReport]:
-    """Pick the grid pair with minimal empirical risk; ties go to the
-    narrowest band (smallest grid index).
-
-    The grid is built from the float decision values; each pair's classes
-    come from ``band_classes``, so the risk report scores the rows as
-    ``classify`` and ``evaluate`` predict them.
-    """
-    values, bound, exact = _decision_inputs(model, train.X)
-    grid = threshold_grid(values, grid_steps)
+    total, frac = values.size, 1.0 / grid_steps
     best: RiskReport | None = None
-    best_pair = None
-    for idx, (t_plus, t_minus) in enumerate(grid, start=1):
+    for i in range(1, grid_steps + 1):
+        t_plus, t_minus = i * frac * upper, i * frac * lower
         classes, _, _ = band_classes(values, t_minus, t_plus, bound, exact)
-        report = empirical_risk(train.y, classes, w_r)
-        if best is None or report.risk < best.risk:
-            best = RiskReport(report.error_ratio, report.rejection_ratio, report.risk, idx)
-            best_pair = (t_plus, t_minus)
-    rm = RejectModel(model, t_minus=best_pair[1], t_plus=best_pair[0], w_r=w_r)
-    return rm, best
+        accepted = classes != 0
+        n_accepted = np.count_nonzero(accepted)
+        wrong = np.count_nonzero(accepted & (classes != train.y))
+        error_ratio = wrong / n_accepted if n_accepted else 0.0
+        rejection_ratio = (total - n_accepted) / total
+        risk = error_ratio + w_r * rejection_ratio
+        if best is None or risk < best.risk:
+            best, pair = RiskReport(error_ratio, rejection_ratio, risk, i), (t_minus, t_plus)
+    return RejectModel(model, *pair, w_r=w_r), best
 
 
 def classify(rm: RejectModel, X) -> tuple[np.ndarray, np.ndarray]:

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -514,6 +515,50 @@ class TestExplain:
         assert f"must be an integer, not {bad!r}" in err
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("split", "test_indices", ""),
+        ("split", "test_indices", {}),
+        ("split", "test_indices", "5"),
+        (None, "weights", {}),
+    ], ids=["empty-string", "object", "string", "weights-object"])
+    def test_non_list_field_exits_2(self, tmp_path, section, key, value, capsys):
+        # a string or an object would iterate: "" and {} as no rows at all
+        # (explained 0 instances, exit 0), "5" as the row "5"
+        doc = recorded_reject_doc()
+        if section is None:
+            doc[key] = value
+        else:
+            doc[section] = {**doc[section], key: value}
+        model_path = tmp_path / "reject.json"
+        model_path.write_text(json.dumps(doc))
+        instances = tmp_path / "inst.csv"
+        instances.write_text("f1,f2\n0.5,0.5\n0.25,0.5\n0.0,0.5\n")
+        out_path = tmp_path / "e.jsonl"
+        assert main(["explain", "--model", str(model_path), "--input", str(instances),
+                     "--output", str(out_path), "--scope", "test"]) == 2
+        name = key if section is None else f"{section}.{key}"
+        assert (f"model file {model_path}: {name} must be a list, not {value!r}"
+                in capsys.readouterr().err)
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("command", ["explain", "calibrate"])
+    @pytest.mark.parametrize("entries", [1, 3], ids=["too-few", "too-many"])
+    def test_scaling_feature_count_mismatch_exits_2(self, tmp_path, command, entries, capsys):
+        # loaded, the bundle would fail later on the raw table's column
+        # count, in a message that does not name the model file
+        doc = {**demo_reject_doc(), "label_column": "label", "positive_label": "pos",
+               "scaling": [{"min": 0.0, "max": 1.0}] * entries}
+        model_path = tmp_path / "reject.json"
+        model_path.write_text(json.dumps(doc))
+        instances = tmp_path / "inst.csv"
+        instances.write_text("f1,f2,label\n0.5,0.5,pos\n0.5,0.0,neg\n")
+        out_path = tmp_path / "out"
+        assert main([command, "--model", str(model_path), "--input", str(instances),
+                     "--output", str(out_path)]) == 2
+        assert (f"model file {model_path}: model file is inconsistent: "
+                "scaling/feature count mismatch" in capsys.readouterr().err)
+        assert not out_path.exists()
+
     @pytest.mark.parametrize("command, split", [
         ("explain", {"test_indices": [2, 2, 2]}),
         ("calibrate", {"train_indices": [0, 1, 2]}),
@@ -933,8 +978,8 @@ class TestJsonlWriter:
     @example(case=EDGE_BATCHES[1], block_cells=1)
     @example(case=EDGE_BATCHES[2], block_cells=1)
     @example(case=EDGE_BATCHES[3], block_cells=1)
-    # blocks of one coordinate up to whole batches: below n a single point
-    # is split, and above it pieces split at every row and witness boundary
+    # blocks of one coordinate up to whole batches: at most n a piece holds
+    # one point, and above it pieces split at every row and witness boundary
     # and also span rows
     @given(case=batch_cases(),
            block_cells=st.integers(min_value=1, max_value=8) | st.just(cli.BLOCK_CELLS))
@@ -947,7 +992,7 @@ class TestJsonlWriter:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(cli, "BLOCK_CELLS", block_cells)
             pieces = list(cli._jsonl_pieces(space.names, batch, rows, raw, reports))
-        assert max(coordinates_per_piece(pieces)) <= block_cells
+        assert max(coordinates_per_piece(pieces)) <= max(block_cells, len(space))
         assert_reference_jsonl("".join(pieces), rm, space, rows, raw, batch)
 
     def test_negative_zero_corner_beside_positive_zero_value(self):
@@ -1003,6 +1048,25 @@ class TestJsonlWriter:
             assert int((~batch.removed).sum(axis=1).max()) * n > 10 * cli.BLOCK_CELLS
         else:
             assert max(piece.count('{"index": ') for piece in pieces) > 1
+
+    def test_writing_holds_little_beyond_one_record(self):
+        # a record's witness texts are held until it is written, but no
+        # string of the whole record, its join or its encoding is
+        rng = np.random.default_rng(600)
+        rm = random_reject_model(rng, 600)
+        space = FeatureSpace.unit([f"f{i}" for i in range(600)])
+        X = rng.uniform(0.0, 1.0, (3, 600))
+        batch = explain_batch(rm, space, X)
+        args = (space.names, batch, np.arange(3), X, verify_batch(rm, space, batch))
+        longest = max(map(len, "".join(cli._jsonl_pieces(*args)).splitlines(keepends=True)))
+        tracemalloc.start()
+        try:
+            for _ in cli._jsonl_pieces(*args):
+                pass
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * longest
 
 
 class TestJsonlBytes:

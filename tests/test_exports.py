@@ -85,11 +85,13 @@ def test_second_rule_copies_are_gone():
 
 def test_one_row_predictor_and_second_verifier_formula_are_gone():
     # a one-row prediction is classify(rm, x[None]) (oracles.classify_one),
-    # a degenerate grid raises ValueError, and verify_batch decides every
-    # check from one (rows, n + 1) table per extremum side, with no flat
-    # index over the kept cells
+    # a degenerate grid raises ValueError, calibrate builds its grid and
+    # scores its risk in one loop, and verify_batch decides every check from
+    # one (rows, n + 1) table per extremum side, with no flat index over the
+    # kept cells
     for module in (svcreject, rejector):
-        for name in ("predict_with_reject", "DegenerateGridError"):
+        for name in ("predict_with_reject", "DegenerateGridError", "threshold_grid",
+                     "empirical_risk"):
             assert not hasattr(module, name), f"{module.__name__}.{name}"
     for name in ("_entailment", "_witness_estimates", "_check_order", "_kept_cell", "_per_row"):
         assert not hasattr(explainer, name), f"explainer.{name}"

@@ -29,6 +29,10 @@ PINNED = {
         "33e16bdc64b44ea5e7d0effce5fbae61eef041c9073aad501ff495e78a2f26af",
     "reject.json.metrics.json":
         "96654f1145bd101e7b4ad2016657a6f649cc8db6e304ab4574576911bfea23e9",
+    "reject-wr0.1-steps7.json":
+        "76b18e4f3424fb482345e2c153d76573b5c89a97e47a4afdb0b229dc4a5aac59",
+    "reject-wr0.1-steps7.json.metrics.json":
+        "140bc363c1d580e7febcc0befbe0b43278c950a78ede75e002cb849f62388c91",
     "ascending.jsonl":
         "5378460a3d37d40a230de8cee5d9ac0f77bd472c8168e2d1357b31be4cc01b63",
     "ascending.jsonl.summary.json":
@@ -70,6 +74,8 @@ def test_iris_outputs_match_their_digests(tmp_path):
         "versicolor", "--model", tmp_path / "model.json")
     run("calibrate", "--input", iris, "--model", tmp_path / "model.json",
         "--output", tmp_path / "reject.json")
+    run("calibrate", "--input", iris, "--model", tmp_path / "model.json",
+        "--output", tmp_path / "reject-wr0.1-steps7.json", "--wr", "0.1", "--grid-steps", "7")
     for order in ORDERS:
         run("explain", "--input", iris, "--model", tmp_path / "reject.json", "--scope", "all",
             "--order", order, "--output", tmp_path / f"{order}.jsonl")

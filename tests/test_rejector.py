@@ -8,12 +8,10 @@ from svcreject.rejector import (
     RejectModel,
     band_classes,
     calibrate,
-    empirical_risk,
     error_bound,
     evaluate,
     exact_value,
     classify,
-    threshold_grid,
 )
 from svcreject.trainer import LinearModel, TrainerConfig, train_soft_margin
 
@@ -21,30 +19,62 @@ import oracles
 from conftest import BAND_T_MINUS, BAND_T_PLUS, BAND_X, DEMO_X
 
 
+def identity_dataset(values, labels) -> LabeledDataset:
+    """Rows whose decision values under ``IDENTITY`` are ``values``."""
+    return LabeledDataset(np.array(values, dtype=float).reshape(-1, 1),
+                          np.array(labels, dtype=float))
+
+
+IDENTITY = LinearModel(np.array([1.0]), 0.0)
+
+
+def misclassified_at(t_plus: float, lower: float, upper: float) -> LabeledDataset:
+    """Correctly labelled rows at the extremes ``upper`` and ``lower`` plus a
+    misclassified row at ``t_plus``: at w_r = 0.25 the grid pair whose band
+    ends at ``t_plus`` has the least risk."""
+    return identity_dataset([upper, lower, t_plus], [1, -1, -1])
+
+
 class TestThresholdGrid:
+    """``calibrate``'s grid: pair i of s steps is i/s of the extreme decision
+    values."""
+
     def test_first_and_last_pairs(self):
-        grid = threshold_grid([2.0, -1.0, 0.5])
-        assert len(grid) == 100
-        assert grid[0] == (0.02, -0.01)
-        assert grid[-1] == (2.0, -1.0)
+        ds = identity_dataset([2.0, -1.0, 0.5], [1, -1, 1])
+        rm, report = calibrate(IDENTITY, ds, w_r=0.24)
+        assert report.grid_index == 1
+        assert (rm.t_plus, rm.t_minus) == (0.02, -0.01)
+        rm, report = calibrate(IDENTITY, ds, w_r=0.24, grid_steps=1)
+        assert report.grid_index == 1
+        assert (rm.t_plus, rm.t_minus) == (2.0, -1.0)
 
     def test_all_positive_values_rejected(self):
         with pytest.raises(ValueError, match="decision values must straddle zero"):
-            threshold_grid([0.5, 2.0])
+            calibrate(IDENTITY, identity_dataset([0.5, 2.0], [1, 1]), w_r=0.24)
 
     def test_symmetric_extremes_give_symmetric_pairs(self):
-        grid = threshold_grid([1.0, -1.0])
-        for t_plus, t_minus in grid:
-            assert t_plus == -t_minus
-        assert [p for p, _ in grid] == [i * 0.01 * 1.0 for i in range(1, 101)]
+        for i in range(1, 101):
+            rm, report = calibrate(IDENTITY, misclassified_at(i * 0.01 * 1.0, -1.0, 1.0),
+                                   w_r=0.25)
+            assert report.grid_index == i
+            assert rm.t_plus == -rm.t_minus == i * 0.01 * 1.0
 
     def test_custom_resolution(self):
-        grid = threshold_grid([1.0, -2.0], steps=4)
-        assert grid == [(0.25, -0.5), (0.5, -1.0), (0.75, -1.5), (1.0, -2.0)]
+        pairs = [(0.25, -0.5), (0.5, -1.0), (0.75, -1.5), (1.0, -2.0)]
+        for i, (t_plus, t_minus) in enumerate(pairs, start=1):
+            rm, report = calibrate(IDENTITY, misclassified_at(t_plus, -2.0, 1.0), w_r=0.25,
+                                   grid_steps=4)
+            assert report.grid_index == i
+            assert (rm.t_plus, rm.t_minus) == (t_plus, t_minus)
 
     def test_empty_values_rejected(self):
         with pytest.raises(ValueError, match="no decision values to build a grid from"):
-            threshold_grid([])
+            calibrate(IDENTITY, identity_dataset([], []), w_r=0.24)
+
+    def test_zero_steps_rejected(self):
+        with pytest.raises(ValueError, match="grid steps must be a positive integer"):
+            calibrate(IDENTITY, identity_dataset([1.0, -1.0], [1, -1]), w_r=0.24,
+                      grid_steps=0)
 
 
 class TestBandClasses:
@@ -130,31 +160,31 @@ class TestErrorBound:
 
 
 class TestEmpiricalRisk:
+    """``calibrate``'s risk: the error ratio among accepted rows plus w_r
+    times the rejection ratio."""
+
     def test_half_rejected_one_wrong(self):
-        # 5 inside the band, 1 of the 5 accepted misclassified: the classes
-        # of values [0.0, 0.1, -0.2, 0.3, 0.5, 0.6, 0.7, -0.6, -0.8, 0.9]
-        # under the band [-0.5, 0.5]
-        classes = [0, 0, 0, 0, 0, 1, 1, -1, -1, 1]
+        # the band [-0.5, 0.5] rejects 5 of 10 rows and 1 of the 5 accepted
+        # is wrong; the band [-1, 1] rejects everything at the higher cost 0.5
+        values = [0.0, 0.1, -0.2, 0.3, 0.45, 0.6, 0.7, -0.6, -1.0, 1.0]
         labels = [1, 1, -1, 1, 1, 1, 1, -1, -1, -1]  # last one wrong
-        report = empirical_risk(labels, classes, w_r=0.24)
-        assert report.rejection_ratio == 0.5
-        assert report.error_ratio == pytest.approx(0.2)
-        assert report.risk == pytest.approx(0.32)
-        assert report.risk == report.error_ratio + 0.24 * report.rejection_ratio
+        rm, report = calibrate(IDENTITY, identity_dataset(values, labels), w_r=0.5,
+                               grid_steps=2)
+        assert (rm.t_plus, rm.t_minus) == (0.5, -0.5)
+        assert (report.error_ratio, report.rejection_ratio) == (0.2, 0.5)
+        assert report.risk == report.error_ratio + 0.5 * report.rejection_ratio
 
     def test_no_rejections_all_correct_is_zero_risk(self):
-        report = empirical_risk([1, -1], [1, -1], w_r=0.24)
+        _, report = calibrate(IDENTITY, identity_dataset([1.0, -1.0], [1, -1]), w_r=0.24)
         assert (report.error_ratio, report.rejection_ratio, report.risk) == (0.0, 0.0, 0.0)
 
     def test_everything_rejected_costs_exactly_wr(self):
-        report = empirical_risk([1, -1], [0, 0], w_r=0.24)
+        # one grid step: the band is the extremes, which it rejects too
+        _, report = calibrate(IDENTITY, identity_dataset([1.0, -1.0], [-1, 1]), w_r=0.24,
+                              grid_steps=1)
         assert report.error_ratio == 0.0
         assert report.rejection_ratio == 1.0
         assert report.risk == 0.24
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="lengths"):
-            empirical_risk([1], [1, 0], 0.24)
 
 
 def overlapping_dataset(seed, n=80):
@@ -253,7 +283,7 @@ class TestCalibrate:
         rng = np.random.default_rng(seed)
         values = rng.uniform(-3.0, 3.0, 50)
         values[0], values[1] = 1.0, -1.0
-        grid = threshold_grid(values)
+        grid = [(i * 0.01 * values.max(), i * 0.01 * values.min()) for i in range(1, 101)]
         counts = [
             int(((values >= t_minus) & (values <= t_plus)).sum())
             for t_plus, t_minus in grid
