@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from pathlib import Path
-
-import numpy as np
 
 from .dataset import FeatureSpace, ScalingParams
 from .rejector import RejectModel, RiskReport
@@ -73,65 +71,46 @@ class ModelBundle:
                        risk_report=report)
 
 
-def _box_to_json(space: FeatureSpace, params: ScalingParams) -> dict:
-    """The ``features`` (name and domain) and ``scaling`` lists of a model file."""
-    return {
-        "features": [
-            {"name": name, "lower": float(lo), "upper": float(hi)}
-            for name, lo, hi in zip(space.names, space.lower, space.upper)
-        ],
-        "scaling": [
-            {"min": float(lo), "max": float(hi)}
-            for lo, hi in zip(params.mins, params.maxs)
-        ],
-    }
-
-
-def _box_from_json(doc: dict) -> tuple[FeatureSpace, ScalingParams]:
-    """The feature space and scaling read back from ``_box_to_json``'s lists."""
-    features, scaling = doc["features"], doc["scaling"]
-    space = FeatureSpace(tuple(f["name"] for f in features),
-                         _numbers([f["lower"] for f in features], "features.lower"),
-                         _numbers([f["upper"] for f in features], "features.upper"))
-    params = ScalingParams(_numbers([s["min"] for s in scaling], "scaling.min"),
-                           _numbers([s["max"] for s in scaling], "scaling.max"))
-    return space, params
-
-
 def bundle_to_json(bundle: ModelBundle) -> dict:
+    """The model file's document: the four head keys, then every later field
+    that is not None, in field order, a record as an object."""
     doc = {
         "weights": [float(v) for v in bundle.model.weights],
         "bias": float(bundle.model.bias),
-        **_box_to_json(bundle.space, bundle.scaling),
+        "features": [{"name": name, "lower": float(lo), "upper": float(hi)}
+                     for name, lo, hi in zip(bundle.space.names, bundle.space.lower,
+                                             bundle.space.upper)],
+        "scaling": [{"min": float(lo), "max": float(hi)}
+                    for lo, hi in zip(bundle.scaling.mins, bundle.scaling.maxs)],
     }
-    if bundle.label_column is not None:
-        doc["label_column"] = bundle.label_column
-    if bundle.positive_label is not None:
-        doc["positive_label"] = bundle.positive_label
-    if bundle.split is not None:
-        doc["split"] = dict(vars(bundle.split))
-    if bundle.training is not None:
-        doc["training"] = dict(vars(bundle.training))
-    if bundle.has_reject_band:
-        doc["t_minus"] = bundle.t_minus
-        doc["t_plus"] = bundle.t_plus
-        doc["w_r"] = bundle.w_r
-        if bundle.risk_report is not None:
-            doc["risk_report"] = dict(vars(bundle.risk_report))
+    for f in fields(ModelBundle)[3:]:
+        value = getattr(bundle, f.name)
+        if value is not None:
+            doc[f.name] = dict(vars(value)) if is_dataclass(value) else value
     return doc
 
 
-# per scalar annotation, the JSON values a model-file field takes and how an
-# error names them; int(), float() and bool() would truncate 5.9, parse
-# "0.5" and take "false" for true
-_SCALARS = {"int": ((int,), "an integer"), "float": ((int, float), "a number"), "bool": ((bool,), "true or false")}
+# per one-type annotation, the JSON values a model-file field takes and how
+# an error names them; int(), float(), bool() and str() would truncate 5.9,
+# parse "0.5", take "false" for true and read 5 as "5"
+_SCALARS = {"int": ((int,), "an integer"), "float": ((int, float), "a number"),
+            "bool": ((bool,), "true or false"), "str": ((str,), "a string"),
+            "dict": ((dict,), "an object")}
+_RECORDS = {cls.__name__: cls for cls in (SplitManifest, TrainReport, RiskReport)}
 
 
 def _typed(value, kind: str, name: str):
     """``value`` read as the model-file field ``name`` annotated ``kind``: a
-    scalar above, ``T | None`` (null reads as None) or ``tuple[T, ...]``."""
+    one-type kind above, a record (an object whose fields are read by their own
+    annotations; one with a default may be left out), ``T | None`` (null
+    reads as None) or ``tuple[T, ...]``."""
     if kind.endswith(" | None"):
         return None if value is None else _typed(value, kind.removesuffix(" | None"), name)
+    if kind in _RECORDS:
+        value = _typed(value, "dict", name)
+        return _RECORDS[kind](**{f.name: _typed(value[f.name], f.type, f"{name}.{f.name}")
+                                 for f in fields(_RECORDS[kind])
+                                 if f.name in value or f.default is MISSING})
     if kind.startswith("tuple["):   # a valid JSON list, of exact types, passes one check of all its entries
         if not isinstance(value, (list, tuple)):   # a string or an object would iterate
             raise ValueError(f"{name} must be a list, not {value!r}")
@@ -145,39 +124,30 @@ def _typed(value, kind: str, name: str):
     return float(value) if kind == "float" else value
 
 
-def _numbers(values, name: str) -> np.ndarray:
-    return np.array(_typed(values, "tuple[float, ...]", name), dtype=float)
+def _columns(doc: dict, name: str, *keys: str) -> list[tuple]:
+    """The list of objects ``doc[name]`` read as one typed column per key:
+    a string for ``name``, a number for every other key."""
+    entries = _typed(doc[name], "tuple[dict, ...]", name)
+    return [_typed([entry[key] for entry in entries],
+                   "tuple[str, ...]" if key == "name" else "tuple[float, ...]", f"{name}.{key}")
+            for key in keys]
 
 
-def _record(cls, doc: dict, name: str):
-    """The dataclass ``cls`` read from the model file's record ``doc``
-    (``name`` in the file), each field typed by its annotation; a field
-    with a default may be left out."""
-    return cls(**{f.name: _typed(doc[f.name], f.type, f"{name}.{f.name}")
-                  for f in fields(cls) if f.name in doc or f.default is MISSING})
-
-
-def bundle_from_json(doc: dict) -> ModelBundle:
-    space, scaling = _box_from_json(doc)
+def bundle_from_json(doc) -> ModelBundle:
+    doc = _typed(doc, "dict", "the top level")
+    space = FeatureSpace(*_columns(doc, "features", "name", "lower", "upper"))
+    scaling = ScalingParams(*_columns(doc, "scaling", "min", "max"))
     if not len(space):
         raise ValueError("the features list is empty")
-    model = LinearModel(_numbers(doc["weights"], "weights"), _typed(doc["bias"], "float", "bias"))
+    model = LinearModel(_typed(doc["weights"], "tuple[float, ...]", "weights"),
+                        _typed(doc["bias"], "float", "bias"))
     if len(model) != len(space):
         raise ValueError("model file is inconsistent: weight/feature count mismatch")
     if len(scaling) != len(space):
         raise ValueError("model file is inconsistent: scaling/feature count mismatch")
-    records = {key: _record(cls, doc[key], key) if key in doc else None
-               for key, cls in (("split", SplitManifest), ("training", TrainReport),
-                                ("risk_report", RiskReport))}
-    return ModelBundle(
-        space=space,
-        scaling=scaling,
-        model=model,
-        label_column=doc.get("label_column"),
-        positive_label=doc.get("positive_label"),
-        **records,
-        **{key: _typed(doc.get(key), "float | None", key) for key in ("t_minus", "t_plus", "w_r")},
-    )
+    return ModelBundle(space, scaling, model,
+                       **{f.name: _typed(doc.get(f.name), f.type, f.name)
+                          for f in fields(ModelBundle)[3:]})
 
 
 def save_bundle(path, bundle: ModelBundle) -> None:
@@ -191,8 +161,6 @@ def load_bundle(path) -> ModelBundle:
     try:
         return bundle_from_json(json.loads(path.read_text()))
     except KeyError as exc:
-        raise ValueError(f"model file {path} is missing field {exc}") from None
-    except TypeError as exc:
-        raise ValueError(f"model file {path} has a field of the wrong type: {exc}") from None
+        raise ValueError(f"model file {path}: missing field {exc}") from None
     except (ValueError, OverflowError) as exc:   # a JSON integer beyond float range
         raise ValueError(f"model file {path}: {exc}") from None

@@ -306,37 +306,25 @@ def _jsonl_pieces(names, batch, rows, raw, reports):
     yield "".join(text)
 
 
-def _per_class_stats(batch) -> dict:
-    sizes = (~batch.removed).sum(axis=1)
-    out = {}
-    for klass in (-1, 0, 1):
-        rows = batch.classes == klass
-        if not rows.any():
-            continue
-        size = sizes[rows].astype(float)
-        out[klass] = {
-            "patterns": int(size.size),
-            "size_mean": float(size.mean()),
-            "size_std": float(size.std()),
-            "queries": int(batch.queries[rows].sum()),
-        }
-    return out
-
-
-def _frequency(classes, removed, names) -> tuple[dict, str]:
-    """Per predicted class, how many rows keep each feature and how many rows
-    there are: the summary's ``frequency`` dict and its text table."""
+def _class_summary(classes, removed, queries, names) -> tuple[dict, dict, str]:
+    """Per predicted class, keyed as a string: the summary's ``classes`` dict
+    (rows, explanation size, queries), its ``frequency`` dict (rows keeping
+    each feature) and the frequency table."""
     kept = ~removed
-    freq = {}
+    stats, freq = {}, {}
     for klass in (-1, 0, 1):
         rows = classes == klass
-        if rows.any():
-            freq[str(klass)] = {"counts": dict(zip(names, kept[rows].sum(axis=0).tolist())),
-                                "patterns": int(rows.sum())}
+        if not rows.any():
+            continue
+        size = kept[rows].sum(axis=1).astype(float)
+        stats[str(klass)] = {"patterns": size.size, "size_mean": float(size.mean()),
+                             "size_std": float(size.std()), "queries": int(queries[rows].sum())}
+        freq[str(klass)] = {"counts": dict(zip(names, kept[rows].sum(axis=0).tolist())),
+                            "patterns": size.size}
     table = _table(["class", *names, "patterns"],
                    [[LABELS[int(k)], *map(str, c["counts"].values()), str(c["patterns"])]
                     for k, c in freq.items()])
-    return {"classes": freq}, table
+    return stats, {"classes": freq}, table
 
 
 def cmd_explain(args) -> int:
@@ -371,8 +359,8 @@ def cmd_explain(args) -> int:
             )
     verified = time.perf_counter()
 
-    stats = _per_class_stats(batch)
-    frequency, table = _frequency(batch.classes, batch.removed, bundle.space.names)
+    stats, frequency, table = _class_summary(batch.classes, batch.removed, batch.queries,
+                                             bundle.space.names)
     n = len(bundle.space)
     if args.output:
         writing = time.perf_counter()
@@ -389,7 +377,7 @@ def cmd_explain(args) -> int:
             "knife_edge_queries": int(batch.knife_edges.sum()),
             "max_queries_per_instance": int(batch.queries.max(initial=0)),
             "query_budget_per_instance": 2 * n,
-            "classes": {str(k): v for k, v in stats.items()},
+            "classes": stats,
             "frequency": frequency,
             "run": {"stage_seconds": stage_seconds, "out_of_box_rows": len(skipped),
                     "verify_knife_edges": sum(report.knife_edges for report in reports)},
@@ -400,7 +388,7 @@ def cmd_explain(args) -> int:
     print(f"explained {len(batch)} instance(s); "
           f"{len(skipped)} skipped as out of domain")
     for klass, s in stats.items():
-        print(f"{LABELS[klass]}: {s['patterns']} pattern(s), "
+        print(f"{LABELS[int(klass)]}: {s['patterns']} pattern(s), "
               f"size {s['size_mean']:.2f} +- {s['size_std']:.2f}, "
               f"{s['queries']} queries")
     print(f"explanation pass: {batch.seconds * 1e3:.3f} ms")
@@ -427,7 +415,7 @@ def main(argv=None) -> int:
     except VerificationFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY
-    except (FileNotFoundError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

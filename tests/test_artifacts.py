@@ -121,6 +121,27 @@ class TestBundleRoundTrip:
         assert loaded.training is None
         assert "training" not in bundle_to_json(loaded)
 
+    @pytest.mark.parametrize("key", ["split", "training", "risk_report"])
+    def test_null_record_loads_as_absent_and_saves_without_key(self, tmp_path, key):
+        # as "t_minus": null already did
+        report = TrainReport(primal_objective=2.5, passes_used=7, converged=True, dual_gap=1e-7)
+        bundle = dataclasses.replace(awkward_bundle(), training=report).with_reject(
+            RejectModel(awkward_bundle().model, -0.25, 0.5, 0.24), RiskReport(0.1, 0.2, 0.148, 3))
+        doc = {**bundle_to_json(bundle), key: None}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        loaded = load_bundle(path)
+        assert getattr(loaded, key) is None
+        del doc[key]
+        assert bundle_to_json(loaded) == doc
+
+    def test_writer_emits_exactly_the_fields_that_are_set(self):
+        # half a band, or a band without w_r, is written as it stands
+        doc = bundle_to_json(dataclasses.replace(awkward_bundle(), t_plus=0.5))
+        assert list(doc)[-2:] == ["split", "t_plus"] and doc["t_plus"] == 0.5
+        assert "w_r" not in bundle_to_json(dataclasses.replace(awkward_bundle(), t_minus=-0.5,
+                                                               t_plus=0.5))
+
     def test_reject_model_requires_band(self):
         with pytest.raises(ValueError, match="no reject band"):
             awkward_bundle().reject_model()

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from svcreject import FeatureSpace, LabeledDataset, LinearModel, RejectModel, cli, explainer
 from svcreject.artifacts import load_bundle
-from svcreject.cli import _frequency, _metrics_json, _metrics_table, build_parser, main
+from svcreject.cli import _class_summary, _metrics_json, _metrics_table, build_parser, main
 from svcreject.dataset import apply_scaling, load_csv
 from svcreject.explainer import explain_batch, verify_batch
 from svcreject.rejector import evaluate
@@ -50,6 +50,27 @@ def recorded_reject_doc():
                          "dual_gap": 0.0},
             "risk_report": {"error_ratio": 0.0, "rejection_ratio": 0.0, "risk": 0.24,
                             "grid_index": 3}}
+
+
+def replaced(doc, path, value):
+    """``doc`` with the value at key path ``path`` replaced by ``value``, in
+    place; the empty path replaces the whole document."""
+    if not path:
+        return value
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+def value_paths(doc, path=()):
+    """The key path of every value in the JSON document ``doc``, the
+    document itself (the empty path) first."""
+    yield path
+    if isinstance(doc, (dict, list)):
+        for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield from value_paths(value, (*path, key))
 
 
 def band_reject_doc():
@@ -611,6 +632,61 @@ class TestExplain:
                 in capsys.readouterr().err)
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("command", ["explain", "calibrate"])
+    @pytest.mark.parametrize("path, value, field, kind", [
+        (("split",), [], "split", "an object"),
+        (("training",), "x", "training", "an object"),
+        (("risk_report",), 5, "risk_report", "an object"),
+        (("label_column",), 5, "label_column", "a string"),
+        (("positive_label",), 1, "positive_label", "a string"),
+        (("features", 0), 5, "features entry", "an object"),
+        (("features", 0, "name"), 5, "features.name entry", "a string"),
+        (("scaling", 1), 3, "scaling entry", "an object"),
+        ((), [], "the top level", "an object"),
+    ], ids=["split", "training", "risk_report", "label_column", "positive_label",
+            "features-entry", "feature-name", "scaling-entry", "whole-file"])
+    def test_mistyped_field_exits_2_naming_it(self, tmp_path, command, path, value, field,
+                                              kind, capsys):
+        # each would otherwise fail inside Python without naming the field, or
+        # load: label_column 5 as the column "5", positive_label 1 through str()
+        doc = {**recorded_reject_doc(), "label_column": "label", "positive_label": "pos"}
+        model_path = tmp_path / "reject.json"
+        instances = tmp_path / "inst.csv"
+        instances.write_text("f1,f2,label\n0.5,0.5,pos\n0.5,0.0,neg\n0.0,0.5,pos\n")
+        out_path = tmp_path / "out"
+        argv = [command, "--model", str(model_path), "--input", str(instances),
+                "--output", str(out_path), "--scope", "test"]
+        model_path.write_text(json.dumps(doc))
+        assert main(argv) == 0
+        out_path.unlink()
+        capsys.readouterr()
+        doc = replaced(doc, path, value)
+        model_path.write_text(json.dumps(doc))
+        assert main(argv) == 2
+        assert (capsys.readouterr().err
+                == f"error: model file {model_path}: {field} must be {kind}, not {value!r}\n")
+        assert not out_path.exists()
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_any_one_replaced_value_loads_or_names_the_file(self, tmp_path_factory, data):
+        # no mistyped value reaches the loader's caller as anything but a
+        # ValueError naming the file
+        doc = recorded_reject_doc()
+        path = data.draw(st.sampled_from(list(value_paths(doc))))
+        value = data.draw(st.one_of(
+            st.none(), st.booleans(), st.integers(), st.floats(), st.just(10 ** 400),
+            st.text(max_size=3), st.lists(st.integers() | st.text(max_size=2), max_size=3),
+            st.dictionaries(st.sampled_from(["name", "min", "seed", "risk"]),
+                            st.integers() | st.floats(), max_size=2)))
+        doc = replaced(doc, path, value)
+        model_path = tmp_path_factory.getbasetemp() / "mutation.json"
+        model_path.write_text(json.dumps(doc))
+        try:
+            load_bundle(model_path)
+        except ValueError as exc:
+            assert str(exc).startswith(f"model file {model_path}: "), str(exc)
+
     def test_integer_beyond_float_range_exits_2(self, tmp_path, capsys):
         # float() raises OverflowError on it, which is no ValueError
         model_path = tmp_path / "reject.json"
@@ -944,17 +1020,20 @@ def assert_reference_jsonl(text, rm, space, rows, raw, batch):
 class TestFeatureFrequency:
     def test_counts_kept_features_per_class(self):
         removed = np.array([[False, True, True]] * 3)
-        freq, _ = _frequency(np.array([1, 1, 1]), removed, ["a", "b", "c"])
+        stats, freq, _ = _class_summary(np.array([1, 1, 1]), removed, np.array([2, 3, 4]),
+                                        ["a", "b", "c"])
         assert freq["classes"]["1"]["counts"] == {"a": 3, "b": 0, "c": 0}
+        assert stats == {"1": {"patterns": 3, "size_mean": 1.0, "size_std": 0.0, "queries": 9}}
         assert {k: c["patterns"] for k, c in freq["classes"].items()} == {"1": 3}
 
     def test_empty_input_gives_empty_table(self):
-        freq, _ = _frequency(np.zeros(0, dtype=int), np.zeros((0, 3), dtype=bool),
-                             ["a", "b", "c"])
-        assert freq == {"classes": {}}
+        stats, freq, _ = _class_summary(np.zeros(0, dtype=int), np.zeros((0, 3), dtype=bool),
+                                        np.zeros(0, dtype=int), ["a", "b", "c"])
+        assert stats == {} and freq == {"classes": {}}
 
     def test_text_layout_aligns_columns(self):
-        _, text = _frequency(np.array([1]), np.array([[False, True]]), ["alpha", "beta"])
+        _, _, text = _class_summary(np.array([1]), np.array([[False, True]]), np.array([1]),
+                                    ["alpha", "beta"])
         lines = text.splitlines()
         assert len(lines) == 2
         assert "alpha" in lines[0] and "patterns" in lines[0]
@@ -965,7 +1044,8 @@ class TestFeatureFrequency:
         instances = [np.array([f1, f2]) for f1 in (0.0, 0.02, 0.05)
                      for f2 in (0.0, 0.1, 0.2)]
         batch = explain_batch(demo_reject, demo_space, np.array(instances))
-        freq, _ = _frequency(batch.classes, batch.removed, demo_space.names)
+        _, freq, _ = _class_summary(batch.classes, batch.removed, batch.queries,
+                                    demo_space.names)
         assert freq["classes"]["1"]["counts"] == {"f1": 9, "f2": 0}
         assert freq["classes"]["1"]["patterns"] == 9
 

@@ -63,6 +63,16 @@ def test_witness_matrix_layer_is_gone():
     assert not hasattr(explainer.ExplanationBatch, "witnesses")
 
 
+def test_per_field_readers_are_gone():
+    # ModelBundle's field annotations are the model-file schema, read by
+    # artifacts._typed and written by bundle_to_json; one pass over the
+    # classes gives the summary's classes, frequency and table
+    for name in ("_record", "_box_to_json", "_box_from_json", "_numbers"):
+        assert not hasattr(artifacts, name), name
+    for name in ("_per_class_stats", "_frequency"):
+        assert not hasattr(cli, name), name
+
+
 def test_formula_layer_is_gone():
     # classes are decided at the box extrema by rejector.band_classes; the
     # atom encoding lives on only as a test reference (oracles.py)
