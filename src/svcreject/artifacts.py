@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from contextlib import suppress
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from pathlib import Path
 
@@ -53,12 +54,8 @@ class ModelBundle:
     w_r: float | None = None
     risk_report: RiskReport | None = None
 
-    @property
-    def has_reject_band(self) -> bool:
-        return self.t_minus is not None and self.t_plus is not None
-
     def reject_model(self) -> RejectModel:
-        if not self.has_reject_band:
+        if self.t_minus is None or self.t_plus is None:
             raise ValueError(
                 "model file carries no reject band; calibrate it first or add "
                 "t_minus/t_plus to the file"
@@ -116,12 +113,16 @@ def _typed(value, kind: str, name: str):
             raise ValueError(f"{name} must be a list, not {value!r}")
         item = kind[len("tuple["):-len(", ...]")]
         if set(map(type, value)) <= set(_SCALARS[item][0]):
-            return tuple(map(float, value)) if item == "float" else tuple(value)
+            with suppress(OverflowError):   # an integer beyond float range: read by entry
+                return tuple(map(float, value)) if item == "float" else tuple(value)
         return tuple(_typed(v, item, f"{name} entry") for v in value)   # names the first bad entry
     types, wanted = _SCALARS[kind]
     if isinstance(value, bool) != (kind == "bool") or not isinstance(value, types):
         raise ValueError(f"{name} must be {wanted}, not {value!r}")
-    return float(value) if kind == "float" else value
+    try:
+        return float(value) if kind == "float" else value
+    except OverflowError:   # a JSON integer beyond float range
+        raise ValueError(f"{name} must be {wanted} within float range") from None
 
 
 def _columns(doc: dict, name: str, *keys: str) -> list[tuple]:
@@ -162,5 +163,5 @@ def load_bundle(path) -> ModelBundle:
         return bundle_from_json(json.loads(path.read_text()))
     except KeyError as exc:
         raise ValueError(f"model file {path}: missing field {exc}") from None
-    except (ValueError, OverflowError) as exc:   # a JSON integer beyond float range
+    except ValueError as exc:
         raise ValueError(f"model file {path}: {exc}") from None

@@ -242,11 +242,12 @@ def _rows_in_box(bundle: artifacts.ModelBundle, scaled, rows, skip=False, hint="
 BLOCK_CELLS = 4096
 
 
-def _jsonl_pieces(names, batch, rows, raw, reports):
+def _jsonl_pieces(names, batch, rows, raw, witness_classes):
     """The explanation records of ``batch`` as JSON lines, byte for byte
     what ``json.dumps`` gives for each record, as consecutive strings for
     ``writelines``.  Batch row k is input row ``rows[k]``, with raw values
-    ``raw[rows[k]]``; its witnesses' classes come from ``reports[k]``.
+    ``raw[rows[k]]``; its witnesses' classes come from ``witness_classes[k]``
+    (``verify_batch``'s table).
 
     Every witness coordinate is the instance's own value or a box corner,
     so a row keeps one list of coordinate texts per extremum side and walks
@@ -274,10 +275,11 @@ def _jsonl_pieces(names, batch, rows, raw, reports):
     elimination = np.argsort(batch.position).tolist()
     trailer = f'], "time_seconds": {batch.seconds / len(batch)!r}}}\n'
     text, held = [], 0
-    for row, klass, x, removed, at_max, report in zip(
+    for row, klass, x, removed, at_max, row_classes in zip(
             rows.tolist(), batch.classes.tolist(), batch.instances, batch.removed,
-            batch.at_max, reports):
+            batch.at_max, witness_classes):
         removed, at_max, raw_row = removed.tolist(), at_max.tolist(), raw[row].tolist()
+        row_classes = row_classes.tolist()
         plain = [repr(v) for v in x.tolist()]
         own = [v + end for v, end in zip(plain, ends)]
         sides = (own[:], own[:])
@@ -296,11 +298,11 @@ def _jsonl_pieces(names, batch, rows, raw, reports):
         removed_part = ", ".join([quoted[i] for i in range(n) if removed[i]])
         text.append(f'{{"index": {row}, "class": {klass}, "kept": [{kept_part}], '
                     f'"removed": [{removed_part}], "witnesses": [')
-        for t, (i, c) in enumerate(zip(kept, report.witness_classes.tolist())):
+        for t, i in enumerate(kept):
             if held and held + n > BLOCK_CELLS:
                 yield "".join(text)
                 text, held = [], 0
-            text += ((", " if t else "") + openers[i], points[i], closers[c])
+            text += ((", " if t else "") + openers[i], points[i], closers[row_classes[i]])
             held += n
         text.append(trailer)
     yield "".join(text)
@@ -350,13 +352,11 @@ def cmd_explain(args) -> int:
     batch = explainer.explain_batch(rm, bundle.space, scaled[inside],
                                     _feature_order(args.order, bundle))
     explained = time.perf_counter()
-    reports = explainer.verify_batch(rm, bundle.space, batch)
-    for row, report in zip(rows.tolist(), reports):
-        if not report:
-            raise VerificationFailure(
-                f"row {row}: explanation failed verification: "
-                + "; ".join(report.violations)
-            )
+    witness_classes, knife_edges, violations = explainer.verify_batch(rm, bundle.space, batch)
+    if violations:
+        k = min(violations)
+        raise VerificationFailure(
+            f"row {rows[k]}: explanation failed verification: " + "; ".join(violations[k]))
     verified = time.perf_counter()
 
     stats, frequency, table = _class_summary(batch.classes, batch.removed, batch.queries,
@@ -365,7 +365,7 @@ def cmd_explain(args) -> int:
     if args.output:
         writing = time.perf_counter()
         with Path(args.output).open("w") as fh:
-            fh.writelines(_jsonl_pieces(bundle.space.names, batch, rows, raw, reports))
+            fh.writelines(_jsonl_pieces(bundle.space.names, batch, rows, raw, witness_classes))
         stage_seconds = {"load": loaded - started, "box_check": boxed - loaded,
                          "explain": explained - boxed, "verify": verified - explained,
                          "write": time.perf_counter() - writing}
@@ -380,7 +380,7 @@ def cmd_explain(args) -> int:
             "classes": stats,
             "frequency": frequency,
             "run": {"stage_seconds": stage_seconds, "out_of_box_rows": len(skipped),
-                    "verify_knife_edges": sum(report.knife_edges for report in reports)},
+                    "verify_knife_edges": int(knife_edges.sum())},
         }
         summary_path = Path(str(args.output) + ".summary.json")
         summary_path.write_text(json.dumps(summary, indent=2) + "\n")

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,20 +65,6 @@ class BoxExtrema:
             min_corner=np.where(w >= 0, space.lower, space.upper),
             bound=float(error_bound(scale, w.size)),
         )
-
-
-@dataclass(frozen=True, eq=False)
-class VerificationReport:
-    """The violations found in one explanation, the class of each of its
-    certificate points (ascending feature order), and how many of its
-    verification comparisons were knife edges decided exactly."""
-
-    violations: tuple[str, ...] = ()
-    witness_classes: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
-    knife_edges: int = 0
-
-    def __bool__(self) -> bool:
-        return not self.violations
 
 
 def _permutation(order, n: int, name: str) -> list[int]:
@@ -208,7 +195,8 @@ def explain_batch(rm: RejectModel, space: FeatureSpace, X, order=None) -> Explan
                             knife_edges + knives, time.perf_counter() - start)
 
 
-def verify_batch(rm: RejectModel, space: FeatureSpace, batch: ExplanationBatch) -> list[VerificationReport]:
+def verify_batch(rm: RejectModel, space: FeatureSpace, batch: ExplanationBatch
+                 ) -> tuple[np.ndarray, np.ndarray, dict[int, list[str]]]:
     """Re-check every row of an elimination pass from scratch, in O(n) time
     and memory per row.
 
@@ -233,8 +221,11 @@ def verify_batch(rm: RejectModel, space: FeatureSpace, batch: ExplanationBatch) 
     box's bound decides it exactly, re-deciding one near a threshold from
     F's terms.  ``batch.position`` must be a permutation.
 
-    Returns one report per row: its violations, its certificates' classes and
-    its knife-edge count.
+    Returns ``(witness_classes, knife_edges, violations)``: the (rows, n)
+    int8 table of each kept feature's certificate class, 0 where the feature
+    was removed; each row's knife-edge count; and a dict from each failing
+    row to its messages, in the order box, sufficiency, minimality by
+    ascending feature, certificates by ascending feature.
     """
     n, names = len(space), space.names
     position = np.asarray(batch.position)
@@ -245,7 +236,7 @@ def verify_batch(rm: RejectModel, space: FeatureSpace, batch: ExplanationBatch) 
     values = X @ box.weights + box.bias
     elimination = np.argsort(position)
     holds = np.ones((rows, n + 1), dtype=bool)
-    witness_classes = np.zeros((rows, n), dtype=np.int8)   # int8 while the float tables live
+    witness_classes = np.zeros((rows, n), dtype=np.int8)
     knife_edges = np.zeros(rows, dtype=int)
 
     def decide(table, extreme, step):
@@ -285,8 +276,7 @@ def verify_batch(rm: RejectModel, space: FeatureSpace, batch: ExplanationBatch) 
         del estimate
         holds &= decide(prefix, extreme, np.full(n + 1, n)) == classes[:, None]
 
-    witness_classes = witness_classes.astype(int)
-    violations: list[list[str]] = [[] for _ in range(rows)]
+    violations = defaultdict(list)
     for k in np.flatnonzero(~space.rows_inside(X)).tolist():
         violations[k].append("instance lies outside the box")
     for k in np.flatnonzero(~holds[:, n]).tolist():
@@ -295,5 +285,4 @@ def verify_batch(rm: RejectModel, space: FeatureSpace, batch: ExplanationBatch) 
         violations[k].append(f"minimality: feature {names[i]!r} is droppable")
     for k, i in np.argwhere((witness_classes == classes[:, None]) & kept).tolist():
         violations[k].append(f"certificate for feature {names[i]!r} does not flip the class")
-    return [VerificationReport(tuple(v), witness_classes[k][kept[k]], knives)
-            for k, (v, knives) in enumerate(zip(violations, knife_edges.tolist()))]
+    return witness_classes, knife_edges, dict(violations)

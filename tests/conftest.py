@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -71,3 +72,13 @@ def certificates(batch, k: int) -> dict[int, np.ndarray]:
     points = witness_points(free, at_max, batch.instances[k], batch.box.max_corner,
                             batch.box.min_corner)
     return dict(zip(kept.tolist(), points))
+
+
+def break_every_check(batch, k: int):
+    """``batch``, explained under the band model, with row k's instance moved
+    outside the box (f1 to -0.5, f4 to 1.5) and every feature kept: the row
+    then also fails sufficiency, minimality and certificates."""
+    instances, removed = batch.instances.copy(), batch.removed.copy()
+    instances[k, [0, 3]] = (-0.5, 1.5)
+    removed[k] = False
+    return dataclasses.replace(batch, instances=instances, removed=removed)

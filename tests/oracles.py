@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from svcreject.explainer import BoxExtrema, VerificationReport
+from svcreject.explainer import BoxExtrema
 from svcreject.rejector import classify, exact_value
 from svcreject.trainer import (
     BOUND_SNAP,
@@ -524,7 +524,7 @@ class ExplainedRow:
     certificates: dict[int, np.ndarray]
 
 
-def verify_explanation_closed_form(rm, space, row: ExplainedRow) -> VerificationReport:
+def verify_explanation_closed_form(rm, space, row: ExplainedRow) -> tuple[str, ...]:
     """Per-row closed-form verification, the reference for the library's
     verification core.
 
@@ -573,7 +573,7 @@ def verify_explanation_closed_form(rm, space, row: ExplainedRow) -> Verification
                 violations.append(
                     f"certificate for feature {space.names[i]!r} does not flip the class"
                 )
-    return VerificationReport(tuple(violations))
+    return tuple(violations)
 
 
 # --- the witness-matrix layer -------------------------------------------------

@@ -179,8 +179,8 @@ def test_criterion_5_explanation_soundness_suite(iris_csv):
             w, b = rm.model.weights, rm.model.bias
             for x in instances:
                 batch = sr.explain_batch(rm, space, x[None])
-                (report,) = sr.verify_batch(rm, space, batch)
-                assert report, report.violations
+                _, _, violations = sr.verify_batch(rm, space, batch)
+                assert violations == {}
 
                 samples = rng.uniform(space.lower, space.upper, (completions, n))
                 kept = ~batch.removed[0]

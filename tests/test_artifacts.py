@@ -45,7 +45,8 @@ class TestBundleRoundTrip:
         assert loaded.space.names == bundle.space.names
         assert loaded.split == bundle.split
         assert loaded.label_column == "label"
-        assert not loaded.has_reject_band
+        with pytest.raises(ValueError, match="no reject band"):
+            loaded.reject_model()
 
     def test_reject_extension_round_trips(self, tmp_path):
         bundle = awkward_bundle()

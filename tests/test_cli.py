@@ -21,7 +21,7 @@ from svcreject.rejector import evaluate
 
 import oracles
 from conftest import (BAND_B, BAND_T_MINUS, BAND_T_PLUS, BAND_W, BAND_X, DATA_DIR,
-                      random_reject_model)
+                      break_every_check, random_reject_model)
 
 
 def demo_reject_doc():
@@ -687,15 +687,20 @@ class TestExplain:
         except ValueError as exc:
             assert str(exc).startswith(f"model file {model_path}: "), str(exc)
 
-    def test_integer_beyond_float_range_exits_2(self, tmp_path, capsys):
-        # float() raises OverflowError on it, which is no ValueError
+    @pytest.mark.parametrize("path, field", [
+        (("bias",), "bias"), (("weights", 1), "weights entry"),
+        (("split", "train_fraction"), "split.train_fraction")],
+        ids=["bias", "weights", "train_fraction"])
+    def test_integer_beyond_float_range_exits_2(self, tmp_path, capsys, path, field):
+        # float() raises OverflowError on it, which the reader names as the field
         model_path = tmp_path / "reject.json"
-        model_path.write_text(json.dumps({**demo_reject_doc(), "bias": 10 ** 400}))
+        model_path.write_text(json.dumps(replaced(recorded_reject_doc(), path, 10 ** 400)))
         instances = tmp_path / "inst.csv"
         instances.write_text("f1,f2\n0.5,0.5\n")
         assert main(["explain", "--model", str(model_path), "--input", str(instances)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: model file {model_path}: ") and "Traceback" not in err
+        assert err == (f"error: model file {model_path}: "
+                       f"{field} must be a number within float range\n")
 
     def test_integer_in_number_field_loads_as_float(self, tmp_path, capsys):
         doc = recorded_reject_doc()
@@ -791,11 +796,11 @@ class TestExplain:
         assert kept_sets["lex"] == kept_sets["ascending"] == ("f1", "f2", "f4", "f5", "f6")
 
     def test_failed_verification_is_a_bug_trap(self, tmp_path, monkeypatch, capsys):
-        from svcreject import cli, explainer
+        from svcreject import cli
 
         monkeypatch.setattr(
             cli.explainer, "verify_batch",
-            lambda rm, space, batch: [explainer.VerificationReport(("forced",))] * len(batch),
+            lambda rm, space, batch: (None, None, {k: ["forced"] for k in range(len(batch))}),
         )
         model_path = tmp_path / "reject.json"
         model_path.write_text(json.dumps(demo_reject_doc()))
@@ -816,9 +821,8 @@ class TestExplain:
         verify = explainer.verify_batch
 
         def second_row_fails(*args, **kwargs):
-            reports = verify(*args, **kwargs)
-            reports[1] = explainer.VerificationReport(("forced",))
-            return reports
+            witness_classes, knife_edges, violations = verify(*args, **kwargs)
+            return witness_classes, knife_edges, {**violations, 1: ["forced"]}
 
         monkeypatch.setattr(cli.explainer, "verify_batch", second_row_fails)
         model_path = tmp_path / "reject.json"
@@ -835,11 +839,11 @@ class TestExplain:
         assert not out_path.exists()
 
     def test_verifies_without_output_too(self, tmp_path, monkeypatch, capsys):
-        from svcreject import cli, explainer
+        from svcreject import cli
 
         monkeypatch.setattr(
             cli.explainer, "verify_batch",
-            lambda rm, space, batch: [explainer.VerificationReport(("forced",))] * len(batch),
+            lambda rm, space, batch: (None, None, {k: ["forced"] for k in range(len(batch))}),
         )
         model_path = tmp_path / "reject.json"
         model_path.write_text(json.dumps(demo_reject_doc()))
@@ -850,6 +854,24 @@ class TestExplain:
         ]) == 1
         assert "row 0" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["inst.csv", "reject.json"]
+
+    def test_failed_verification_joins_the_first_failing_rows_messages(
+            self, tmp_path, monkeypatch, capsys, band_reject, band_space):
+        # batch rows 1 and 2 fail every check; the error names row 1 alone
+        explain = explainer.explain_batch
+        monkeypatch.setattr(cli.explainer, "explain_batch", lambda *args: break_every_check(
+            break_every_check(explain(*args), 2), 1))
+        model_path = tmp_path / "reject.json"
+        model_path.write_text(json.dumps(band_reject_doc()))
+        instances = tmp_path / "inst.csv"
+        instances.write_text("f1,f2,f3,f4,f5,f6\n"
+                             + (",".join(repr(float(v)) for v in BAND_X) + "\n") * 3)
+        assert main(["explain", "--model", str(model_path), "--input", str(instances)]) == 1
+        broken = break_every_check(explain_batch(band_reject, band_space, BAND_X[None]), 0)
+        (messages,) = verify_batch(band_reject, band_space, broken)[2].values()
+        assert len(messages) == 7
+        assert capsys.readouterr().err == (
+            "error: row 1: explanation failed verification: " + "; ".join(messages) + "\n")
 
     def test_no_witness_point_is_classified(self, tmp_path, iris_csv, monkeypatch, capsys):
         model_path, reject_path = tmp_path / "model.json", tmp_path / "reject.json"
@@ -983,12 +1005,12 @@ EDGE_BATCHES = (
 
 
 def explained(case):
-    """The case's model, space and batch, and its verification reports."""
+    """The case's model, space and batch, and its witnesses' classes."""
     names, lower, upper, X, _, w, bias, (t_minus, t_plus) = case
     space = FeatureSpace(names, lower, upper)
     rm = RejectModel(LinearModel(w, bias), t_minus, t_plus, 0.24)
     batch = explain_batch(rm, space, X)
-    return rm, space, batch, verify_batch(rm, space, batch)
+    return rm, space, batch, verify_batch(rm, space, batch)[0]
 
 
 def coordinates_per_piece(pieces):
@@ -1065,13 +1087,13 @@ class TestJsonlWriter:
            block_cells=st.integers(min_value=1, max_value=8) | st.just(cli.BLOCK_CELLS))
     @settings(max_examples=200, deadline=None)
     def test_bytes_equal_json_dumps(self, case, block_cells):
-        rm, space, batch, reports = explained(case)
+        rm, space, batch, witness_classes = explained(case)
         raw = np.zeros((2 * len(batch), len(space)))
         rows = 2 * np.arange(len(batch)) + 1   # batch row k is input row 2k + 1
         raw[rows] = case[4]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(cli, "BLOCK_CELLS", block_cells)
-            pieces = list(cli._jsonl_pieces(space.names, batch, rows, raw, reports))
+            pieces = list(cli._jsonl_pieces(space.names, batch, rows, raw, witness_classes))
         assert max(coordinates_per_piece(pieces)) <= max(block_cells, len(space))
         assert_reference_jsonl("".join(pieces), rm, space, rows, raw, batch)
 
@@ -1083,7 +1105,7 @@ class TestJsonlWriter:
         batch = explain_batch(rm, space, X)
         rows = np.array([0])
         text = "".join(cli._jsonl_pieces(space.names, batch, rows, X,
-                                         verify_batch(rm, space, batch)))
+                                         verify_batch(rm, space, batch)[0]))
         assert '"point": [-0.0, 0.0]' in text
         assert_reference_jsonl(text, rm, space, rows, X, batch)
 
@@ -1107,7 +1129,7 @@ class TestJsonlWriter:
         path = tmp_path / "expl.jsonl"
         with path.open("w") as fh:
             fh.writelines(cli._jsonl_pieces(demo_space.names, batch, np.zeros(0, dtype=int),
-                                            np.zeros((0, 2)), []))
+                                            np.zeros((0, 2)), np.zeros((0, 2), dtype=np.int8)))
         assert path.read_text() == ""
 
     @pytest.mark.parametrize("rows, n", [(200, 30), (3, 600)], ids=["tall", "wide"])
@@ -1121,7 +1143,7 @@ class TestJsonlWriter:
         batch = explain_batch(rm, space, X)
         order = np.arange(rows)
         pieces = list(cli._jsonl_pieces(space.names, batch, order, X,
-                                        verify_batch(rm, space, batch)))
+                                        verify_batch(rm, space, batch)[0]))
         assert max(piece.count('"point": [') for piece in pieces) * n <= cli.BLOCK_CELLS
         assert_reference_jsonl("".join(pieces), rm, space, order, X, batch)
         if rows == 3:
@@ -1137,7 +1159,7 @@ class TestJsonlWriter:
         space = FeatureSpace.unit([f"f{i}" for i in range(600)])
         X = rng.uniform(0.0, 1.0, (3, 600))
         batch = explain_batch(rm, space, X)
-        args = (space.names, batch, np.arange(3), X, verify_batch(rm, space, batch))
+        args = (space.names, batch, np.arange(3), X, verify_batch(rm, space, batch)[0])
         longest = max(map(len, "".join(cli._jsonl_pieces(*args)).splitlines(keepends=True)))
         tracemalloc.start()
         try:
@@ -1265,8 +1287,8 @@ class TestReport:
         assert summary["max_queries_per_instance"] == int(batch.queries.max())
         assert summary["max_queries_per_instance"] <= summary["query_budget_per_instance"]
         assert sum(c["queries"] for c in summary["classes"].values()) == int(batch.queries.sum())
-        reports = verify_batch(bundle.reject_model(), bundle.space, batch)
-        assert summary["run"]["verify_knife_edges"] == sum(r.knife_edges for r in reports)
+        _, knife_edges, _ = verify_batch(bundle.reject_model(), bundle.space, batch)
+        assert summary["run"]["verify_knife_edges"] == int(knife_edges.sum())
 
         # an integer model over a quarter grid: decision values and extrema
         # land on the band's ends, where the verifier decides exactly
@@ -1282,9 +1304,9 @@ class TestReport:
         capsys.readouterr()
         summary = json.loads((tmp_path / "expl.jsonl.summary.json").read_text())
         bundle = load_bundle(model_path)
-        reports = verify_batch(bundle.reject_model(), bundle.space,
-                               explain_batch(bundle.reject_model(), bundle.space, X))
-        assert summary["run"]["verify_knife_edges"] == sum(r.knife_edges for r in reports) > 0
+        _, knife_edges, _ = verify_batch(bundle.reject_model(), bundle.space,
+                                         explain_batch(bundle.reject_model(), bundle.space, X))
+        assert summary["run"]["verify_knife_edges"] == int(knife_edges.sum()) > 0
 
     def test_run_block_times_each_stage_and_counts_out_of_box_rows(self, tmp_path, capsys):
         model_path = tmp_path / "reject.json"

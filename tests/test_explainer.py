@@ -23,6 +23,7 @@ from conftest import (
     BAND_W,
     BAND_X,
     DEMO_X,
+    break_every_check,
     certificates,
     random_reject_model,
 )
@@ -200,8 +201,8 @@ class TestMinimalExplanation:
         space = FeatureSpace.unit([f"f{i}" for i in range(n)])
         x = rng.uniform(0.0, 1.0, n)
         order = rng.permutation(n)
-        (report,) = verify_batch(rm, space, explain_one(rm, space, x, order=order))
-        assert report, report.violations
+        _, _, violations = verify_batch(rm, space, explain_one(rm, space, x, order=order))
+        assert violations == {}
 
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=50, deadline=None)
@@ -267,7 +268,8 @@ class TestBatchedPass:
         rm, space, X, order = case
         batch = explain_batch(rm, space, X, order)
         assert len(batch) == X.shape[0]
-        reports = verify_batch(rm, space, batch)
+        witness_classes, _, violations = verify_batch(rm, space, batch)
+        assert violations == {}
         for k, x in enumerate(X):
             klass, kept, removed, expected, queries = (
                 oracles.minimal_explanation_by_queries(rm, space, x, order))
@@ -279,10 +281,9 @@ class TestBatchedPass:
             for i, point in expected.items():
                 # bit for bit, so that a -0.0 corner stays -0.0
                 assert got[i].tobytes() == point.tobytes()
-            assert reports[k].witness_classes.tolist() == [
+            assert witness_classes[k][list(kept)].tolist() == [
                 classify_one(rm, expected[i]) for i in kept]
             assert batch.queries[k] == queries <= 2 * len(space)
-            assert reports[k], reports[k].violations
 
     @given(batch_cases())
     @settings(max_examples=100, deadline=None)
@@ -321,10 +322,10 @@ class TestBatchedPass:
         assert (rm.t_plus, rm.t_minus) == (d.max(), d.min())
         space = FeatureSpace.unit([f"f{i}" for i in range(n)])
         for x in (X[np.argmax(d)], X[np.argmin(d)]):
-            (report,) = verify_batch(rm, space, explain_one(rm, space, x))
-            assert report, report.violations
-        for report in verify_batch(rm, space, explain_batch(rm, space, X)):
-            assert report, report.violations
+            _, _, violations = verify_batch(rm, space, explain_one(rm, space, x))
+            assert violations == {}
+        _, _, violations = verify_batch(rm, space, explain_batch(rm, space, X))
+        assert violations == {}
 
     def test_rows_outside_the_box_rejected(self, demo_reject, demo_space):
         with pytest.raises(DatasetError):
@@ -340,9 +341,8 @@ class TestBatchedPass:
         batch = explain_batch(rm, space, np.zeros((2, 0)))
         assert batch.classes.tolist() == [klass, klass]
         assert batch.removed.shape == (2, 0)
-        reports = verify_batch(rm, space, batch)
-        assert len(reports) == 2
-        assert all(report and report.witness_classes.size == 0 for report in reports)
+        witness_classes, knife_edges, violations = verify_batch(rm, space, batch)
+        assert (witness_classes.shape, knife_edges.tolist(), violations) == ((2, 0), [0, 0], {})
 
 
 class TestVerifyExplanation:
@@ -356,31 +356,30 @@ class TestVerifyExplanation:
         return batch
 
     def test_accepts_generated_explanations(self, band_reject, band_space, batch):
-        assert all(verify_batch(band_reject, band_space, batch))
+        _, _, violations = verify_batch(band_reject, band_space, batch)
+        assert violations == {}
 
     def test_detects_missing_kept_feature(self, band_reject, band_space, batch):
         removed = batch.removed.copy()
         removed[0, 0] = True
-        (report,) = verify_batch(band_reject, band_space,
-                                 dataclasses.replace(batch, removed=removed))
-        assert not report
-        assert any("sufficiency" in v for v in report.violations)
+        _, _, violations = verify_batch(band_reject, band_space,
+                                        dataclasses.replace(batch, removed=removed))
+        assert any("sufficiency" in v for v in violations[0])
 
     def test_detects_redundant_feature(self, band_reject, band_space, batch):
         removed = batch.removed.copy()
         removed[0, 2] = False
-        (report,) = verify_batch(band_reject, band_space,
-                                 dataclasses.replace(batch, removed=removed))
-        assert not report
-        assert any("minimality" in v for v in report.violations)
+        _, _, violations = verify_batch(band_reject, band_space,
+                                        dataclasses.replace(batch, removed=removed))
+        assert any("minimality" in v for v in violations[0])
 
     def test_detects_useless_certificate(self, band_reject, band_space, batch):
         # f1's witness moved to the other extremum stays in the reject band
         at_max = batch.at_max.copy()
         at_max[0, 0] = not at_max[0, 0]
-        (report,) = verify_batch(band_reject, band_space,
-                                 dataclasses.replace(batch, at_max=at_max))
-        assert report.violations == ("certificate for feature 'f1' does not flip the class",)
+        _, _, violations = verify_batch(band_reject, band_space,
+                                        dataclasses.replace(batch, at_max=at_max))
+        assert violations == {0: ["certificate for feature 'f1' does not flip the class"]}
 
     # every kept feature has one certificate by construction, and the freeing
     # rule moves no other kept feature; what remains to check is that the
@@ -390,10 +389,9 @@ class TestVerifyExplanation:
     def test_detects_instance_outside_the_box(self, band_reject, band_space, batch):
         instances = batch.instances.copy()
         instances[0, 0] = 1.5
-        (report,) = verify_batch(band_reject, band_space,
-                                 dataclasses.replace(batch, instances=instances))
-        assert not report
-        assert report.violations[0] == "instance lies outside the box"
+        _, _, violations = verify_batch(band_reject, band_space,
+                                        dataclasses.replace(batch, instances=instances))
+        assert violations[0][0] == "instance lies outside the box"
 
     @pytest.mark.parametrize("position", [[0, 0, 1, 2, 3, 4], [0, 1, 2, 3, 4], [1, 2, 3, 4, 5, 6],
                                           [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]],
@@ -419,9 +417,9 @@ def _mutations(batch):
             dataclasses.replace(batch, at_max=at_max), dataclasses.replace(batch, removed=kept)]
 
 
-def _verdicts(report):
+def _verdicts(violations):
     """Sufficiency, minimality and witness-class violations, in order."""
-    return [v for v in report.violations
+    return [v for v in violations
             if v.startswith(("sufficiency", "minimality")) or v.endswith("does not flip the class")]
 
 
@@ -431,13 +429,14 @@ class TestVerifyBatch:
     def test_core_agrees_with_closed_form_reference(self, case):
         rm, space, X, order = case
         for batch in _mutations(explain_batch(rm, space, X, order)):
-            for k, report in enumerate(verify_batch(rm, space, batch)):
+            witness_classes, _, violations = verify_batch(rm, space, batch)
+            for k in range(len(batch)):
                 row = oracles.ExplainedRow(X[k], int(batch.classes[k]), ~batch.removed[k],
                                            certificates(batch, k))
                 reference = oracles.verify_explanation_closed_form(rm, space, row)
-                assert _verdicts(report) == _verdicts(reference)
+                assert _verdicts(violations.get(k, [])) == _verdicts(reference)
                 items = sorted(row.certificates.items())
-                assert report.witness_classes.tolist() == [
+                assert witness_classes[k][row.kept].tolist() == [
                     classify_one(rm, p) for _, p in items]
 
     @given(batch_cases())
@@ -445,12 +444,13 @@ class TestVerifyBatch:
     def test_batch_reports_equal_one_row_reports(self, case):
         rm, space, X, order = case
         batch = explain_batch(rm, space, X, order)
-        reports = verify_batch(rm, space, batch)
-        assert len(reports) == len(batch)
-        for k, report in enumerate(reports):
-            (one,) = verify_batch(rm, space, explain_batch(rm, space, X[k:k + 1], order))
-            assert report and one, (report.violations, one.violations)
-            assert report.witness_classes.tolist() == one.witness_classes.tolist()
+        witness_classes, _, violations = verify_batch(rm, space, batch)
+        assert witness_classes.shape == batch.removed.shape and violations == {}
+        for k in range(len(batch)):
+            one, _, one_violations = verify_batch(
+                rm, space, explain_batch(rm, space, X[k:k + 1], order))
+            assert one_violations == {}
+            assert witness_classes[k].tolist() == one[0].tolist()
 
     def test_detects_broken_rows_only(self, band_reject, band_space):
         X = np.vstack([BAND_X, BAND_X, BAND_X])
@@ -458,16 +458,31 @@ class TestVerifyBatch:
         removed = batch.removed.copy()
         removed[1, 0] = True    # row 1 loses a kept feature
         removed[2, 2] = False   # row 2 keeps the droppable f3
-        reports = verify_batch(band_reject, band_space,
-                               dataclasses.replace(batch, removed=removed))
-        assert reports[0]
-        assert any("sufficiency" in v for v in reports[1].violations)
-        assert "minimality: feature 'f3' is droppable" in reports[2].violations
+        _, _, violations = verify_batch(band_reject, band_space,
+                                        dataclasses.replace(batch, removed=removed))
+        assert sorted(violations) == [1, 2]
+        assert any("sufficiency" in v for v in violations[1])
+        assert "minimality: feature 'f3' is droppable" in violations[2]
+
+    def test_messages_keep_their_order_across_checks(self, band_reject, band_space):
+        # box, sufficiency, minimality by ascending feature, then certificates
+        # by ascending feature; a passing row has no key
+        batch = explain_batch(band_reject, band_space, np.vstack([BAND_X, BAND_X]))
+        _, _, violations = verify_batch(band_reject, band_space, break_every_check(batch, 1))
+        assert violations == {1: [
+            "instance lies outside the box",
+            "sufficiency: kept features do not entail the class",
+            "minimality: feature 'f1' is droppable",
+            "minimality: feature 'f4' is droppable",
+            "certificate for feature 'f1' does not flip the class",
+            "certificate for feature 'f2' does not flip the class",
+            "certificate for feature 'f4' does not flip the class",
+        ]}
 
     @staticmethod
     def traced_verify(rows, n):
         """A random model over n features explained on ``rows`` random rows:
-        the batch and verify_batch's traced peak in bytes, every report
+        the batch and verify_batch's traced peak in bytes, every row
         checked to pass."""
         rng = np.random.default_rng(0)
         X = rng.random((rows, n))
@@ -480,11 +495,11 @@ class TestVerifyBatch:
         batch = explain_batch(rm, space, X)
         tracemalloc.start()
         try:
-            reports = verify_batch(rm, space, batch)
+            _, _, violations = verify_batch(rm, space, batch)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert all(reports), [r.violations for r in reports]
+        assert violations == {}
         return batch, peak
 
     def test_verify_allocates_far_less_than_one_witness_matrix(self):
@@ -550,18 +565,18 @@ class TestTieHeavy:
         def check(case):
             rm, space, X, order = case
             batch = explain_batch(rm, space, X, order)
-            reports = verify_batch(rm, space, batch)
-            for k, report in enumerate(reports):
-                assert report, report.violations
+            witness_classes, verify_knives, violations = verify_batch(rm, space, batch)
+            assert violations == {}
+            for k in range(len(batch)):
                 klass, kept, _, _, _ = oracles.minimal_explanation_by_queries(
                     rm, space, X[k], order)
                 assert (int(batch.classes[k]), kept_of(batch, k)) == (klass, kept)
                 points = [point for _, point in sorted(certificates(batch, k).items())]
-                assert report.witness_classes.tolist() == [
+                assert witness_classes[k][list(kept)].tolist() == [
                     classify_one(rm, point) for point in points]
-                assert report.knife_edges == tied_comparisons(rm, space, X[k], kept, points)
+                assert verify_knives[k] == tied_comparisons(rm, space, X[k], kept, points)
             knife_edges["explain"] += int(batch.knife_edges.sum())
-            knife_edges["verify"] += sum(report.knife_edges for report in reports)
+            knife_edges["verify"] += int(verify_knives.sum())
 
         check()
         assert knife_edges["explain"] > 0 and knife_edges["verify"] > 0, knife_edges

@@ -63,6 +63,14 @@ def test_witness_matrix_layer_is_gone():
     assert not hasattr(explainer.ExplanationBatch, "witnesses")
 
 
+def test_per_row_report_is_gone():
+    # verify_batch returns its tables and a dict of the failing rows'
+    # messages, and reject_model() tests for the band itself
+    for module in (svcreject, explainer):
+        assert not hasattr(module, "VerificationReport"), f"{module.__name__}.VerificationReport"
+    assert not hasattr(artifacts.ModelBundle, "has_reject_band")
+
+
 def test_per_field_readers_are_gone():
     # ModelBundle's field annotations are the model-file schema, read by
     # artifacts._typed and written by bundle_to_json; one pass over the
