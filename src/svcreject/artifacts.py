@@ -16,7 +16,7 @@ from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from pathlib import Path
 
 from .dataset import FeatureSpace, ScalingParams
-from .rejector import RejectModel, RiskReport
+from .rejector import RejectModel, RiskReport, box_scale
 from .trainer import LinearModel, TrainReport
 
 
@@ -28,10 +28,17 @@ class SplitManifest:
     test_indices: tuple[int, ...]
 
     def __post_init__(self):
+        if self.seed < 0:   # numpy's default_rng refuses it
+            raise ValueError(f"split.seed must be at least 0, not {self.seed!r}")
+        if not 0.0 < self.train_fraction < 1.0:
+            raise ValueError(f"split.train_fraction must lie strictly between 0 and 1, "
+                             f"not {self.train_fraction!r}")
         # a row listed twice would be explained twice, or calibrated on and tested on
         seen: set[int] = set()
         for name in ("train_indices", "test_indices"):
             indices = getattr(self, name)
+            if min(indices, default=0) < 0:
+                raise ValueError(f"split.{name} lists index {min(indices)}, which is negative")
             fresh = set(indices)
             if len(fresh) < len(indices) or not seen.isdisjoint(fresh):
                 counts = Counter(indices)
@@ -53,6 +60,11 @@ class ModelBundle:
     t_plus: float | None = None
     w_r: float | None = None
     risk_report: RiskReport | None = None
+
+    def __post_init__(self):
+        box_scale(self.model.weights, self.model.bias, self.space)
+        if self.t_minus is not None and self.t_plus is not None:
+            self.reject_model()   # refuses a band or w_r that RejectModel refuses
 
     def reject_model(self) -> RejectModel:
         if self.t_minus is None or self.t_plus is None:

@@ -95,7 +95,7 @@ def _scope_indices(scope: str, n_rows: int, bundle: artifacts.ModelBundle) -> np
         )
     split = bundle.split
     idx = np.asarray(split.train_indices if scope == "train" else split.test_indices, dtype=int)
-    if idx.size and (idx.min() < 0 or idx.max() >= n_rows):
+    if idx.size and idx.max() >= n_rows:
         raise dataset.DatasetError(
             f"split manifest indices fall outside the input's {n_rows} rows; "
             "pass the CSV the model was trained on"
@@ -163,9 +163,9 @@ def cmd_calibrate(args) -> int:
     scaled = dataset.apply_scaling(raw, bundle.scaling)
 
     cal_idx = _scope_indices("all" if bundle.split is None else "train", scaled.shape[0], bundle)
-    _rows_in_box(bundle, scaled[cal_idx], cal_idx)
     scope_idx = _scope_indices(args.scope, scaled.shape[0], bundle)
-    _rows_in_box(bundle, scaled[scope_idx], scope_idx)
+    read = np.union1d(cal_idx, scope_idx)
+    _rows_in_box(bundle, scaled[read], read)
     cal_ds = dataset.LabeledDataset(scaled[cal_idx], labels[cal_idx])
 
     rm, risk = rejector.calibrate(bundle.model, cal_ds, args.wr, args.grid_steps)
@@ -173,7 +173,7 @@ def cmd_calibrate(args) -> int:
     artifacts.save_bundle(args.output, out)
 
     metrics = rejector.evaluate(rm, dataset.LabeledDataset(scaled[scope_idx], labels[scope_idx]))
-    doc = _metrics_json(rm, metrics)
+    doc = {"t_minus": rm.t_minus, "t_plus": rm.t_plus, **vars(metrics)}
     metrics_path = Path(str(args.output) + ".metrics.json")
     metrics_path.write_text(json.dumps({"scope": args.scope, **doc}, indent=2) + "\n")
     print(f"calibrated on {len(cal_ds)} rows at w_r={args.wr:g} "
@@ -192,22 +192,9 @@ def _table(headers, rows) -> str:
                      for line in lines)
 
 
-def _metrics_json(rm: rejector.RejectModel, metrics: rejector.EvalMetrics) -> dict:
-    return {
-        "t_minus": rm.t_minus,
-        "t_plus": rm.t_plus,
-        "accuracy_without_reject": metrics.accuracy_without_reject,
-        "accuracy_with_reject": metrics.accuracy_with_reject,
-        "rejection_ratio": metrics.rejection_ratio,
-        "negative": metrics.negative_count,
-        "rejected": metrics.rejected_count,
-        "positive": metrics.positive_count,
-    }
-
-
 def _metrics_table(doc: dict) -> str:
-    """The text table of ``_metrics_json``'s dict, one column per key in its
-    order; an accuracy of None reads n/a."""
+    """The text table of the metrics sidecar's dict (the band's ends, then
+    ``EvalMetrics``), one column per key in its order; None reads n/a."""
     headers = ["t_minus", "t_plus", "acc w/o reject", "acc w/ reject",
                "rejection", "negative", "rejected", "positive"]
     formats = ["{:.4f}", "{:.4f}", "{:.2%}", "{:.2%}", "{:.2%}", "{}", "{}", "{}"]
@@ -238,7 +225,7 @@ def _rows_in_box(bundle: artifacts.ModelBundle, scaled, rows, skip=False, hint="
 
 
 # witness coordinates that one string of the JSONL holds at most, unless
-# one point alone holds more
+# one point alone holds more; a string per witness writes 10-40% slower
 BLOCK_CELLS = 4096
 
 

@@ -20,7 +20,6 @@ plus a prefix sum of swings in elimination order.
 
 from __future__ import annotations
 
-import math
 import time
 from collections import defaultdict
 from dataclasses import dataclass
@@ -28,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import DatasetError, FeatureSpace
-from .rejector import RejectModel, band_classes, classify, error_bound, exact_value
+from .rejector import (RejectModel, band_classes, box_scale, classify, error_bound,
+                       exact_value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,7 +38,8 @@ class BoxExtrema:
     ``max_term[i]``/``min_term[i]`` is the largest/smallest rounded product
     over [lower_i, upper_i], attained at ``max_corner[i]``/``min_corner[i]``
     (zero weights pin to the lower bound).  ``bound`` is ``error_bound`` for
-    every decision value over the box.
+    every decision value over the box, at its ``box_scale``, which refuses a
+    box whose values could overflow.
     """
 
     weights: np.ndarray
@@ -54,8 +55,8 @@ class BoxExtrema:
         w = np.asarray(weights, dtype=float)
         if w.shape != (len(space),):
             raise ValueError(f"model has {w.size} weights but the space has {len(space)} features")
+        scale = box_scale(w, bias, space)
         at_lower, at_upper = w * space.lower, w * space.upper
-        scale = abs(bias) + math.fsum(np.maximum(np.abs(at_lower), np.abs(at_upper)).tolist())
         return cls(
             weights=w,
             bias=float(bias),

@@ -19,16 +19,20 @@ threshold exactly (a floating-point filter, Shewchuk 1997; its one entry is
 from __future__ import annotations
 
 import math
+import sys
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import LabeledDataset
+from .dataset import FeatureSpace, LabeledDataset
 from .trainer import LinearModel, decision_values
 
 DEFAULT_GRID_STEPS = 100
 UNIT_ROUNDOFF = 2.0 ** -53
 SMALLEST_SUBNORMAL = 2.0 ** -1074
+# the largest box scale and threshold magnitude the kernel takes (DBL_MAX/4; see box_scale)
+MAX_SCALE = sys.float_info.max / 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,8 +45,9 @@ class RejectModel:
     w_r: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.t_minus) and np.isfinite(self.t_plus)):
-            raise ValueError("thresholds must be finite")
+        if not (abs(self.t_minus) <= MAX_SCALE and abs(self.t_plus) <= MAX_SCALE):
+            raise ValueError(f"thresholds t_minus and t_plus must be finite and at most "
+                             f"{MAX_SCALE!r} in magnitude, got ({self.t_minus}, {self.t_plus})")
         if not self.t_minus <= 0.0 <= self.t_plus:
             raise ValueError(
                 f"thresholds must satisfy t_minus <= 0 <= t_plus, "
@@ -59,6 +64,12 @@ class RiskReport:
     risk: float
     grid_index: int | None = None
 
+    def __post_init__(self):
+        for name in ("error_ratio", "rejection_ratio"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"risk_report.{name} must lie in [0, 1], not {value!r}")
+
 
 @dataclass(frozen=True)
 class EvalMetrics:
@@ -67,14 +78,35 @@ class EvalMetrics:
     accuracy_without_reject: float
     accuracy_with_reject: float | None
     rejection_ratio: float
-    negative_count: int
-    rejected_count: int
-    positive_count: int
+    negative: int
+    rejected: int
+    positive: int
 
 
 def exact_value(terms, bias: float) -> float:
     """The decision value: ``math.fsum`` of the rounded products and the bias."""
     return math.fsum([*terms, bias])
+
+
+def box_scale(weights, bias: float, space: FeatureSpace) -> float:
+    """|bias| + sum_i max(|w_i * lower_i|, |w_i * upper_i|), the ``scale``
+    ``error_bound`` takes for every decision value over the box; computing
+    it never warns or raises, a product or sum beyond float range reading
+    as inf.  A ValueError unless it is below ``MAX_SCALE`` (DBL_MAX/4):
+    then every value the kernel computes is finite with room to spare, as
+    each decision value, extremum and verified value lies within
+    scale * (1 + 2 * gamma_{n+3}), each swing within twice the scale, and
+    each difference of a value and a threshold (at most ``MAX_SCALE``)
+    below DBL_MAX/2.
+    """
+    scale = math.inf
+    with np.errstate(over="ignore"), suppress(OverflowError):   # fsum's intermediate overflow
+        scale = abs(bias) + math.fsum(np.maximum(np.abs(weights * space.lower),
+                                                 np.abs(weights * space.upper)).tolist())
+    if not scale < MAX_SCALE:
+        raise ValueError(f"weights, bias and feature bounds reach the scale |bias| + sum of "
+                         f"max |w_i * bound_i| = {scale!r}, which must be below {MAX_SCALE!r}")
+    return scale
 
 
 def error_bound(scale, n_features: int):
@@ -194,8 +226,8 @@ def evaluate(rm: RejectModel, data: LabeledDataset) -> EvalMetrics:
         accuracy_without_reject=acc_plain,
         accuracy_with_reject=acc_ro,
         rejection_ratio=float(np.mean(~accepted)),
-        negative_count=int(np.sum(pred == -1)),
-        rejected_count=int(np.sum(pred == 0)),
-        positive_count=int(np.sum(pred == 1)),
+        negative=int(np.sum(pred == -1)),
+        rejected=int(np.sum(pred == 0)),
+        positive=int(np.sum(pred == 1)),
     )
 

@@ -70,6 +70,10 @@ class TrainReport:
     converged: bool
     dual_gap: float
 
+    def __post_init__(self):
+        if self.passes_used < 0:
+            raise ValueError(f"training.passes_used must be at least 0, not {self.passes_used!r}")
+
 
 def _side_penalties(y: np.ndarray, alpha: np.ndarray, C: float) -> tuple[np.ndarray, np.ndarray]:
     """Masks of the up and low sides as additive penalties: 0 for a member,
@@ -156,6 +160,7 @@ def train_soft_margin(train: LabeledDataset, config: TrainerConfig = TrainerConf
                     aw[k] = 0.0
                 elif aw[k] > (1.0 - BOUND_SNAP) * C:
                     aw[k] = C
+                # _side_penalties' rule per scalar: its array calls cost 15-20% of train time
                 upw[k] = 0.0 if (aw[k] < C if yw[k] > 0 else aw[k] > 0) else -np.inf
                 loww[k] = 0.0 if (aw[k] < C if yw[k] < 0 else aw[k] > 0) else np.inf
             steps[i] += step

@@ -76,7 +76,7 @@ def test_criterion_3_iris_pipeline(iris_csv):
 
         rm, _ = sr.calibrate(model, train, w_r=0.24)
         metrics = sr.evaluate(rm, full)
-        assert metrics.rejected_count == 0
+        assert metrics.rejected == 0
         assert metrics.accuracy_with_reject == 1.0
 
 

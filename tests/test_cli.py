@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import re
@@ -14,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from svcreject import FeatureSpace, LabeledDataset, LinearModel, RejectModel, cli, explainer
 from svcreject.artifacts import load_bundle
-from svcreject.cli import _class_summary, _metrics_json, _metrics_table, build_parser, main
+from svcreject.cli import _class_summary, _metrics_table, build_parser, main
 from svcreject.dataset import apply_scaling, load_csv
 from svcreject.explainer import explain_batch, verify_batch
 from svcreject.rejector import evaluate
@@ -314,11 +316,51 @@ class TestCalibrate:
         assert not reject_path.exists()
         assert not (tmp_path / "reject.json.metrics.json").exists()
 
+    def test_calibration_and_scope_rows_are_checked_in_one_pass(self, tmp_path, iris_csv,
+                                                               monkeypatch, capsys):
+        # one out-of-box training row and one out-of-box test row: calibrate
+        # --scope test reads both, and names both in ascending order
+        model_path = tmp_path / "model.json"
+        assert main([
+            "train", "--input", str(iris_csv), "--label-column", "species",
+            "--positive-label", "setosa", "--model", str(model_path),
+        ]) == 0
+        split = json.loads(model_path.read_text())["split"]
+        rows = split["train_indices"][0], split["test_indices"][0]
+        lines = iris_csv.read_text().splitlines()
+        for row in rows:
+            cells = lines[row + 1].split(",")
+            cells[1] = "99"
+            lines[row + 1] = ",".join(cells)
+        bad_csv = tmp_path / "bad.csv"
+        bad_csv.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        reject_path = tmp_path / "reject.json"
+        argv = ["calibrate", "--model", str(model_path), "--output", str(reject_path),
+                "--scope", "test", "--input"]
+        assert main([*argv, str(bad_csv)]) == 2
+        first, second = sorted(rows)
+        assert (capsys.readouterr().err == "error: 2 row(s) outside the model's feature "
+                f"domains: {first}, {second}\n")
+        assert not reject_path.exists()
+        assert not (tmp_path / "reject.json.metrics.json").exists()
+
+        calls = []
+        check = cli._rows_in_box
+        monkeypatch.setattr(cli, "_rows_in_box", lambda *a, **k: calls.append(a) or check(*a, **k))
+        assert main([*argv, str(iris_csv)]) == 0
+        assert [a[2].tolist() for a in calls] == [sorted(split["train_indices"]
+                                                         + split["test_indices"])]
+
     def test_json_and_table_render(self):
         rm = RejectModel(LinearModel(np.array([1.0]), 0.0), -0.1, 0.1, 0.24)
         ds = LabeledDataset(np.array([[0.9], [-0.9]]), np.array([1.0, -1.0]))
         m = evaluate(rm, ds)
-        doc = _metrics_json(rm, m)
+        # the sidecar's dict, as cmd_calibrate builds it: the field names are its keys
+        doc = {"t_minus": rm.t_minus, "t_plus": rm.t_plus, **vars(m)}
+        assert list(doc) == ["t_minus", "t_plus", "accuracy_without_reject",
+                             "accuracy_with_reject", "rejection_ratio", "negative",
+                             "rejected", "positive"]
         assert doc["t_minus"] == -0.1 and doc["positive"] == 1
         table = _metrics_table(doc)
         assert "acc w/ reject" in table.splitlines()[0]
@@ -667,6 +709,77 @@ class TestExplain:
                 == f"error: model file {model_path}: {field} must be {kind}, not {value!r}\n")
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("command", ["explain", "calibrate"])
+    @pytest.mark.parametrize("changes, message", [
+        ({("split", "seed"): -5}, "split.seed must be at least 0, not -5"),
+        ({("split", "train_fraction"): 7.5},
+         "split.train_fraction must lie strictly between 0 and 1, not 7.5"),
+        ({("split", "train_fraction"): 0},
+         "split.train_fraction must lie strictly between 0 and 1, not 0.0"),
+        ({("split", "train_indices", 1): -1},
+         "split.train_indices lists index -1, which is negative"),
+        ({("split", "test_indices", 0): -2},
+         "split.test_indices lists index -2, which is negative"),
+        ({("training", "passes_used"): -1}, "training.passes_used must be at least 0, not -1"),
+        ({("risk_report", "error_ratio"): 1.5},
+         "risk_report.error_ratio must lie in [0, 1], not 1.5"),
+        ({("risk_report", "rejection_ratio"): -0.25},
+         "risk_report.rejection_ratio must lie in [0, 1], not -0.25"),
+        ({("w_r",): -1.0}, "rejection cost w_r must lie in (0, 1]"),
+        ({("w_r",): -1.0, ("t_minus",): 0.5, ("t_plus",): -0.5},
+         "thresholds must satisfy t_minus <= 0 <= t_plus, got (0.5, -0.5)"),
+        ({("t_plus",): 1e308},
+         "thresholds t_minus and t_plus must be finite and at most 4.4942328371557893e+307 "
+         "in magnitude, got (0.0, 1e+308)"),
+    ], ids=["seed", "train_fraction-above", "train_fraction-zero", "train_index", "test_index",
+            "passes_used", "error_ratio", "rejection_ratio", "w_r", "inverted-band",
+            "huge-threshold"])
+    def test_out_of_range_field_exits_2_naming_it(self, tmp_path, command, changes, message,
+                                                  capsys):
+        # each loaded before its record was range-checked, the band until
+        # reject_model() refused it
+        doc = {**recorded_reject_doc(), "label_column": "label", "positive_label": "pos"}
+        for path, value in changes.items():
+            doc = replaced(doc, path, value)
+        model_path = tmp_path / "reject.json"
+        model_path.write_text(json.dumps(doc))
+        instances = tmp_path / "inst.csv"
+        instances.write_text("f1,f2,label\n0.5,0.5,pos\n0.5,0.0,neg\n0.0,0.5,pos\n")
+        out_path = tmp_path / "out"
+        assert main([command, "--model", str(model_path), "--input", str(instances),
+                     "--output", str(out_path), "--scope", "test"]) == 2
+        assert capsys.readouterr().err == f"error: model file {model_path}: {message}\n"
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("weights, lower, upper, rows, scale", [
+        ([1e300, -1e300], 0.0, 1e10, [(5, 0)], "inf"),
+        ([1e300, -1e300], 0.0, 1e10, [(5, 0), (1e9, 1e9)], "inf"),
+        ([1.5e308, 1.5e308], 0.0, 1.0, [(0.5, 0.5)], "inf"),
+        ([1.0, 0.0], -1e308, 1e308, [(1e308, 0.0)], "1e+308"),
+    ], ids=["product-overflows", "product-overflows-two-rows", "sum-overflows",
+            "swing-overflows"])
+    def test_model_whose_arithmetic_overflows_exits_2(self, tmp_path, weights, lower, upper,
+                                                      rows, scale, capsys):
+        # once 1e300 * 1e10 or the sum of the products overflows, the decision
+        # value is undefined: explain warned and wrote a witness of value
+        # -inf, failed in fsum, or raised OverflowError (exit 1); a finite
+        # scale of 1e308 still overflows freeing f1, a swing of 2e308
+        doc = {**demo_reject_doc(), "weights": weights, "t_minus": -1.0, "t_plus": 1.0,
+               "features": [{"name": name, "lower": lower, "upper": upper}
+                            for name in ("f1", "f2")]}
+        model_path = tmp_path / "reject.json"
+        model_path.write_text(json.dumps(doc))
+        instances = tmp_path / "inst.csv"
+        instances.write_text("f1,f2\n" + "".join(f"{a},{b}\n" for a, b in rows))
+        out_path = tmp_path / "e.jsonl"
+        assert main(["explain", "--model", str(model_path), "--input", str(instances),
+                     "--output", str(out_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: model file {model_path}: weights, bias and feature bounds reach the "
+            f"scale |bias| + sum of max |w_i * bound_i| = {scale}, which must be below "
+            "4.4942328371557893e+307\n")
+        assert not out_path.exists()
+
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_any_one_replaced_value_loads_or_names_the_file(self, tmp_path_factory, data):
@@ -687,6 +800,41 @@ class TestExplain:
         except ValueError as exc:
             assert str(exc).startswith(f"model file {model_path}: "), str(exc)
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_extreme_magnitudes_verify_or_name_the_file(self, tmp_path_factory, data):
+        # weights, bias and bounds at the ends of float range: a file inside
+        # the kernel's domain explains every box corner verified, with no
+        # RuntimeWarning (an error in this suite); any other names the file
+        extreme = st.sampled_from((1e308, -1e308, 1e-320, -1e-320, 0.0))
+        doc = demo_reject_doc()
+        doc["weights"] = data.draw(st.lists(extreme, min_size=2, max_size=2))
+        doc["bias"] = data.draw(extreme)
+        for feature in doc["features"]:
+            feature["lower"], feature["upper"] = sorted(data.draw(
+                st.lists(extreme, min_size=2, max_size=2)))
+        base = tmp_path_factory.getbasetemp()
+        model_path, instances, out_path = (base / "extreme.json", base / "extreme.csv",
+                                           base / "extreme.jsonl")
+        model_path.write_text(json.dumps(doc))
+        corners = [(a["lower"], a["upper"]) for a in doc["features"]]
+        instances.write_text("f1,f2\n" + "".join(f"{a!r},{b!r}\n" for a in corners[0]
+                                                  for b in corners[1]))
+        out_path.unlink(missing_ok=True)
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main(["explain", "--model", str(model_path), "--input", str(instances),
+                         "--output", str(out_path)])
+        try:
+            load_bundle(model_path)
+        except ValueError as exc:
+            assert str(exc).startswith(f"model file {model_path}: "), str(exc)
+            assert code == 2 and stderr.getvalue() == f"error: {exc}\n"
+            assert not out_path.exists()
+        else:
+            assert code == 0, stderr.getvalue()
+            assert len(out_path.read_text().splitlines()) == 4
+
     @pytest.mark.parametrize("path, field", [
         (("bias",), "bias"), (("weights", 1), "weights entry"),
         (("split", "train_fraction"), "split.train_fraction")],
@@ -704,15 +852,15 @@ class TestExplain:
 
     def test_integer_in_number_field_loads_as_float(self, tmp_path, capsys):
         doc = recorded_reject_doc()
+        # every number field but split.train_fraction, which no integer lies in range of
         doc.update(weights=[-1, 2], bias=0, t_minus=0, t_plus=0, w_r=1)
-        doc["split"]["train_fraction"] = 1
         doc["training"].update(primal_objective=1, dual_gap=0)
         doc["risk_report"].update(error_ratio=0, rejection_ratio=0, risk=1)
         model_path = tmp_path / "reject.json"
         model_path.write_text(json.dumps(doc))
         bundle = load_bundle(model_path)
         numbers = [bundle.model.bias, bundle.t_minus, bundle.t_plus, bundle.w_r,
-                   bundle.split.train_fraction, bundle.training.primal_objective,
+                   bundle.training.primal_objective,
                    bundle.training.dual_gap, bundle.risk_report.risk, *bundle.model.weights]
         assert all(isinstance(v, float) for v in numbers), numbers
         instances = tmp_path / "inst.csv"
@@ -1425,9 +1573,16 @@ class TestOutOfDomain:
 
 class TestSplitIndices:
     """Every split manifest index must name a row of --input: a negative or
-    too large one exits 2 before anything is written."""
+    too large one exits 2 before anything is written, a negative one as an
+    error of the model file."""
 
     BAD = ([-1, -150], [150])
+
+    @staticmethod
+    def error(path, key, bad):
+        if min(bad) < 0:
+            return f"model file {path}: split.{key} lists index {min(bad)}, which is negative\n"
+        return "split manifest indices fall outside the input's 150 rows"
 
     @pytest.fixture
     def trained(self, tmp_path, iris_csv, capsys):
@@ -1458,7 +1613,7 @@ class TestSplitIndices:
             "calibrate", "--input", str(iris_csv), "--model", str(model_path),
             "--output", str(out_path),
         ]) == 2
-        assert "split manifest indices fall outside the input's 150 rows" in capsys.readouterr().err
+        assert self.error(model_path, "train_indices", bad) in capsys.readouterr().err
         assert not out_path.exists()
 
     @pytest.mark.parametrize("bad", BAD)
@@ -1470,5 +1625,5 @@ class TestSplitIndices:
             "explain", "--model", str(reject_path), "--input", str(iris_csv),
             "--output", str(out_path), "--scope", "test",
         ]) == 2
-        assert "split manifest indices fall outside the input's 150 rows" in capsys.readouterr().err
+        assert self.error(reject_path, "test_indices", bad) in capsys.readouterr().err
         assert not out_path.exists()

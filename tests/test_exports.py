@@ -1,5 +1,6 @@
 import argparse
 import ast
+import dataclasses
 import os
 import re
 import subprocess
@@ -79,6 +80,11 @@ def test_per_field_readers_are_gone():
         assert not hasattr(artifacts, name), name
     for name in ("_per_class_stats", "_frequency"):
         assert not hasattr(cli, name), name
+    # the metrics sidecar is the band's ends and vars(EvalMetrics), whose
+    # field names are its keys
+    assert not hasattr(cli, "_metrics_json")
+    counts = {"negative_count", "rejected_count", "positive_count"}
+    assert counts.isdisjoint(f.name for f in dataclasses.fields(rejector.EvalMetrics))
 
 
 def test_formula_layer_is_gone():

@@ -324,7 +324,7 @@ class TestEvaluate:
         assert m.accuracy_without_reject == 1.0
         assert m.accuracy_with_reject == 1.0
         assert m.rejection_ratio == 0.0
-        assert (m.negative_count, m.rejected_count, m.positive_count) == (1, 0, 1)
+        assert (m.negative, m.rejected, m.positive) == (1, 0, 1)
 
     def test_accuracy_counts_only_accepted(self):
         rm = RejectModel(LinearModel(np.array([1.0]), 0.0), -0.5, 0.5, 0.24)
@@ -334,7 +334,7 @@ class TestEvaluate:
         m = evaluate(rm, ds)
         assert m.rejection_ratio == 0.4
         assert m.accuracy_with_reject == pytest.approx(5 / 6)
-        assert m.negative_count + m.rejected_count + m.positive_count == 10
+        assert m.negative + m.rejected + m.positive == 10
 
     def test_plain_accuracy_is_decided_by_the_exact_value(self):
         # the float decision value of x is 0.0, the exact one 1.0: the row
